@@ -20,7 +20,7 @@ from .audio import (
     write_wav,
     write_wav_file,
 )
-from .evaluation import RunConfig, evaluate_files, evaluate_performances
+from .evaluation import RunConfig, evaluate_performances
 from .ir_metrics import (
     PRF,
     NoteMatching,
@@ -59,13 +59,7 @@ from .stats import (
     kruskal_wallis,
     parse_reports_json,
 )
-from .streams import (
-    cluster_onsets,
-    extract_accompaniment,
-    extract_bass,
-    extract_melody,
-    split_streams,
-)
+from .streams import cluster_onsets, split_streams
 from .tension import (
     SpiralParams,
     SpiralPoint,

@@ -25,7 +25,7 @@ from .audio import (
 )
 from .evaluation import RunConfig, evaluate_performances
 from .midi import MidiParseError, parse_midi_file
-from .stats import ALPHA, aggregate, emit, kruskal_wallis
+from .stats import ALPHA, aggregate, csv_text, emit, kruskal_wallis
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -61,18 +61,13 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by flags."""
-    field_types = {f.name: f.type for f in fields(RunConfig)}
+    field_types = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict = {}
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
             if key not in field_types:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == "pedal_mode":
-                values[key] = raw
-            elif key == "min_samples":
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
+            values[key] = field_types[key](raw)
     if getattr(args, "pedal", None):
         values["pedal_mode"] = args.pedal
     return RunConfig(**values)
@@ -89,10 +84,6 @@ def _write_output(data: bytes, output: Optional[str]) -> None:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _load_performance(path: str, pedal_mode: str):
-    return parse_midi_file(path, pedal_mode=pedal_mode)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         config = _build_run_config(args)
@@ -101,7 +92,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     performances = []
     for path in (args.ref, args.est):
         try:
-            performances.append(_load_performance(path, config.pedal_mode))
+            performances.append(parse_midi_file(path, pedal_mode=config.pedal_mode))
         except MidiParseError as err:
             return _fail(EXIT_PARSE, f"{path}: {err}")
         except OSError as err:
@@ -147,11 +138,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
         tags = {k: v for k, v in row.items() if k not in ("ref", "est")}
         pair_id = tags.get("id") or f"pair{index:04d}"
         try:
-            ref = _load_performance(row["ref"], config.pedal_mode)
-            est = _load_performance(row["est"], config.pedal_mode)
+            ref = parse_midi_file(row["ref"], pedal_mode=config.pedal_mode)
+            est = parse_midi_file(row["est"], pedal_mode=config.pedal_mode)
             return index, evaluate_performances(ref, est, config, pair_id, tags), None
-        except (MidiParseError, OSError, ValueError) as err:
+        except (OSError, ValueError) as err:
             return index, None, str(err)
+        except Exception as err:  # any other fault fails this row, not the batch
+            return index, None, f"{type(err).__name__}: {err}"
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = list(pool.map(run_row, enumerate(rows)))
@@ -164,11 +157,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         suffix = args.format
         (out_dir / f"reports.{suffix}").write_bytes(emit(reports, args.format))
-        failure_lines = ["row,ref,est,error"] + [
-            ",".join([str(i), ref, est, '"%s"' % err.replace('"', '""')])
-            for i, ref, est, err in failures
-        ]
-        (out_dir / "failures.csv").write_text("\n".join(failure_lines) + "\n", encoding="utf-8")
+        failures_csv = csv_text(["row", "ref", "est", "error"], failures)
+        (out_dir / "failures.csv").write_text(failures_csv, encoding="utf-8")
         if args.group_by and reports:
             keys = [k.strip() for k in args.group_by.split(",") if k.strip()]
             table = aggregate(reports, keys)
@@ -204,41 +194,31 @@ def cmd_perturb(args: argparse.Namespace) -> int:
         snr_levels = [None if tok is None else float(tok) for tok in snr_tokens]
         ir_levels: list[Optional[AudioBuffer]] = []
         ir_labels: list[str] = []
-        if args.ir:
-            for i, tok in enumerate(_parse_levels(args.ir)):
-                if tok is None:
-                    ir_levels.append(None)
-                    ir_labels.append("none")
-                else:
-                    ir_levels.append(read_wav_file(tok))
-                    ir_labels.append(Path(tok).stem)
-        else:
-            for i, tok in enumerate(_parse_levels(args.rt60)):
-                if tok is None:
-                    ir_levels.append(None)
-                    ir_labels.append("none")
-                else:
-                    rt60 = float(tok)
-                    ir_levels.append(synth_ir(rt60, audio.sample_rate, derive_seed(args.seed, 1, i)))
-                    ir_labels.append(tok)
-    except WavFormatError as err:
+        for i, tok in enumerate(_parse_levels(args.ir or args.rt60)):
+            if tok is None:
+                ir_levels.append(None)
+                ir_labels.append("none")
+            elif args.ir:
+                ir_levels.append(read_wav_file(tok))
+                ir_labels.append(Path(tok).stem)
+            else:
+                seed = derive_seed(args.seed, 1, i)
+                ir_levels.append(synth_ir(float(tok), audio.sample_rate, seed))
+                ir_labels.append(tok)
+    except ValueError as err:
         return _fail(EXIT_PARSE, str(err))
-    except (ValueError, OSError) as err:
-        return _fail(EXIT_PARSE, str(err))
+    except OSError as err:
+        return _fail(EXIT_IO, str(err))
 
-    snr_labels = [("none" if tok is None else tok) for tok in snr_tokens]
-    out_dir = Path(args.output)
+    snr_labels = ["none" if tok is None else tok for tok in snr_tokens]
     stem = Path(args.input).stem
+    names = [f"{stem}__snr{snr}_rt{ir}.wav" for ir in ir_labels for snr in snr_labels]
+    out_dir = Path(args.output)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         cells = apply_condition_grid(audio, snr_levels, ir_levels, args.seed)
-        index = 0
-        for i_ir in range(len(ir_levels)):
-            for i_snr in range(len(snr_levels)):
-                _, buffer = cells[index]
-                name = f"{stem}__snr{snr_labels[i_snr]}_rt{ir_labels[i_ir]}.wav"
-                write_wav_file(out_dir / name, buffer)
-                index += 1
+        for name, (_, buffer) in zip(names, cells):
+            write_wav_file(out_dir / name, buffer)
     except (ValueError, OSError) as err:
         return _fail(EXIT_IO, str(err))
     return EXIT_OK

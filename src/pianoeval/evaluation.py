@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from .ir_metrics import FRAME_LENGTH, build_piano_roll, frame_metrics, note_metrics
-from .midi import Performance, parse_midi_file
+from .midi import Performance
 from .musical import compute_musical_metrics
 from .series import GridConfig
 from .stats import MetricReport
 from .streams import CHORD_EPSILON
 from .tension import SpiralParams, WindowConfig
 
-__all__ = ["RunConfig", "evaluate_performances", "evaluate_files"]
+__all__ = ["RunConfig", "evaluate_performances"]
 
 
 @dataclass(frozen=True)
@@ -24,13 +22,13 @@ class RunConfig:
 
     frame_length: float = FRAME_LENGTH
     chord_epsilon: float = CHORD_EPSILON
-    grid_step: float = 0.1
-    min_samples: int = 8
-    window_length: float = 1.0
-    hop: float = 0.5
+    grid_step: float = GridConfig.step
+    min_samples: int = GridConfig.min_samples
+    window_length: float = WindowConfig.window_length
+    hop: float = WindowConfig.hop
     pedal_mode: str = "extend"
-    spiral_radius: float = 1.0
-    spiral_rise: float = math.sqrt(2.0 / 15.0)
+    spiral_radius: float = SpiralParams.radius
+    spiral_rise: float = SpiralParams.rise
 
     def __post_init__(self):
         if self.frame_length <= 0:
@@ -81,17 +79,3 @@ def evaluate_performances(
         musical=musical,
         tags=dict(tags or {}),
     )
-
-
-def evaluate_files(
-    ref_path,
-    est_path,
-    config: RunConfig = RunConfig(),
-    pair_id: Optional[str] = None,
-    tags: Optional[dict[str, str]] = None,
-) -> MetricReport:
-    ref = parse_midi_file(ref_path, pedal_mode=config.pedal_mode)
-    est = parse_midi_file(est_path, pedal_mode=config.pedal_mode)
-    if pair_id is None:
-        pair_id = f"{Path(ref_path).stem}__vs__{Path(est_path).stem}"
-    return evaluate_performances(ref, est, config, pair_id, tags)

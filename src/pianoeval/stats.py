@@ -12,11 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from scipy.special import gammaincc
 
@@ -30,6 +29,7 @@ __all__ = [
     "kruskal_wallis",
     "chi_square_sf",
     "aggregate",
+    "csv_text",
     "emit",
     "parse_reports_json",
 ]
@@ -189,32 +189,36 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _reports_csv(reports: Sequence[MetricReport]) -> str:
-    tag_keys = _tag_keys(reports)
-    header = ["pair_id", *tag_keys, *REPORT_METRIC_COLUMNS]
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header row plus data rows as CSV text with "\\n" line ends.
+
+    Cells are quoted only when they hold a comma, quote or line break.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _reports_csv(reports: Sequence[MetricReport]) -> str:
+    tag_keys = _tag_keys(reports)
+    rows = []
     for r in reports:
         values = _report_values(r)
-        writer.writerow(
+        rows.append(
             [r.pair_id]
             + [r.tags.get(k, "") for k in tag_keys]
             + [_format_cell(values[c]) for c in REPORT_METRIC_COLUMNS]
         )
-    return out.getvalue()
+    return csv_text(["pair_id", *tag_keys, *REPORT_METRIC_COLUMNS], rows)
 
 
 def _aggregate_csv(rows: Sequence[dict]) -> str:
     if not rows:
         return ""
     header = list(rows[0].keys())
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in header])
-    return out.getvalue()
+    return csv_text(header, ([_format_cell(row[c]) for c in header] for row in rows))
 
 
 def _report_to_json_obj(report: MetricReport) -> dict:

@@ -9,17 +9,11 @@ need the raw overlap between consecutive notes.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Sequence
-
 from .midi import Note, Performance
 
 __all__ = [
     "CHORD_EPSILON",
     "cluster_onsets",
-    "extract_melody",
-    "extract_bass",
-    "extract_accompaniment",
     "split_streams",
 ]
 
@@ -47,69 +41,34 @@ def cluster_onsets(perf: Performance, eps: float = CHORD_EPSILON) -> list[list[N
     return clusters
 
 
-def _highest(cluster: list[Note]) -> Note:
-    # highest pitch; ties broken by longer duration, then first in sort order
-    best = cluster[0]
+def _top_and_bottom(cluster: list[Note]) -> tuple[Note, Note]:
+    # highest and lowest pitch; ties broken by longer duration, then first in sort order
+    top = bottom = cluster[0]
     for note in cluster[1:]:
-        if note.pitch > best.pitch or (
-            note.pitch == best.pitch and note.duration > best.duration
+        if note.pitch > top.pitch or (note.pitch == top.pitch and note.duration > top.duration):
+            top = note
+        if note.pitch < bottom.pitch or (
+            note.pitch == bottom.pitch and note.duration > bottom.duration
         ):
-            best = note
-    return best
-
-
-def _lowest(cluster: list[Note]) -> Note:
-    best = cluster[0]
-    for note in cluster[1:]:
-        if note.pitch < best.pitch or (
-            note.pitch == best.pitch and note.duration > best.duration
-        ):
-            best = note
-    return best
-
-
-def extract_melody(perf: Performance, chord_epsilon: float = CHORD_EPSILON) -> list[Note]:
-    """Skyline melody: the highest-pitch note of every onset cluster.
-
-    Offsets and velocities are preserved as played. The returned onsets are
-    strictly increasing (one note per cluster, clusters separated by more
-    than ``chord_epsilon``).
-    """
-    return [_highest(c) for c in cluster_onsets(perf, chord_epsilon)]
-
-
-def extract_bass(perf: Performance, chord_epsilon: float = CHORD_EPSILON) -> list[Note]:
-    """Mirror skyline: the lowest-pitch note of every onset cluster."""
-    return [_lowest(c) for c in cluster_onsets(perf, chord_epsilon)]
-
-
-def extract_accompaniment(perf: Performance, melody: Sequence[Note]) -> list[Note]:
-    """All performance notes not in ``melody``, in original order.
-
-    Multiset difference: each melody note removes one equal note from the
-    performance. Raises ``ValueError`` if a melody note is absent.
-    """
-    remaining = Counter(melody)
-    rest = []
-    for note in perf.notes:
-        if remaining.get(note, 0) > 0:
-            remaining[note] -= 1
-        else:
-            rest.append(note)
-    leftover = sum(remaining.values())
-    if leftover:
-        raise ValueError(f"{leftover} melody note(s) not present in the performance")
-    return rest
+            bottom = note
+    return top, bottom
 
 
 def split_streams(
     perf: Performance, chord_epsilon: float = CHORD_EPSILON
 ) -> tuple[list[Note], list[Note], list[Note]]:
-    """(melody, bass, accompaniment) in one clustering pass."""
+    """(melody, bass, accompaniment) in one clustering pass.
+
+    The melody is the highest-pitch note of every onset cluster and the
+    bass the lowest; the accompaniment is every note but the melody notes
+    (bass notes included), in original order. Notes keep their offsets and velocities as played,
+    and melody and bass onsets are strictly increasing (one note per
+    cluster).
+    """
     melody, bass, rest = [], [], []
     for cluster in cluster_onsets(perf, chord_epsilon):
-        top = _highest(cluster)
+        top, bottom = _top_and_bottom(cluster)
         melody.append(top)
-        bass.append(_lowest(cluster))
+        bass.append(bottom)
         rest.extend(n for n in cluster if n is not top)
     return melody, bass, rest

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .midi import Note, Performance
 from .series import FeatureSeries
@@ -98,16 +98,12 @@ def pitch_to_spiral(pitch: int, params: SpiralParams = DEFAULT_PARAMS) -> Spiral
     return SpiralPoint(params.radius * _SIN[k % 4], params.radius * _COS[k % 4], k * params.rise)
 
 
-def _pc_weights(
-    notes: Iterable[Note], start: float, end: float, weighting: str
-) -> list[float]:
+def _pc_weights(notes: Iterable[Note], start: float, end: float) -> list[float]:
     weights = [0.0] * 12
     for note in notes:
         overlap = min(note.offset, end) - max(note.onset, start)
-        if overlap <= 0:
-            continue
-        w = overlap * note.velocity if weighting == "duration_velocity" else overlap
-        weights[note.pitch % 12] += w
+        if overlap > 0:
+            weights[note.pitch % 12] += overlap
     return weights
 
 
@@ -116,17 +112,13 @@ def center_of_effect(
     start: float,
     end: float,
     params: SpiralParams = DEFAULT_PARAMS,
-    weighting: str = "duration",
 ) -> Optional[SpiralPoint]:
     """Duration-weighted centroid of the notes sounding in [start, end).
 
-    Weight is each note's sounding time inside the window (optionally
-    scaled by velocity with ``weighting="duration_velocity"``). Returns
-    None when nothing sounds in the window.
+    Weight is each note's sounding time inside the window. Returns None
+    when nothing sounds in the window.
     """
-    if weighting not in ("duration", "duration_velocity"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    weights = _pc_weights(notes, start, end, weighting)
+    weights = _pc_weights(notes, start, end)
     total = sum(weights)
     if total <= 0:
         return None
@@ -209,7 +201,6 @@ def cloud_momentum(
     perf: Performance,
     cfg: WindowConfig = WindowConfig(),
     params: SpiralParams = DEFAULT_PARAMS,
-    weighting: str = "duration",
 ) -> FeatureSeries:
     """Distance between consecutive windows' centers of effect.
 
@@ -221,7 +212,7 @@ def cloud_momentum(
     previous_index = None
     previous_ce = None
     for index, start, notes in _iter_windows(perf, cfg):
-        ce = center_of_effect(notes, start, start + cfg.window_length, params, weighting)
+        ce = center_of_effect(notes, start, start + cfg.window_length, params)
         if ce is not None and previous_ce is not None and index == previous_index + 1:
             samples.append((start, ce.distance(previous_ce)))
         previous_index, previous_ce = index, ce

@@ -2,13 +2,16 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from helpers import performance_to_smf, random_performance, serialize_smf, sine_audio
+from pianoeval import cli
 from pianoeval.audio import write_wav_file
 from pianoeval.cli import main
+from pianoeval.evaluation import RunConfig
 from pianoeval.stats import parse_reports_json
 
 
@@ -78,6 +81,35 @@ def test_evaluate_config_file(midi_pair, tmp_path, capsys):
     config.write_text("# run parameters\ngrid_step = 0.2\nmin_samples = 4\n")
     assert main(["evaluate", ref, est, "--config", str(config)]) == 0
     assert _read_csv(capsys.readouterr().out)[0]["frame_f1"] == "1.000000"
+
+
+def test_config_file_sets_every_run_config_field(midi_pair, tmp_path, monkeypatch, capsys):
+    ref, est = midi_pair
+    wanted = RunConfig(
+        frame_length=0.02,
+        chord_epsilon=0.05,
+        grid_step=0.2,
+        min_samples=5,
+        window_length=2.0,
+        hop=1.0,
+        pedal_mode="ignore",
+        spiral_radius=2.0,
+        spiral_rise=0.5,
+    )
+    assert all(getattr(wanted, f.name) != f.default for f in fields(RunConfig))
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{f.name} = {getattr(wanted, f.name)}\n" for f in fields(RunConfig)))
+    seen = []
+    real = cli.evaluate_performances
+
+    def spy(ref_perf, est_perf, config, *args, **kwargs):
+        seen.append(config)
+        return real(ref_perf, est_perf, config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_performances", spy)
+    assert main(["evaluate", ref, est, "--config", str(config)]) == 0
+    assert seen == [wanted]
+    assert type(seen[0].min_samples) is int
 
 
 def test_evaluate_unknown_config_key(midi_pair, tmp_path, capsys):
@@ -162,6 +194,37 @@ def test_batch_reports_partial_failures(tmp_path, capsys):
     assert len(failures) == 2  # header + one failed row
     assert "bad0.mid" in failures[1]
     assert "row 2 failed" in capsys.readouterr().err
+
+
+def test_batch_failures_csv_quotes_paths_with_commas(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    missing = str(tmp_path / "a,b.mid")
+    manifest.write_text(f'ref,est\n"{missing}","{missing}"\n')
+    out = tmp_path / "out"
+    assert main(["batch", str(manifest), "--output", str(out)]) == 4
+    header, row = list(csv.reader(io.StringIO((out / "failures.csv").read_text())))
+    assert header == ["row", "ref", "est", "error"]
+    assert row[:3] == ["0", missing, missing]
+    assert len(row) == 4
+
+
+def test_batch_unexpected_error_fails_only_its_row(tmp_path, monkeypatch, capsys):
+    manifest = _make_batch(tmp_path, n_good=3)
+    real = cli.evaluate_performances
+
+    def flaky(ref, est, config, pair_id, tags):
+        if pair_id == "pair-1":
+            raise RuntimeError("boom")
+        return real(ref, est, config, pair_id, tags)
+
+    monkeypatch.setattr(cli, "evaluate_performances", flaky)
+    out = tmp_path / "out"
+    assert main(["batch", manifest, "--output", str(out)]) == 0
+    rows = _read_csv((out / "reports.csv").read_text())
+    assert [r["pair_id"] for r in rows] == ["pair-0", "pair-2"]
+    failures = _read_csv((out / "failures.csv").read_text())
+    assert [(f["row"], f["error"]) for f in failures] == [("1", "RuntimeError: boom")]
+    assert "row 1 failed" in capsys.readouterr().err
 
 
 def test_batch_all_rows_failing(tmp_path, capsys):
@@ -274,6 +337,15 @@ def test_perturb_with_ir_files(tmp_path, capsys):
     assert main(args) == 0
     names = sorted(p.name for p in out.iterdir())
     assert names == ["take__snrnone_rthall.wav", "take__snrnone_rtnone.wav"]
+
+
+def test_perturb_missing_ir_file_is_io_error(tmp_path, capsys):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    missing = tmp_path / "hall.wav"
+    args = ["perturb", str(wav), "--output", str(tmp_path / "o"), "--ir", f"none,{missing}"]
+    assert main(args) == 3
+    assert "hall.wav" in capsys.readouterr().err
 
 
 def test_perturb_rejects_bad_wav(tmp_path, capsys):

@@ -1,19 +1,20 @@
 import numpy as np
-import pytest
 
 from helpers import random_performance
 from pianoeval.midi import Note, Performance
-from pianoeval.streams import (
-    cluster_onsets,
-    extract_accompaniment,
-    extract_bass,
-    extract_melody,
-    split_streams,
-)
+from pianoeval.streams import cluster_onsets, split_streams
 
 
 def _perf(*notes):
     return Performance.from_notes([Note(*n) for n in notes])
+
+
+def _melody(perf):
+    return split_streams(perf)[0]
+
+
+def _bass(perf):
+    return split_streams(perf)[1]
 
 
 C4, E4, G4, B3, D5 = 60, 64, 67, 59, 74
@@ -38,12 +39,12 @@ def test_cluster_anchored_not_chained():
 
 def test_melody_picks_chord_top():
     perf = _perf((0.0, 1.0, C4, 64), (0.0, 1.0, E4, 64), (0.0, 1.0, G4, 64))
-    assert [n.pitch for n in extract_melody(perf)] == [G4]
+    assert [n.pitch for n in _melody(perf)] == [G4]
 
 
 def test_melody_single_note():
     perf = _perf((0.0, 1.0, C4, 64))
-    assert extract_melody(perf) == [perf.notes[0]]
+    assert _melody(perf) == [perf.notes[0]]
 
 
 def test_melody_three_clusters():
@@ -54,24 +55,24 @@ def test_melody_three_clusters():
         (1.0, 2.0, B3, 64),
         (1.0, 2.0, G4, 64),
     )
-    assert [n.pitch for n in extract_melody(perf)] == [E4, D5, G4]
-    assert [n.pitch for n in extract_bass(perf)] == [C4, D5, B3]
+    assert [n.pitch for n in _melody(perf)] == [E4, D5, G4]
+    assert [n.pitch for n in _bass(perf)] == [C4, D5, B3]
 
 
 def test_bass_picks_chord_bottom():
     perf = _perf((0.0, 1.0, C4, 64), (0.0, 1.0, E4, 64), (0.0, 1.0, G4, 64))
-    assert [n.pitch for n in extract_bass(perf)] == [C4]
+    assert [n.pitch for n in _bass(perf)] == [C4]
 
 
 def test_equal_pitch_tie_longest_duration():
     perf = _perf((0.0, 0.5, C4, 64), (0.01, 2.0, C4, 80))
-    assert extract_melody(perf)[0].velocity == 80
-    assert extract_bass(perf)[0].velocity == 80
+    assert _melody(perf)[0].velocity == 80
+    assert _bass(perf)[0].velocity == 80
 
 
 def test_melody_preserves_offsets_and_velocities():
     perf = _perf((0.0, 3.7, G4, 99), (0.0, 1.0, C4, 30))
-    melody = extract_melody(perf)
+    melody = _melody(perf)
     assert melody[0].offset == 3.7 and melody[0].velocity == 99
 
 
@@ -83,17 +84,12 @@ def test_accompaniment_set_difference():
         (1.0, 2.0, B3, 64),
         (1.0, 2.0, G4, 64),
     )
-    melody = extract_melody(perf)
-    rest = extract_accompaniment(perf, melody)
-    assert [n.pitch for n in rest] == [C4, B3]
-    assert extract_accompaniment(perf, []) == list(perf.notes)
-    assert extract_accompaniment(perf, list(perf.notes)) == []
-
-
-def test_accompaniment_rejects_foreign_melody_note():
-    perf = _perf((0.0, 1.0, C4, 64))
-    with pytest.raises(ValueError):
-        extract_accompaniment(perf, [Note(5.0, 6.0, 100, 64)])
+    assert [n.pitch for n in split_streams(perf)[2]] == [C4, B3]
+    assert split_streams(_perf((0.0, 1.0, C4, 64), (0.5, 1.0, E4, 64)))[2] == []
+    # multiset difference: of two equal notes, only one becomes the melody
+    twins = _perf((0.0, 1.0, C4, 64), (0.0, 1.0, C4, 64))
+    melody, _, rest = split_streams(twins)
+    assert melody == rest == [Note(0.0, 1.0, C4, 64)]
 
 
 def test_partition_property():
@@ -113,12 +109,16 @@ def test_pitch_dominance_property():
     rng = np.random.default_rng(5)
     for _ in range(25):
         perf = random_performance(rng, int(rng.integers(1, 80)))
-        for cluster in cluster_onsets(perf, 0.03):
+        melody, bass, _ = split_streams(perf, 0.03)
+        for cluster, top, bottom in zip(cluster_onsets(perf, 0.03), melody, bass, strict=True):
             pitches = [n.pitch for n in cluster]
-            from pianoeval.streams import _highest, _lowest
-
-            assert _highest(cluster).pitch == max(pitches)
-            assert _lowest(cluster).pitch == min(pitches)
+            assert top.pitch == max(pitches)
+            assert bottom.pitch == min(pitches)
+            # ties: longest duration, then first in sort order
+            for pick in (top, bottom):
+                tied = [n for n in cluster if n.pitch == pick.pitch]
+                longest = max(n.duration for n in tied)
+                assert pick is next(n for n in tied if n.duration == longest)
 
 
 def test_determinism():

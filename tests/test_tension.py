@@ -107,15 +107,6 @@ def test_ce_empty_window_undefined():
     assert center_of_effect([_note(60, 5.0, 6.0)], 0.0, 1.0) is None
 
 
-def test_ce_velocity_weighting_switch():
-    notes = [Note(0.0, 1.0, 60, 100), Note(0.0, 1.0, 67, 25)]
-    ce = center_of_effect(notes, 0.0, 1.0, weighting="duration_velocity")
-    c, g = pitch_to_spiral(60), pitch_to_spiral(67)
-    assert ce.x == pytest.approx(0.8 * c.x + 0.2 * g.x)
-    with pytest.raises(ValueError):
-        center_of_effect(notes, 0.0, 1.0, weighting="loudest")
-
-
 # ---------------------------------------------------------------------------
 # Cloud diameter
 # ---------------------------------------------------------------------------
