@@ -63,14 +63,21 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by flags."""
     field_types = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
+    path = getattr(args, "config", None)
+    if path:
+        for key, raw in _parse_config_file(path).items():
             if key not in field_types:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = field_types[key](raw)
+                raise ValueError(f"{path}: unknown config key {key!r}")
+            try:
+                values[key] = field_types[key](raw)
+            except ValueError as err:
+                raise ValueError(f"{path}: {key}: {err}") from None
     if getattr(args, "pedal", None):
         values["pedal_mode"] = args.pedal
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None  # only config values can be out of range
 
 
 def _write_output(data: bytes, output: Optional[str]) -> None:
@@ -89,6 +96,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         config = _build_run_config(args)
     except ValueError as err:
         return _fail(EXIT_PARSE, str(err))
+    except OSError as err:
+        return _fail(EXIT_IO, str(err))
     performances = []
     for path in (args.ref, args.est):
         try:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .midi import Note, Performance
 
@@ -98,19 +100,15 @@ def build_piano_roll(perf: Performance, frame_length: float = FRAME_LENGTH) -> P
 
 
 def frame_metrics(ref: PianoRoll, est: PianoRoll) -> PRF:
-    """Cellwise precision/recall/F1; the shorter roll is zero-padded."""
+    """Cellwise precision/recall/F1; frames past the shorter roll are inactive."""
     if ref.frame_length != est.frame_length:
         raise ValueError(
             f"frame_length mismatch: {ref.frame_length} vs {est.frame_length}"
         )
-    t = max(ref.n_frames, est.n_frames)
-    a = np.zeros((N_PITCHES, t), dtype=np.bool_)
-    b = np.zeros((N_PITCHES, t), dtype=np.bool_)
-    a[:, : ref.n_frames] = ref.active
-    b[:, : est.n_frames] = est.active
-    tp = int(np.count_nonzero(a & b))
-    fp = int(np.count_nonzero(~a & b))
-    fn = int(np.count_nonzero(a & ~b))
+    t = min(ref.n_frames, est.n_frames)
+    tp = int(np.count_nonzero(ref.active[:, :t] & est.active[:, :t]))
+    fp = int(np.count_nonzero(est.active)) - tp
+    fn = int(np.count_nonzero(ref.active)) - tp
     return PRF.from_counts(tp, fp, fn)
 
 
@@ -190,68 +188,13 @@ def _filter_velocity(
     return filtered
 
 
-def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> list[int]:
-    """Maximum bipartite matching; returns match_left (-1 = unmatched)."""
-    n_left = len(adjacency)
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
-    inf = float("inf")
-
-    while True:
-        # BFS builds the layered graph from free left vertices
-        dist = [inf] * n_left
-        queue = [l for l in range(n_left) if match_left[l] == -1]
-        for l in queue:
-            dist[l] = 0
-        reachable_free = False
-        head = 0
-        while head < len(queue):
-            l = queue[head]
-            head += 1
-            for r in adjacency[l]:
-                l2 = match_right[r]
-                if l2 == -1:
-                    reachable_free = True
-                elif dist[l2] == inf:
-                    dist[l2] = dist[l] + 1
-                    queue.append(l2)
-        if not reachable_free:
-            return match_left
-
-        # iterative DFS along strictly increasing layers
-        edge_ptr = [0] * n_left
-        for start in range(n_left):
-            if match_left[start] != -1:
-                continue
-            stack = [start]
-            via: list[int] = [-1]  # edge chosen by each stack frame
-            while stack:
-                l = stack[-1]
-                advanced = False
-                free_r = -1
-                while edge_ptr[l] < len(adjacency[l]):
-                    r = adjacency[l][edge_ptr[l]]
-                    edge_ptr[l] += 1
-                    l2 = match_right[r]
-                    if l2 == -1:
-                        free_r = r
-                        break
-                    if dist[l2] == dist[l] + 1:
-                        via[-1] = r
-                        stack.append(l2)
-                        via.append(-1)
-                        advanced = True
-                        break
-                if free_r != -1:
-                    via[-1] = free_r
-                    for fl, fr in zip(stack, via):
-                        match_left[fl] = fr
-                        match_right[fr] = fl
-                    break
-                if not advanced:
-                    dist[l] = inf  # dead end this phase
-                    stack.pop()
-                    via.pop()
+def _max_matching(adjacency: list[list[int]], n_right: int) -> np.ndarray:
+    """Maximum bipartite matching (Hopcroft–Karp); the matched right index
+    of each left vertex, -1 when it is unmatched."""
+    indices = [j for row in adjacency for j in row]
+    indptr = np.cumsum([0] + [len(row) for row in adjacency])
+    graph = csr_array((np.ones(len(indices)), indices, indptr), (len(adjacency), n_right))
+    return maximum_bipartite_matching(graph, perm_type="column")
 
 
 def match_notes(ref: Sequence[Note], est: Sequence[Note], mode: str) -> NoteMatching:
@@ -267,11 +210,10 @@ def match_notes(ref: Sequence[Note], est: Sequence[Note], mode: str) -> NoteMatc
     adjacency = _candidate_edges(ref, est, mode)
     if mode == "onset_offset_velocity":
         adjacency = _filter_velocity(ref, est, adjacency)
-    match_left = _hopcroft_karp(adjacency, len(est))
-    pairs = tuple((i, j) for i, j in enumerate(match_left) if j != -1)
-    matched_est = {j for _, j in pairs}
+    match_left = _max_matching(adjacency, len(est)).tolist()
+    matched_est = set(match_left)
     return NoteMatching(
-        pairs,
+        tuple((i, j) for i, j in enumerate(match_left) if j != -1),
         tuple(i for i, j in enumerate(match_left) if j == -1),
         tuple(j for j in range(len(est)) if j not in matched_est),
     )

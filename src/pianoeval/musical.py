@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .midi import Note, Performance
-from .series import FeatureSeries, GridConfig, correlate_series, grid_times, resample_to_grid
+from .series import FeatureSeries, GridConfig, correlate_series, grid_times, resample_to_grid, shared_extent
 from .streams import CHORD_EPSILON, split_streams
 from .tension import DEFAULT_PARAMS, SpiralParams, WindowConfig, cloud_diameter_series, cloud_momentum
 
@@ -78,7 +80,8 @@ def ioi_series(stream: Sequence[Note], chord_eps: float = CHORD_EPSILON) -> Feat
     for a, b in zip(stream, stream[1:]):
         ioi = b.onset - a.onset
         samples[b.onset] = 0.0 if ioi < chord_eps else ioi
-    return FeatureSeries.build(sorted(samples.items()))
+    times = sorted(samples)
+    return FeatureSeries(times, [samples[t] for t in times])
 
 
 def kor_series(stream: Sequence[Note], min_ioi: float = MIN_IOI) -> FeatureSeries:
@@ -89,13 +92,14 @@ def kor_series(stream: Sequence[Note], min_ioi: float = MIN_IOI) -> FeatureSerie
     (staccato), 0 at perfect legato. Pairs closer than ``min_ioi`` are
     skipped. Timestamps are at the second note's onset.
     """
-    samples = []
+    times, values = [], []
     for a, b in zip(stream, stream[1:]):
         ioi = b.onset - a.onset
         if ioi < min_ioi:
             continue
-        samples.append((b.onset, (a.offset - b.onset) / ioi))
-    return FeatureSeries.build(samples)
+        times.append(b.onset)
+        values.append((a.offset - b.onset) / ioi)
+    return FeatureSeries(times, values)
 
 
 class _VelocityTracker:
@@ -142,17 +146,18 @@ def dynamics_series(
     dropped.
     """
     if not melody or not bass:
-        return FeatureSeries.build([])
+        return FeatureSeries([], [])
     end = max(n.offset for n in list(melody) + list(bass))
     mel = _VelocityTracker(melody)
     bas = _VelocityTracker(bass)
-    samples = []
-    for t in grid_times(0.0, end, grid.step):
+    times, values = [], []
+    for t in grid_times(0.0, end, grid.step).tolist():
         vm = mel.velocity_at(t)
         vb = bas.velocity_at(t)
         if vm is not None and vb is not None:
-            samples.append((t, math.log(vm / vb)))
-    return FeatureSeries.build(samples)
+            times.append(t)
+            values.append(math.log(vm / vb))
+    return FeatureSeries(times, values)
 
 
 def ratio_kor_series(
@@ -161,23 +166,16 @@ def ratio_kor_series(
     """Melody KOR divided by bass KOR on their shared grid.
 
     Values above 1 mean the melody is played more legato than the bass.
-    Samples where the bass KOR is within ``RATIO_KOR_GUARD`` of zero, or
-    where either side is undefined, are dropped.
+    The grid spans the two series' shared extent; samples where the bass
+    KOR is within ``RATIO_KOR_GUARD`` of zero are dropped.
     """
-    if len(melody_kor) == 0 or len(bass_kor) == 0:
-        return FeatureSeries.build([])
-    t0 = max(melody_kor.samples[0][0], bass_kor.samples[0][0])
-    t1 = min(melody_kor.samples[-1][0], bass_kor.samples[-1][0])
-    if t1 < t0:
-        return FeatureSeries.build([])
-    mel = resample_to_grid(melody_kor, t0, t1, grid.step)
-    bas = resample_to_grid(bass_kor, t0, t1, grid.step)
-    samples = []
-    for t, m, b in zip(grid_times(t0, t1, grid.step), mel, bas):
-        if m is None or b is None or abs(b) < RATIO_KOR_GUARD:
-            continue
-        samples.append((t, m / b))
-    return FeatureSeries.build(samples)
+    extent = shared_extent(melody_kor, bass_kor)
+    if extent is None:
+        return FeatureSeries([], [])
+    mel = np.array(resample_to_grid(melody_kor, *extent, grid.step))
+    bas = np.array(resample_to_grid(bass_kor, *extent, grid.step))
+    keep = np.abs(bas) >= RATIO_KOR_GUARD
+    return FeatureSeries(grid_times(*extent, grid.step)[keep], mel[keep] / bas[keep])
 
 
 def compute_musical_metrics(

@@ -1,23 +1,23 @@
 """Time-stamped scalar feature series and their correlation.
 
 A :class:`FeatureSeries` is the common currency of the musically informed
-metrics: a strictly increasing sequence of (time, value) samples extracted
-from one performance. Two series are compared by holding both onto a shared
-time grid and correlating the points where both are defined.
+metrics: samples at strictly increasing times, extracted from one
+performance and held as two float arrays. Two series are compared by
+holding both onto a grid over their shared extent and correlating them.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "FeatureSeries",
     "GridConfig",
+    "shared_extent",
     "resample_to_grid",
     "pearson",
     "correlate_series",
@@ -26,35 +26,34 @@ __all__ = [
 _GRID_EPS = 1e-9  # guards float error when counting grid points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSeries:
-    """Immutable (time, value) samples with strictly increasing times."""
+    """Immutable samples: read-only float64 ``times`` (strictly increasing)
+    and ``values`` (finite) of equal length."""
 
-    samples: tuple[tuple[float, float], ...]
+    times: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        previous = -math.inf
-        for time, value in self.samples:
-            if time <= previous:
-                raise ValueError(f"sample times must be strictly increasing (at t={time})")
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite sample value {value} at t={time}")
-            previous = time
-
-    @classmethod
-    def build(cls, samples: Iterable[tuple[float, float]]) -> "FeatureSeries":
-        return cls(tuple((float(t), float(v)) for t, v in samples))
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.samples)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.samples)
+        times = np.array(self.times, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
+        if times.ndim != 1 or times.shape != values.shape:
+            raise ValueError(f"times {times.shape} and values {values.shape} must be 1-D, equal length")
+        previous = np.concatenate(([-math.inf], times[:-1]))
+        bad = np.flatnonzero(times <= previous)
+        if bad.size:
+            raise ValueError(f"sample times must be strictly increasing (at t={times[bad[0]]})")
+        nonfinite = np.flatnonzero(~np.isfinite(values))
+        if nonfinite.size:
+            i = nonfinite[0]
+            raise ValueError(f"non-finite sample value {values[i]} at t={times[i]}")
+        times.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -71,14 +70,23 @@ class GridConfig:
             raise ValueError("min_samples must be at least 2")
 
 
-def grid_times(t0: float, t1: float, step: float) -> list[float]:
+def grid_times(t0: float, t1: float, step: float) -> np.ndarray:
     """Grid points t0, t0+step, ... up to and including t1."""
     if step <= 0:
         raise ValueError("step must be positive")
     if t1 < t0:
-        return []
+        return np.empty(0)
     count = int(math.floor((t1 - t0) / step + _GRID_EPS)) + 1
-    return [t0 + k * step for k in range(count)]
+    return t0 + np.arange(count) * step
+
+
+def shared_extent(a: FeatureSeries, b: FeatureSeries) -> Optional[tuple[float, float]]:
+    """Latest first time and earliest last time of two series; None if empty or disjoint."""
+    if len(a) == 0 or len(b) == 0:
+        return None
+    t0 = float(max(a.times[0], b.times[0]))
+    t1 = float(min(a.times[-1], b.times[-1]))
+    return (t0, t1) if t0 <= t1 else None
 
 
 def resample_to_grid(
@@ -87,19 +95,13 @@ def resample_to_grid(
     """Previous-value-hold resampling onto the grid t0, t0+step, ..., <= t1.
 
     Each grid point takes the value of the latest sample at or before it;
-    grid points before the first sample are undefined (None). When two
-    series are paired downstream, only grid points defined on both sides
-    are used.
+    grid points before the first sample are undefined (None).
     """
     if t1 < t0:
         raise ValueError("t0 must not exceed t1")
-    times = series.times
-    values = series.values
-    out: list[Optional[float]] = []
-    for t in grid_times(t0, t1, step):
-        i = bisect_right(times, t) - 1
-        out.append(values[i] if i >= 0 else None)
-    return out
+    held = np.searchsorted(series.times, grid_times(t0, t1, step), side="right") - 1
+    undefined = int(np.count_nonzero(held < 0))
+    return [None] * undefined + series.values[held[undefined:]].tolist()
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
@@ -125,20 +127,16 @@ def correlate_series(
 ) -> Optional[float]:
     """Correlate two series on the common grid over their shared extent.
 
-    The grid spans the intersection of the two time extents; both series
-    are previous-value-held onto it and only points defined on both sides
-    are correlated. Returns None when fewer than ``grid.min_samples``
-    shared points exist or either side is constant.
+    The grid spans the intersection of the two time extents, where both
+    series are defined, and both are previous-value-held onto it. Returns
+    None when the grid has fewer than ``grid.min_samples`` points or either
+    side is constant.
     """
-    if len(ref) == 0 or len(est) == 0:
+    extent = shared_extent(ref, est)
+    if extent is None:
         return None
-    t0 = max(ref.samples[0][0], est.samples[0][0])
-    t1 = min(ref.samples[-1][0], est.samples[-1][0])
-    if t1 < t0:
+    a = resample_to_grid(ref, *extent, grid.step)
+    b = resample_to_grid(est, *extent, grid.step)
+    if len(a) < grid.min_samples:
         return None
-    a = resample_to_grid(ref, t0, t1, grid.step)
-    b = resample_to_grid(est, t0, t1, grid.step)
-    paired = [(x, y) for x, y in zip(a, b) if x is not None and y is not None]
-    if len(paired) < grid.min_samples:
-        return None
-    return pearson([x for x, _ in paired], [y for _, y in paired])
+    return pearson(a, b)

@@ -189,12 +189,13 @@ def cloud_diameter_series(
 
     Windows with no sounding notes produce no sample.
     """
-    samples = []
+    times, values = [], []
     for _, start, notes in _iter_windows(perf, cfg):
         value = cloud_diameter(notes, params)
         if value is not None:
-            samples.append((start, value))
-    return FeatureSeries.build(samples)
+            times.append(start)
+            values.append(value)
+    return FeatureSeries(times, values)
 
 
 def cloud_momentum(
@@ -208,12 +209,13 @@ def cloud_momentum(
     centers of windows i-1 and i; an empty window yields no center and
     breaks the chain, so no distance is taken across the gap.
     """
-    samples = []
+    times, values = [], []
     previous_index = None
     previous_ce = None
     for index, start, notes in _iter_windows(perf, cfg):
         ce = center_of_effect(notes, start, start + cfg.window_length, params)
         if ce is not None and previous_ce is not None and index == previous_index + 1:
-            samples.append((start, ce.distance(previous_ce)))
+            times.append(start)
+            values.append(ce.distance(previous_ce))
         previous_index, previous_ce = index, ce
-    return FeatureSeries.build(samples)
+    return FeatureSeries(times, values)

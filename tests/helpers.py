@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Optional, Sequence
+from bisect import bisect_right
+from typing import Sequence
 
 import numpy as np
 
@@ -284,6 +285,22 @@ def oracle_note_prf(ref: Sequence[Note], est: Sequence[Note], mode: str):
     recall = n / len(ref) if ref else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
+
+
+# ---------------------------------------------------------------------------
+# Previous-value-hold oracle: one bisect per grid point
+# ---------------------------------------------------------------------------
+
+def oracle_hold(times: Sequence[float], values: Sequence[float], t0: float, t1: float, step: float):
+    """Grid t0 + k*step up to t1 (1e-9 slack on the count), each point
+    holding the value of the latest sample at or before it, None before
+    the first sample."""
+    count = int(math.floor((t1 - t0) / step + 1e-9)) + 1
+    out = []
+    for k in range(count):
+        i = bisect_right(times, t0 + k * step) - 1
+        out.append(values[i] if i >= 0 else None)
+    return out
 
 
 # ---------------------------------------------------------------------------

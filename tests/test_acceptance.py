@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from helpers import (
     expressive_performance,
@@ -120,7 +119,7 @@ def test_spiral_geometry():
     )
     momentum = cloud_momentum(steady)
     assert len(momentum) > 0
-    assert all(v == 0.0 for _, v in momentum.samples)
+    assert all(v == 0.0 for v in momentum.values)
 
 
 def test_dynamics_velocity_scale_invariance():

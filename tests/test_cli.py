@@ -1,6 +1,5 @@
 import csv
 import io
-import json
 import math
 from dataclasses import fields
 
@@ -118,6 +117,28 @@ def test_evaluate_unknown_config_key(midi_pair, tmp_path, capsys):
     config.write_text("window = 2.0\n")
     assert main(["evaluate", ref, est, "--config", str(config)]) == 2
     assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("min_samples = 8.0", "min_samples: invalid literal for int()"),
+        ("grid_step = fast", "grid_step: could not convert string to float"),
+        ("hop = 5", "hop must be in (0, window_length]"),
+    ],
+)
+def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line, message):
+    ref, est = midi_pair
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    assert main(["evaluate", ref, est, "--config", str(config)]) == 2
+    assert f"pianoeval: {config}: {message}" in capsys.readouterr().err
+
+
+def test_evaluate_missing_config_file_is_io_error(midi_pair, tmp_path, capsys):
+    ref, est = midi_pair
+    assert main(["evaluate", ref, est, "--config", str(tmp_path / "absent.cfg")]) == 3
+    assert "absent.cfg" in capsys.readouterr().err
 
 
 def test_evaluate_malformed_config_line(midi_pair, tmp_path, capsys):

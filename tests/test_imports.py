@@ -1,0 +1,73 @@
+"""Every imported name in ``src/`` and ``tests/`` is used.
+
+The package ships without a linter, so this scan stands in for the
+unused-import check: a name bound by ``import`` or ``from ... import`` must
+be referenced somewhere in its module. ``__init__.py`` files are exempt
+(their imports are re-exports), and so is ``from __future__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
+)
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    used = set()
+    by_string = []  # quoted annotations and __all__ entries name things by string
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            by_string.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            by_string.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            by_string.append(node.value)
+    for root in by_string:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _referenced(tree)
+    return sorted((name, line) for name, line in _imported(tree).items() if name not in used)
+
+
+def test_scan_flags_unused_and_keeps_used():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\nimport os.path\nfrom typing import Optional, Sequence\n"
+        "from m import Exported\n__all__ = ['Exported']\n"
+        "def f(x: Optional[int]) -> 'Sequence[int]':\n    return os.path.join('json', x)\n"
+    )
+    assert unused_imports(source) == [("json", 2)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).with_suffix("").as_posix())
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

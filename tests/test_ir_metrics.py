@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    _oracle_max_matching,
+    _oracle_valid_matrix,
     jitter_onsets,
     jitter_velocities,
     oracle_frame_prf,
@@ -12,6 +16,7 @@ from helpers import (
 from pianoeval.ir_metrics import (
     FRAME_LENGTH,
     MATCH_MODES,
+    PRF,
     build_piano_roll,
     frame_metrics,
     match_notes,
@@ -263,6 +268,27 @@ def test_note_scores_equal_exhaustive_oracle():
             assert got.precision == pytest.approx(want[0]), (mode, ref, est)
             assert got.recall == pytest.approx(want[1]), (mode, ref, est)
             assert got.f1 == pytest.approx(want[2]), (mode, ref, est)
+
+
+_cluster_notes = st.lists(
+    st.builds(
+        lambda onset, duration, velocity: Note(onset / 100, onset / 100 + duration / 100, 60, velocity),
+        st.integers(0, 15),  # onsets on a 10 ms lattice, so many land exactly 50 ms apart
+        st.integers(1, 60),
+        st.integers(1, 127),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cluster_notes, _cluster_notes)
+def test_same_pitch_cluster_counts_equal_exhaustive_oracle(ref, est):
+    for mode in MATCH_MODES:
+        want = _oracle_max_matching(_oracle_valid_matrix(ref, est, mode), len(est))
+        matched = len(match_notes(ref, est, mode).pairs)
+        assert matched == want, mode
+        assert note_metrics(ref, est, mode) == PRF.from_counts(matched, len(est) - matched, len(ref) - matched)
 
 
 def test_matching_pairs_are_valid_and_disjoint():

@@ -27,7 +27,8 @@ def _notes(onsets, duration=0.2, pitch=72, velocity=64):
 
 def test_ioi_values_and_timestamps():
     series = ioi_series(_notes([0.0, 0.5, 1.2]))
-    assert series.samples == ((0.5, 0.5), (1.2, pytest.approx(0.7)))
+    assert series.times.tolist() == [0.5, 1.2]
+    assert series.values.tolist() == [0.5, pytest.approx(0.7)]
 
 
 def test_ioi_chord_spacing_clamps_to_zero():
@@ -46,13 +47,13 @@ def test_ioi_duplicate_timestamp_keeps_last():
     # timestamp after clamping context; later pair wins
     notes = [Note(0.0, 0.3, 60, 64), Note(0.5, 0.8, 64, 64), Note(0.5, 0.9, 67, 64)]
     series = ioi_series(notes)
-    assert series.times == (0.5,)
+    assert series.times.tolist() == [0.5]
     assert series.values[0] == 0.0  # last pair (0.5, 0.5) has zero gap
 
 
 def test_ioi_custom_chord_eps():
     series = ioi_series(_notes([0.0, 0.05]), chord_eps=0.2)
-    assert series.values == (0.0,)
+    assert series.values.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +64,8 @@ def test_kor_detached_notes_are_negative():
     # note ends 0.1 s before the next starts over a 0.5 s gap: -0.2
     notes = [Note(0.0, 0.4, 60, 64), Note(0.5, 0.9, 62, 64)]
     series = kor_series(notes)
-    assert series.samples == ((0.5, pytest.approx(-0.2)),)
+    assert series.times.tolist() == [0.5]
+    assert series.values.tolist() == [pytest.approx(-0.2)]
 
 
 def test_kor_overlapped_notes_are_positive():
@@ -85,7 +87,7 @@ def test_kor_skips_tiny_iois():
     ]
     series = kor_series(notes)
     assert len(series) == 1
-    assert series.times == (0.5,)
+    assert series.times.tolist() == [0.5]
 
 
 def test_kor_empty_and_single():
@@ -113,7 +115,7 @@ def test_dynamics_double_velocity_gives_log_two():
 
 
 def _value_near(series: FeatureSeries, t: float) -> float:
-    for time, value in series.samples:
+    for time, value in zip(series.times, series.values):
         if abs(time - t) < 0.05:
             return value
     raise AssertionError(f"no sample near t={t}: {series.times}")

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import oracle_hold
 from pianoeval.series import (
     FeatureSeries,
     GridConfig,
@@ -13,7 +16,7 @@ from pianoeval.series import (
 
 
 def _series(*samples):
-    return FeatureSeries.build(samples)
+    return FeatureSeries([t for t, _ in samples], [v for _, v in samples])
 
 
 def test_series_requires_strictly_increasing_times():
@@ -28,6 +31,20 @@ def test_series_requires_finite_values():
         _series((0.0, math.nan))
     with pytest.raises(ValueError):
         _series((0.0, math.inf))
+
+
+def test_series_requires_equal_lengths():
+    with pytest.raises(ValueError):
+        FeatureSeries([0.0, 1.0], [1.0])
+
+
+def test_series_holds_read_only_copies():
+    times, values = [0.0, 1.0], np.array([2.0, 3.0])
+    series = FeatureSeries(times, values)
+    values[0] = 9.0
+    assert series.values.tolist() == [2.0, 3.0]
+    with pytest.raises(ValueError):
+        series.times[0] = 5.0
 
 
 def test_grid_config_validation():
@@ -52,6 +69,28 @@ def test_resample_drops_points_before_first_sample():
 
 def test_resample_holds_past_last_sample():
     assert resample_to_grid(_series((0.0, 7.0)), 0.0, 2.0, 1.0) == [7.0, 7.0, 7.0]
+
+
+@st.composite
+def _hold_cases(draw):
+    """A series, some of whose sample times sit exactly on the grid, and a
+    grid that may start before the first sample."""
+    t0 = draw(st.floats(-20.0, 20.0))
+    step = draw(st.floats(0.01, 3.0))
+    t1 = t0 + draw(st.floats(0.0, 30.0))
+    on_grid = draw(st.lists(st.integers(-5, 40), max_size=10))
+    off_grid = draw(st.lists(st.floats(-30.0, 60.0), max_size=10))
+    times = sorted({t0 + k * step for k in on_grid} | set(off_grid))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(times), max_size=len(times)))
+    return times, values, t0, t1, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hold_cases())
+def test_resample_equals_per_point_bisect(case):
+    times, values, t0, t1, step = case
+    got = resample_to_grid(FeatureSeries(times, values), t0, t1, step)
+    assert got == oracle_hold(times, values, t0, t1, step)
 
 
 def test_pearson_perfect():

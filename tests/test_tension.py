@@ -6,7 +6,6 @@ import pytest
 from helpers import random_performance
 from pianoeval.midi import Note, Performance
 from pianoeval.tension import (
-    DEFAULT_PARAMS,
     SpiralParams,
     WindowConfig,
     center_of_effect,
@@ -154,7 +153,7 @@ def test_momentum_constant_harmony_is_zero():
     notes = [Note(i * 0.5, i * 0.5 + 0.5, 60, 64) for i in range(10)]
     series = cloud_momentum(Performance.from_notes(notes))
     assert len(series) > 0
-    assert all(v == pytest.approx(0.0) for _, v in series.samples)
+    assert all(v == pytest.approx(0.0) for v in series.values)
 
 
 def test_momentum_empty_performance():
@@ -185,7 +184,8 @@ def test_momentum_c_to_g_hand_value():
     c_ce = ce([0, 4, 7])
     g_ce = ce([7, 11, 2])
     expected = math.sqrt(sum((a - b) ** 2 for a, b in zip(c_ce, g_ce)))
-    assert series.samples == ((1.0, pytest.approx(expected)),)
+    assert series.times.tolist() == [1.0]
+    assert series.values.tolist() == [pytest.approx(expected)]
 
 
 def test_gap_breaks_momentum_chain():
@@ -200,11 +200,11 @@ def test_diameter_series_timestamps_and_gaps():
     cfg = WindowConfig(window_length=1.0, hop=0.5)
     notes = [Note(0.0, 1.0, 60, 64), Note(0.0, 1.0, 67, 64), Note(3.0, 4.0, 62, 64)]
     series = cloud_diameter_series(Performance.from_notes(notes), cfg)
-    times = [t for t, _ in series.samples]
+    times = series.times.tolist()
     # windows starting at 1.5 and 2.0 are silent and produce no sample
     assert 1.5 not in times and 2.0 not in times
     assert times[0] == 0.0
-    first = dict(series.samples)[0.0]
+    first = series.values[0]
     assert first == pytest.approx(math.sqrt(2 + 2 / 15))
 
 
@@ -213,7 +213,7 @@ def test_tension_values_nonnegative():
     for _ in range(10):
         perf = random_performance(rng, 40)
         for series in (cloud_diameter_series(perf), cloud_momentum(perf)):
-            assert all(v >= 0.0 for _, v in series.samples)
+            assert all(v >= 0.0 for v in series.values)
 
 
 def test_window_config_validation():
