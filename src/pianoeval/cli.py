@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -251,7 +252,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 cell = (row.get(args.metric) or "").strip()
                 if cell in ("", "NA"):
                     continue
-                grouped.setdefault(row.get(args.group_by) or "", []).append(float(cell))
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ValueError(f"line {reader.line_num}: {args.metric} {cell!r} is not a finite number")
+                grouped.setdefault(row.get(args.group_by) or "", []).append(value)
     except OSError as err:
         return _fail(EXIT_IO, f"{args.reports}: {err}")
     except ValueError as err:

@@ -9,7 +9,6 @@ bipartite matching so no valid pairing is left on the table.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .midi import Note, Performance
+from .midi import Note, Performance, expand_ranges, note_columns
 
 __all__ = [
     "PRF",
@@ -121,51 +120,45 @@ class NoteMatching:
     unmatched_est: tuple[int, ...] = field(default=())
 
 
-def offset_window(ref_note: Note) -> float:
-    return max(OFFSET_TOLERANCE, OFFSET_RATIO * ref_note.duration)
+def offset_window(ref_duration):
+    """Offset tolerance for a reference note of this duration (scalar or array):
+    max(50 ms, 20 % of the duration)."""
+    return np.maximum(OFFSET_TOLERANCE, OFFSET_RATIO * ref_duration)
 
 
-def _candidate_edges(
-    ref: Sequence[Note], est: Sequence[Note], mode: str
-) -> list[list[int]]:
-    """Adjacency ref index -> est indices passing the onset/offset rules."""
-    by_pitch: dict[int, list[tuple[float, int]]] = {}
-    for j, note in enumerate(est):
-        by_pitch.setdefault(note.pitch, []).append((note.onset, j))
-    for entries in by_pitch.values():
-        entries.sort()
+def _candidate_edges(ref: tuple, est: tuple, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs (i, j) of ref and est note indices passing the
+    mode's onset/offset rules, from the notes' columns.
 
-    adjacency: list[list[int]] = [[] for _ in ref]
-    check_offset = mode in ("onset_offset", "onset_offset_velocity")
-    for i, r in enumerate(ref):
-        entries = by_pitch.get(r.pitch)
-        if not entries:
-            continue
-        onsets = [t for t, _ in entries]
-        lo = bisect_left(onsets, r.onset - ONSET_TOLERANCE - 1e-9)
-        hi = bisect_right(onsets, r.onset + ONSET_TOLERANCE + 1e-9)
-        window = offset_window(r)
-        for onset, j in entries[lo:hi]:
-            if abs(onset - r.onset) > ONSET_TOLERANCE:
-                continue
-            if check_offset and abs(est[j].offset - r.offset) > window:
-                continue
-            adjacency[i].append(j)
-    return adjacency
-
-
-def _scaled_ref_velocities(ref: Sequence[Note]) -> list[float]:
-    # min-max scale to [0, 1]; a degenerate range maps everything to 0
-    velocities = [n.velocity for n in ref]
-    lo, hi = min(velocities), max(velocities)
-    if hi == lo:
-        return [0.0] * len(ref)
-    return [(v - lo) / (hi - lo) for v in velocities]
+    Pairs come ordered by i, then by the est note's (onset, index).
+    """
+    ref_onsets, ref_offsets, ref_pitches, _ = ref
+    est_onsets, est_offsets, est_pitches, _ = est
+    order = np.lexsort((est_onsets, est_pitches))
+    sorted_pitches, sorted_onsets = est_pitches[order], est_onsets[order]
+    lo = np.zeros(len(ref_onsets), dtype=np.int64)
+    hi = np.zeros(len(ref_onsets), dtype=np.int64)
+    slack = ONSET_TOLERANCE + 1e-6  # wider than the rounding, so no edge is cut here
+    for pitch in np.unique(ref_pitches).tolist():
+        rows = ref_pitches == pitch
+        first, stop = np.searchsorted(sorted_pitches, [pitch, pitch + 1])
+        onsets = sorted_onsets[first:stop]
+        lo[rows] = first + np.searchsorted(onsets, ref_onsets[rows] - slack, "left")
+        hi[rows] = first + np.searchsorted(onsets, ref_onsets[rows] + slack, "right")
+    i, position = expand_ranges(lo, hi)
+    j = order[position]
+    # distances are rounded to 7 decimals first, as mir_eval does, so a
+    # tick-derived time exactly on the tolerance counts as inside it
+    keep = np.round(np.abs(est_onsets[j] - ref_onsets[i]), 7) <= ONSET_TOLERANCE
+    if mode != "onset":
+        window = offset_window(ref_offsets[i] - ref_onsets[i])
+        keep &= np.round(np.abs(est_offsets[j] - ref_offsets[i]), 7) <= window
+    return i[keep], j[keep]
 
 
 def _filter_velocity(
-    ref: Sequence[Note], est: Sequence[Note], adjacency: list[list[int]]
-) -> list[list[int]]:
+    ref_velocities: np.ndarray, est_velocities: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Keep edges whose velocity agrees after a global affine alignment.
 
     MIDI velocity scales are arbitrary per transcriber, so the estimate's
@@ -174,27 +167,15 @@ def _filter_velocity(
     pairs, fitted once; an edge survives iff its residual is within the
     tolerance.
     """
-    edges = [(i, j) for i, row in enumerate(adjacency) for j in row]
-    if not edges:
-        return [[] for _ in ref]
-    scaled = _scaled_ref_velocities(ref)
-    a = np.array([[est[j].velocity, 1.0] for _, j in edges])
-    b = np.array([scaled[i] for i, _ in edges])
-    (slope, intercept), *_ = np.linalg.lstsq(a, b, rcond=None)
-    filtered: list[list[int]] = [[] for _ in ref]
-    for i, j in edges:
-        if abs(slope * est[j].velocity + intercept - scaled[i]) <= VELOCITY_TOLERANCE:
-            filtered[i].append(j)
-    return filtered
-
-
-def _max_matching(adjacency: list[list[int]], n_right: int) -> np.ndarray:
-    """Maximum bipartite matching (Hopcroft–Karp); the matched right index
-    of each left vertex, -1 when it is unmatched."""
-    indices = [j for row in adjacency for j in row]
-    indptr = np.cumsum([0] + [len(row) for row in adjacency])
-    graph = csr_array((np.ones(len(indices)), indices, indptr), (len(adjacency), n_right))
-    return maximum_bipartite_matching(graph, perm_type="column")
+    if not len(i):
+        return i, j
+    # min-max scale to [0, 1]; a degenerate range maps everything to 0
+    lo, hi = ref_velocities.min(), ref_velocities.max()
+    scaled = (ref_velocities - lo) / (hi - lo) if hi > lo else np.zeros(len(ref_velocities))
+    a = np.column_stack([est_velocities[j], np.ones(len(j))])
+    (slope, intercept), *_ = np.linalg.lstsq(a, scaled[i], rcond=None)
+    keep = np.abs(slope * est_velocities[j] + intercept - scaled[i]) <= VELOCITY_TOLERANCE
+    return i[keep], j[keep]
 
 
 def match_notes(ref: Sequence[Note], est: Sequence[Note], mode: str) -> NoteMatching:
@@ -204,18 +185,22 @@ def match_notes(ref: Sequence[Note], est: Sequence[Note], mode: str) -> NoteMatc
     most 50 ms; the offset modes additionally require the offset error
     within max(50 ms, 20% of the reference duration); the velocity mode
     further requires the affine-aligned velocity residual within 0.1.
+    Distances are rounded to 7 decimals before they are compared.
     """
     if mode not in MATCH_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MATCH_MODES}")
-    adjacency = _candidate_edges(ref, est, mode)
+    ref_columns, est_columns = note_columns(ref), note_columns(est)
+    i, j = _candidate_edges(ref_columns, est_columns, mode)
     if mode == "onset_offset_velocity":
-        adjacency = _filter_velocity(ref, est, adjacency)
-    match_left = _max_matching(adjacency, len(est)).tolist()
-    matched_est = set(match_left)
+        i, j = _filter_velocity(ref_columns[3], est_columns[3], i, j)
+    indptr = np.searchsorted(i, np.arange(len(ref) + 1))
+    graph = csr_array((np.ones(len(j)), j, indptr), (len(ref), len(est)))
+    match = maximum_bipartite_matching(graph, perm_type="column")
+    matched = np.flatnonzero(match != -1)
     return NoteMatching(
-        tuple((i, j) for i, j in enumerate(match_left) if j != -1),
-        tuple(i for i, j in enumerate(match_left) if j == -1),
-        tuple(j for j in range(len(est)) if j not in matched_est),
+        tuple(zip(matched.tolist(), match[matched].tolist())),
+        tuple(np.flatnonzero(match == -1).tolist()),
+        tuple(np.setdiff1d(np.arange(len(est)), match).tolist()),
     )
 
 

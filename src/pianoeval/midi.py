@@ -14,6 +14,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "Note",
     "Performance",
@@ -24,6 +26,8 @@ __all__ = [
     "parse_midi_file",
     "ticks_to_seconds",
     "apply_sustain_pedal",
+    "note_columns",
+    "expand_ranges",
 ]
 
 DEFAULT_TEMPO = 500_000  # microseconds per quarter note (120 BPM)
@@ -90,6 +94,25 @@ class Performance:
 
     def __iter__(self):
         return iter(self.notes)
+
+
+def note_columns(notes: Sequence[Note]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The notes as four arrays: float64 onsets and offsets, int64 pitches
+    and velocities, in the order given."""
+    count = len(notes)
+    return (
+        np.fromiter((n.onset for n in notes), np.float64, count),
+        np.fromiter((n.offset for n in notes), np.float64, count),
+        np.fromiter((n.pitch for n in notes), np.int64, count),
+        np.fromiter((n.velocity for n in notes), np.int64, count),
+    )
+
+
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, index) for every index in every range [lo[k], hi[k]), in order of k."""
+    counts = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
 @dataclass(frozen=True)

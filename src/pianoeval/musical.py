@@ -12,14 +12,13 @@ zero.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .midi import Note, Performance
+from .midi import Note, Performance, expand_ranges, note_columns
 from .series import FeatureSeries, GridConfig, correlate_series, grid_times, resample_to_grid, shared_extent
 from .streams import CHORD_EPSILON, split_streams
 from .tension import DEFAULT_PARAMS, SpiralParams, WindowConfig, cloud_diameter_series, cloud_momentum
@@ -76,12 +75,11 @@ def ioi_series(stream: Sequence[Note], chord_eps: float = CHORD_EPSILON) -> Feat
     the last pair's value — the chord's 0 — wins, keeping times strictly
     increasing.
     """
-    samples: dict[float, float] = {}
-    for a, b in zip(stream, stream[1:]):
-        ioi = b.onset - a.onset
-        samples[b.onset] = 0.0 if ioi < chord_eps else ioi
-    times = sorted(samples)
-    return FeatureSeries(times, [samples[t] for t in times])
+    onsets = note_columns(stream)[0]
+    ioi = np.diff(onsets)
+    # unique over the reversed timestamps finds each timestamp's last pair
+    times, last = np.unique(onsets[:0:-1], return_index=True)
+    return FeatureSeries(times, np.where(ioi < chord_eps, 0.0, ioi)[::-1][last])
 
 
 def kor_series(stream: Sequence[Note], min_ioi: float = MIN_IOI) -> FeatureSeries:
@@ -92,47 +90,33 @@ def kor_series(stream: Sequence[Note], min_ioi: float = MIN_IOI) -> FeatureSerie
     (staccato), 0 at perfect legato. Pairs closer than ``min_ioi`` are
     skipped. Timestamps are at the second note's onset.
     """
-    times, values = [], []
-    for a, b in zip(stream, stream[1:]):
-        ioi = b.onset - a.onset
-        if ioi < min_ioi:
-            continue
-        times.append(b.onset)
-        values.append((a.offset - b.onset) / ioi)
-    return FeatureSeries(times, values)
+    onsets, offsets, _, _ = note_columns(stream)
+    ioi = np.diff(onsets)
+    keep = np.flatnonzero(ioi >= min_ioi)
+    return FeatureSeries(onsets[keep + 1], (offsets[keep] - onsets[keep + 1]) / ioi[keep])
 
 
-class _VelocityTracker:
-    """Velocity of the note sounding at t, with a hold after it ends.
+def _velocity_on_grid(stream: Sequence[Note], grid: np.ndarray) -> np.ndarray:
+    """Velocity of the stream at each grid time, with a hold after it ends.
 
-    Queries must come in non-decreasing time order. The latest-onset note
-    still sounding wins; once nothing sounds, the most recently ended
-    note's velocity holds for ``DYNAMICS_HOLD`` seconds, after which the
-    stream is silent (None).
+    The latest-onset sounding note wins (then the earlier offset, then the
+    lower velocity). Once nothing sounds, the last note to end (then the
+    later onset, then the higher velocity) holds for ``DYNAMICS_HOLD``
+    seconds, after which the stream is silent (0).
     """
-
-    def __init__(self, stream: Sequence[Note], hold: float = DYNAMICS_HOLD):
-        self._notes = sorted(stream, key=lambda n: n.onset)
-        self._hold = hold
-        self._next = 0
-        self._sounding: list[tuple[float, float, int]] = []  # (-onset, offset, velocity)
-        self._last_ended: Optional[tuple[float, float, int]] = None  # (offset, onset, velocity)
-
-    def velocity_at(self, t: float) -> Optional[int]:
-        while self._next < len(self._notes) and self._notes[self._next].onset <= t:
-            n = self._notes[self._next]
-            heapq.heappush(self._sounding, (-n.onset, n.offset, n.velocity))
-            self._next += 1
-        while self._sounding and self._sounding[0][1] <= t:
-            neg_onset, offset, velocity = heapq.heappop(self._sounding)
-            ended = (offset, -neg_onset, velocity)
-            if self._last_ended is None or ended > self._last_ended:
-                self._last_ended = ended
-        if self._sounding:
-            return self._sounding[0][2]
-        if self._last_ended is not None and t - self._last_ended[0] <= self._hold:
-            return self._last_ended[2]
-        return None
+    onsets, offsets, _, velocities = note_columns(stream)
+    # notes paint their [onset, offset) grid spans in this order; the last to paint a point wins
+    order = np.lexsort((-velocities, -offsets, onsets))
+    rank, point = expand_ranges(
+        np.searchsorted(grid, onsets[order], "left"), np.searchsorted(grid, offsets[order], "left")
+    )
+    painter = np.full(len(grid), -1)
+    np.maximum.at(painter, point, rank)
+    ended = np.lexsort((velocities, onsets, offsets))
+    last = np.searchsorted(offsets[ended], grid, "right") - 1
+    held = (last >= 0) & (grid - offsets[ended[last]] <= DYNAMICS_HOLD)
+    silent = np.where(held, velocities[ended[last]], 0)
+    return np.where(painter >= 0, velocities[order[painter]], silent)
 
 
 def dynamics_series(
@@ -148,16 +132,13 @@ def dynamics_series(
     if not melody or not bass:
         return FeatureSeries([], [])
     end = max(n.offset for n in list(melody) + list(bass))
-    mel = _VelocityTracker(melody)
-    bas = _VelocityTracker(bass)
-    times, values = [], []
-    for t in grid_times(0.0, end, grid.step).tolist():
-        vm = mel.velocity_at(t)
-        vb = bas.velocity_at(t)
-        if vm is not None and vb is not None:
-            times.append(t)
-            values.append(math.log(vm / vb))
-    return FeatureSeries(times, values)
+    times = grid_times(0.0, end, grid.step)
+    mel = _velocity_on_grid(melody, times)
+    bas = _velocity_on_grid(bass, times)
+    keep = (mel > 0) & (bas > 0)
+    # math.log, not np.log: the two differ in the last ulp for some ratios
+    values = [math.log(m / b) for m, b in zip(mel[keep].tolist(), bas[keep].tolist())]
+    return FeatureSeries(times[keep], values)
 
 
 def ratio_kor_series(

@@ -9,12 +9,13 @@ duration-weighted centroid between consecutive windows).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
-from .midi import Note, Performance
+import numpy as np
+
+from .midi import Note, Performance, expand_ranges, note_columns
 from .series import FeatureSeries
 
 __all__ = [
@@ -98,17 +99,46 @@ def pitch_to_spiral(pitch: int, params: SpiralParams = DEFAULT_PARAMS) -> Spiral
     return SpiralPoint(params.radius * _SIN[k % 4], params.radius * _COS[k % 4], k * params.rise)
 
 
-def _pc_weights(notes: Iterable[Note], start: float, end: float) -> list[float]:
-    weights = [0.0] * 12
-    for note in notes:
-        overlap = min(note.offset, end) - max(note.onset, start)
-        if overlap > 0:
-            weights[note.pitch % 12] += overlap
-    return weights
+def _spiral_points(params: SpiralParams) -> np.ndarray:
+    """The 12 pitch-class points as a 12 x 3 array, row = pitch class."""
+    return np.array([(p.x, p.y, p.z) for p in (pitch_to_spiral(pc, params) for pc in range(12))])
+
+
+def _pc_weights(notes: Sequence[Note], starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Sounding time of each pitch class in each window [starts[w], ends[w]).
+
+    Returns a W x 12 matrix. A note overlaps the windows from the first
+    whose end is past its onset up to the last whose start is before its
+    offset; ``starts`` and ``ends`` must be non-decreasing.
+    """
+    onsets, offsets, pitches, _ = note_columns(notes)
+    note, window = expand_ranges(
+        np.searchsorted(ends, onsets, "right"), np.searchsorted(starts, offsets, "left")
+    )
+    overlap = np.minimum(offsets[note], ends[window]) - np.maximum(onsets[note], starts[window])
+    cells = window * 12 + pitches[note] % 12
+    return np.bincount(cells, overlap, minlength=12 * len(starts)).reshape(-1, 12)
+
+
+def _window_weights(perf: Performance, cfg: WindowConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Start times i*hop of every window overlapping the data, and the
+    windows' pitch-class weights."""
+    end_time = max((n.offset for n in perf.notes), default=0.0)
+    starts = np.arange(math.ceil(max(end_time, 0.0) / cfg.hop) + 1) * cfg.hop
+    starts = starts[starts < end_time - 1e-12]
+    return starts, _pc_weights(perf.notes, starts, starts + cfg.window_length)
+
+
+def _diameters(present: np.ndarray, params: SpiralParams) -> np.ndarray:
+    """Cloud diameter of each row of a W x 12 pitch-class presence mask."""
+    points = [pitch_to_spiral(pc, params) for pc in range(12)]
+    table = np.array([[a.distance(b) for b in points] for a in points])
+    pairs = present[:, :, None] & present[:, None, :]
+    return np.where(pairs, table, 0.0).max(axis=(1, 2), initial=0.0)
 
 
 def center_of_effect(
-    notes: Iterable[Note],
+    notes: Sequence[Note],
     start: float,
     end: float,
     params: SpiralParams = DEFAULT_PARAMS,
@@ -118,66 +148,25 @@ def center_of_effect(
     Weight is each note's sounding time inside the window. Returns None
     when nothing sounds in the window.
     """
-    weights = _pc_weights(notes, start, end)
-    total = sum(weights)
+    weights = _pc_weights(notes, np.array([start]), np.array([end]))[0]
+    total = weights.sum()
     if total <= 0:
         return None
-    x = y = z = 0.0
-    for pc, w in enumerate(weights):
-        if w > 0:
-            p = pitch_to_spiral(pc, params)
-            x += w * p.x
-            y += w * p.y
-            z += w * p.z
-    return SpiralPoint(x / total, y / total, z / total)
+    return SpiralPoint(*(weights @ _spiral_points(params) / total).tolist())
 
 
 def cloud_diameter(
-    notes: Iterable[Note], params: SpiralParams = DEFAULT_PARAMS
+    notes: Sequence[Note], params: SpiralParams = DEFAULT_PARAMS
 ) -> Optional[float]:
     """Maximum pairwise helix distance over the distinct pitch classes.
 
     Octave-invariant by construction; 0 for a single distinct pitch class;
     None for an empty note set.
     """
-    pcs = sorted({n.pitch % 12 for n in notes})
-    if not pcs:
+    if not notes:
         return None
-    if len(pcs) == 1:
-        return 0.0
-    points = [pitch_to_spiral(pc, params) for pc in pcs]
-    return max(
-        points[i].distance(points[j])
-        for i in range(len(points))
-        for j in range(i + 1, len(points))
-    )
-
-
-def _iter_windows(perf: Performance, cfg: WindowConfig):
-    """Yield (index, start, notes) for every window overlapping the data.
-
-    Notes are swept once: a min-heap on offset holds every note whose onset
-    precedes the window end, and notes whose offset has passed the window
-    start are discarded for good (windows only move right).
-    """
-    end_time = max((n.offset for n in perf.notes), default=0.0)
-    if end_time <= 0:
-        return
-    notes = perf.notes
-    n = len(notes)
-    pointer = 0
-    active: list[tuple[float, int]] = []  # (offset, note index)
-    index = 0
-    while index * cfg.hop < end_time - 1e-12:
-        start = index * cfg.hop
-        end = start + cfg.window_length
-        while pointer < n and notes[pointer].onset < end:
-            heapq.heappush(active, (notes[pointer].offset, pointer))
-            pointer += 1
-        while active and active[0][0] <= start:
-            heapq.heappop(active)
-        yield index, start, [notes[i] for _, i in active]
-        index += 1
+    present = _pc_weights(notes, np.array([-math.inf]), np.array([math.inf])) > 0
+    return float(_diameters(present, params)[0])
 
 
 def cloud_diameter_series(
@@ -189,13 +178,10 @@ def cloud_diameter_series(
 
     Windows with no sounding notes produce no sample.
     """
-    times, values = [], []
-    for _, start, notes in _iter_windows(perf, cfg):
-        value = cloud_diameter(notes, params)
-        if value is not None:
-            times.append(start)
-            values.append(value)
-    return FeatureSeries(times, values)
+    starts, weights = _window_weights(perf, cfg)
+    present = weights > 0
+    sounding = present.any(axis=1)
+    return FeatureSeries(starts[sounding], _diameters(present[sounding], params))
 
 
 def cloud_momentum(
@@ -209,13 +195,10 @@ def cloud_momentum(
     centers of windows i-1 and i; an empty window yields no center and
     breaks the chain, so no distance is taken across the gap.
     """
-    times, values = [], []
-    previous_index = None
-    previous_ce = None
-    for index, start, notes in _iter_windows(perf, cfg):
-        ce = center_of_effect(notes, start, start + cfg.window_length, params)
-        if ce is not None and previous_ce is not None and index == previous_index + 1:
-            times.append(start)
-            values.append(ce.distance(previous_ce))
-        previous_index, previous_ce = index, ce
-    return FeatureSeries(times, values)
+    starts, weights = _window_weights(perf, cfg)
+    total = weights.sum(axis=1)
+    defined = np.flatnonzero(total > 0)
+    centers = weights[defined] @ _spiral_points(params) / total[defined, None]
+    chained = defined[1:] == defined[:-1] + 1
+    steps = np.sqrt(((centers[1:] - centers[:-1]) ** 2).sum(axis=1))
+    return FeatureSeries(starts[defined[1:][chained]], steps[chained])

@@ -1,8 +1,11 @@
 """Pytest hooks: one visible PASS/FAIL line per acceptance criterion."""
 
+from pathlib import PurePosixPath
+
 
 def pytest_runtest_logreport(report):
-    if report.when != "call" or "test_acceptance.py" not in report.nodeid:
+    test_file = PurePosixPath(report.nodeid.split("::", 1)[0]).name
+    if report.when != "call" or test_file != "test_acceptance.py":
         return
     name = report.nodeid.split("::")[-1]
     outcome = "PASS" if report.passed else "FAIL"

@@ -7,14 +7,16 @@ geometry. They trade speed for obviousness.
 
 from __future__ import annotations
 
+import heapq
 import math
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
 
 from pianoeval.midi import Note, Performance
+from pianoeval.tension import SpiralParams, SpiralPoint, WindowConfig, pitch_to_spiral
 
 # ---------------------------------------------------------------------------
 # Standard MIDI File serializer (test-harness only)
@@ -201,13 +203,14 @@ def jitter_velocities(perf: Performance, sigma: float, rng: np.random.Generator)
 def _oracle_valid_matrix(
     ref: Sequence[Note], est: Sequence[Note], mode: str
 ) -> list[list[bool]]:
+    # distances are rounded to 7 decimals before the compare, as in mir_eval
     valid = [[False] * len(est) for _ in ref]
     for i, r in enumerate(ref):
         for j, e in enumerate(est):
-            if e.pitch != r.pitch or abs(e.onset - r.onset) > 0.05:
+            if e.pitch != r.pitch or np.round(abs(e.onset - r.onset), 7) > 0.05:
                 continue
             if mode in ("onset_offset", "onset_offset_velocity"):
-                if abs(e.offset - r.offset) > max(0.05, 0.2 * r.duration):
+                if np.round(abs(e.offset - r.offset), 7) > max(0.05, 0.2 * r.duration):
                     continue
             valid[i][j] = True
     if mode == "onset_offset_velocity" and ref and est:
@@ -285,6 +288,164 @@ def oracle_note_prf(ref: Sequence[Note], est: Sequence[Note], mode: str):
     recall = n / len(ref) if ref else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f1
+
+
+# ---------------------------------------------------------------------------
+# Per-note loop oracles for the array passes: candidate edges, the tension
+# window sweep and the dynamics velocity tracker
+# ---------------------------------------------------------------------------
+
+def oracle_candidate_edges(ref: Sequence[Note], est: Sequence[Note], mode: str) -> list[tuple[int, int]]:
+    """(i, j) pairs passing the onset/offset rules, ordered by i, then by
+    the est note's (onset, index); one bisect per reference note."""
+    by_pitch: dict[int, list[tuple[float, int]]] = {}
+    for j, note in enumerate(est):
+        by_pitch.setdefault(note.pitch, []).append((note.onset, j))
+    for entries in by_pitch.values():
+        entries.sort()
+    edges = []
+    for i, r in enumerate(ref):
+        entries = by_pitch.get(r.pitch, [])
+        onsets = [t for t, _ in entries]
+        lo = bisect_left(onsets, r.onset - 0.05 - 1e-6)
+        hi = bisect_right(onsets, r.onset + 0.05 + 1e-6)
+        for onset, j in entries[lo:hi]:
+            if np.round(abs(onset - r.onset), 7) > 0.05:
+                continue
+            if mode != "onset" and np.round(abs(est[j].offset - r.offset), 7) > max(0.05, 0.2 * r.duration):
+                continue
+            edges.append((i, j))
+    return edges
+
+
+def _oracle_windows(perf: Performance, cfg: WindowConfig):
+    """Yield (index, start, notes) for every window overlapping the data,
+    sweeping the notes once with a min-heap on offset."""
+    end_time = max((n.offset for n in perf.notes), default=0.0)
+    if end_time <= 0:
+        return
+    notes = perf.notes
+    pointer = 0
+    active: list[tuple[float, int]] = []  # (offset, note index)
+    index = 0
+    while index * cfg.hop < end_time - 1e-12:
+        start = index * cfg.hop
+        end = start + cfg.window_length
+        while pointer < len(notes) and notes[pointer].onset < end:
+            heapq.heappush(active, (notes[pointer].offset, pointer))
+            pointer += 1
+        while active and active[0][0] <= start:
+            heapq.heappop(active)
+        yield index, start, [notes[i] for _, i in active]
+        index += 1
+
+
+def _oracle_center(notes: Sequence[Note], start: float, end: float, params: SpiralParams):
+    weights = [0.0] * 12
+    for note in notes:
+        overlap = min(note.offset, end) - max(note.onset, start)
+        if overlap > 0:
+            weights[note.pitch % 12] += overlap
+    total = sum(weights)
+    if total <= 0:
+        return None
+    x = y = z = 0.0
+    for pc, w in enumerate(weights):
+        if w > 0:
+            p = pitch_to_spiral(pc, params)
+            x, y, z = x + w * p.x, y + w * p.y, z + w * p.z
+    return SpiralPoint(x / total, y / total, z / total)
+
+
+def oracle_tension_series(perf: Performance, cfg: WindowConfig = WindowConfig(), params: SpiralParams = SpiralParams()):
+    """((times, values) of cloud diameter, (times, values) of cloud momentum),
+    window by window."""
+    diameter: tuple[list, list] = ([], [])
+    momentum: tuple[list, list] = ([], [])
+    previous_index = previous_ce = None
+    for index, start, notes in _oracle_windows(perf, cfg):
+        points = [pitch_to_spiral(pc, params) for pc in sorted({n.pitch % 12 for n in notes})]
+        if points:
+            diameter[0].append(start)
+            diameter[1].append(max((a.distance(b) for a in points for b in points), default=0.0))
+        ce = _oracle_center(notes, start, start + cfg.window_length, params)
+        if ce is not None and previous_ce is not None and index == previous_index + 1:
+            momentum[0].append(start)
+            momentum[1].append(ce.distance(previous_ce))
+        previous_index, previous_ce = index, ce
+    return diameter, momentum
+
+
+def oracle_ioi_series(stream: Sequence[Note], chord_eps: float = 0.030):
+    """(times, values) of inter-onset intervals, pair by pair; a later pair
+    on the same timestamp overwrites an earlier one."""
+    samples: dict[float, float] = {}
+    for a, b in zip(stream, stream[1:]):
+        ioi = b.onset - a.onset
+        samples[b.onset] = 0.0 if ioi < chord_eps else ioi
+    times = sorted(samples)
+    return times, [samples[t] for t in times]
+
+
+def oracle_kor_series(stream: Sequence[Note], min_ioi: float = 0.001):
+    """(times, values) of key-overlap ratios, pair by pair."""
+    times, values = [], []
+    for a, b in zip(stream, stream[1:]):
+        ioi = b.onset - a.onset
+        if ioi >= min_ioi:
+            times.append(b.onset)
+            values.append((a.offset - b.onset) / ioi)
+    return times, values
+
+
+class OracleVelocityTracker:
+    """Velocity of the note sounding at t, with a hold after it ends.
+
+    Queries must come in non-decreasing time order. The latest-onset note
+    still sounding wins; once nothing sounds, the most recently ended
+    note's velocity holds for ``hold`` seconds, after which the stream is
+    silent (None).
+    """
+
+    def __init__(self, stream: Sequence[Note], hold: float = 2.0):
+        self._notes = sorted(stream, key=lambda n: n.onset)
+        self._hold = hold
+        self._next = 0
+        self._sounding: list[tuple[float, float, int]] = []  # (-onset, offset, velocity)
+        self._last_ended = None  # (offset, onset, velocity)
+
+    def velocity_at(self, t: float):
+        while self._next < len(self._notes) and self._notes[self._next].onset <= t:
+            n = self._notes[self._next]
+            heapq.heappush(self._sounding, (-n.onset, n.offset, n.velocity))
+            self._next += 1
+        while self._sounding and self._sounding[0][1] <= t:
+            neg_onset, offset, velocity = heapq.heappop(self._sounding)
+            ended = (offset, -neg_onset, velocity)
+            if self._last_ended is None or ended > self._last_ended:
+                self._last_ended = ended
+        if self._sounding:
+            return self._sounding[0][2]
+        if self._last_ended is not None and t - self._last_ended[0] <= self._hold:
+            return self._last_ended[2]
+        return None
+
+
+def oracle_dynamics_series(melody: Sequence[Note], bass: Sequence[Note], step: float = 0.1):
+    """(times, values) of ln(vel_melody / vel_bass) on the grid 0, step, ...
+    up to the last offset, one tracker query per grid point."""
+    if not melody or not bass:
+        return [], []
+    end = max(n.offset for n in list(melody) + list(bass))
+    mel, bas = OracleVelocityTracker(melody), OracleVelocityTracker(bass)
+    times, values = [], []
+    for k in range(int(math.floor(end / step + 1e-9)) + 1):
+        t = k * step
+        vm, vb = mel.velocity_at(t), bas.velocity_at(t)
+        if vm is not None and vb is not None:
+            times.append(t)
+            values.append(math.log(vm / vb))
+    return times, values
 
 
 # ---------------------------------------------------------------------------

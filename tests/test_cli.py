@@ -433,6 +433,16 @@ def test_stats_skips_na_cells(tmp_path, capsys):
     assert "H = " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "0.9x"])
+def test_stats_rejects_non_finite_cell(tmp_path, capsys, cell):
+    rows = [("p1", "a", 0.1), ("p2", "a", 0.2), ("p3", "b", cell), ("p4", "b", 0.9)]
+    path = _stats_csv(tmp_path, rows)
+    assert main(["stats", path, "--metric", "frame_f1", "--group-by", "model"]) == 2
+    captured = capsys.readouterr()
+    assert "H = " not in captured.out
+    assert path in captured.err and "line 4" in captured.err
+
+
 def test_stats_unknown_metric(tmp_path, capsys):
     path = _stats_csv(tmp_path, [("p1", "a", 1.0)])
     assert main(["stats", path, "--metric", "note_f1", "--group-by", "model"]) == 2

@@ -8,22 +8,25 @@ from helpers import (
     _oracle_valid_matrix,
     jitter_onsets,
     jitter_velocities,
+    oracle_candidate_edges,
     oracle_frame_prf,
     oracle_note_frames,
     oracle_note_prf,
     random_performance,
+    serialize_smf,
 )
 from pianoeval.ir_metrics import (
     FRAME_LENGTH,
     MATCH_MODES,
     PRF,
+    _candidate_edges,
     build_piano_roll,
     frame_metrics,
     match_notes,
     note_metrics,
     offset_window,
 )
-from pianoeval.midi import Note, Performance
+from pianoeval.midi import Note, Performance, note_columns, parse_midi
 
 
 def _perf(*notes):
@@ -157,6 +160,27 @@ def test_match_onset_tolerance_boundary():
     assert match_notes(ref, beyond, "onset").pairs == ()
 
 
+def _tick_notes(*notes_ticks):
+    """Notes parsed from an SMF at 480 ticks per quarter and 120 BPM: 960 ticks per second."""
+    return list(parse_midi(serialize_smf(notes_ticks, tpq=480)).notes)
+
+
+@pytest.mark.parametrize("est_onset, f1", [(1008, 1.0), (912, 1.0), (1009, 0.0), (911, 0.0)])
+def test_onset_tolerance_boundary_in_ticks(est_onset, f1):
+    # 48 ticks is exactly 50 ms, but abs(1.05 - 1.0) evaluates to 0.050000000000000044
+    ref = _tick_notes((960, 1920, 60, 64))
+    est = _tick_notes((est_onset, 1920, 60, 64))
+    assert note_metrics(ref, est, "onset").f1 == f1
+
+
+@pytest.mark.parametrize("est_offset, f1", [(2112, 1.0), (1728, 1.0), (2113, 0.0), (1727, 0.0)])
+def test_offset_tolerance_boundary_in_ticks(est_offset, f1):
+    # the reference lasts 960 ticks, so its offset window is 192 ticks: exactly 20 %
+    ref = _tick_notes((960, 1920, 60, 64))
+    est = _tick_notes((960, est_offset, 60, 64))
+    assert note_metrics(ref, est, "onset_offset").f1 == f1
+
+
 def test_match_pitch_must_be_exact():
     ref = [Note(0.0, 1.0, 60, 64)]
     est = [Note(0.0, 1.0, 61, 64)]
@@ -164,8 +188,8 @@ def test_match_pitch_must_be_exact():
 
 
 def test_offset_window_scales_with_duration():
-    assert offset_window(Note(0.0, 1.0, 60, 64)) == pytest.approx(0.2)
-    assert offset_window(Note(0.0, 0.1, 60, 64)) == pytest.approx(0.05)
+    assert offset_window(Note(0.0, 1.0, 60, 64).duration) == pytest.approx(0.2)
+    assert offset_window(Note(0.0, 0.1, 60, 64).duration) == pytest.approx(0.05)
 
 
 def test_match_offset_rule_uses_duration_scaled_window():
@@ -291,6 +315,38 @@ def test_same_pitch_cluster_counts_equal_exhaustive_oracle(ref, est):
         assert note_metrics(ref, est, mode) == PRF.from_counts(matched, len(est) - matched, len(ref) - matched)
 
 
+_tick_lattice_notes = st.lists(
+    # times in 8-tick steps at 960 ticks per second: 48 ticks is exactly the
+    # 50 ms onset tolerance, and many offsets land exactly on their window
+    st.builds(
+        lambda onset, duration, pitch, velocity: Note(
+            onset * 8 / 960, (onset + duration) * 8 / 960, pitch, velocity
+        ),
+        st.integers(0, 40),
+        st.integers(1, 40),
+        st.sampled_from([60, 61, 64]),
+        st.integers(1, 127),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tick_lattice_notes, _tick_lattice_notes)
+def test_candidate_edges_equal_loop_oracle(ref, est):
+    for mode in ("onset", "onset_offset"):
+        i, j = _candidate_edges(note_columns(ref), note_columns(est), mode)
+        assert list(zip(i.tolist(), j.tolist())) == oracle_candidate_edges(ref, est, mode), mode
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tick_lattice_notes, _tick_lattice_notes, st.randoms(use_true_random=False))
+def test_note_metrics_invariant_to_estimate_order(ref, est, random):
+    shuffled = random.sample(est, len(est))
+    for mode in MATCH_MODES:
+        assert note_metrics(ref, shuffled, mode) == note_metrics(ref, est, mode), mode
+
+
 def test_matching_pairs_are_valid_and_disjoint():
     rng = np.random.default_rng(59)
     for _ in range(30):
@@ -304,7 +360,7 @@ def test_matching_pairs_are_valid_and_disjoint():
         for i, j in matching.pairs:
             assert ref[i].pitch == est[j].pitch
             assert abs(ref[i].onset - est[j].onset) <= 0.05 + 1e-12
-            assert abs(ref[i].offset - est[j].offset) <= offset_window(ref[i]) + 1e-12
+            assert abs(ref[i].offset - est[j].offset) <= offset_window(ref[i].duration) + 1e-12
         assert set(ref_used) | set(matching.unmatched_ref) == set(range(10))
         assert set(est_used) | set(matching.unmatched_est) == set(range(10))
 

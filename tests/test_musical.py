@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import expressive_performance, jitter_onsets
+from helpers import (
+    expressive_performance,
+    jitter_onsets,
+    oracle_dynamics_series,
+    oracle_ioi_series,
+    oracle_kor_series,
+)
 from pianoeval.midi import Note, Performance
 from pianoeval.musical import (
     METRIC_NAMES,
@@ -145,6 +153,42 @@ def test_dynamics_hold_horizon_expires():
 def test_dynamics_empty_stream_is_empty_series():
     assert len(dynamics_series([], _notes([0.0]))) == 0
     assert len(dynamics_series(_notes([0.0]), [])) == 0
+
+
+_lattice_stream = st.lists(
+    # onsets and offsets on the 0.1 s grid: notes start, end and stop being
+    # held (2 s after their offset) exactly on grid points, and share onsets
+    st.builds(
+        lambda k, d, v: Note(k * 0.1, (k + d) * 0.1, 60, v),
+        st.integers(0, 60),
+        st.integers(1, 12),
+        # math.log and np.log disagree in the last bit on 21/20, 42/40, 60/59, 63/60
+        st.sampled_from([20, 21, 40, 42, 59, 60, 63, 127]),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_stream, _lattice_stream)
+def test_dynamics_series_equals_tracker_oracle(melody, bass):
+    times, values = oracle_dynamics_series(melody, bass)
+    series = dynamics_series(melody, bass)
+    assert series.times.tolist() == times
+    assert series.values.tolist() == values
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lattice_stream)
+def test_ioi_and_kor_series_equal_pairwise_oracles(stream):
+    # streams arrive in onset order; equal onsets are chord tones
+    stream = sorted(stream, key=lambda n: n.onset)
+    for series, (times, values) in (
+        (ioi_series(stream), oracle_ioi_series(stream)),
+        (kor_series(stream), oracle_kor_series(stream)),
+    ):
+        assert series.times.tolist() == times
+        assert series.values.tolist() == values
 
 
 def test_dynamics_latest_onset_wins_within_stream():

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_performance
+from helpers import oracle_tension_series, random_performance
 from pianoeval.midi import Note, Performance
 from pianoeval.tension import (
     SpiralParams,
@@ -223,3 +225,48 @@ def test_window_config_validation():
         WindowConfig(window_length=1.0, hop=1.5)
     with pytest.raises(ValueError):
         WindowConfig(window_length=1.0, hop=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Differential properties against the window-sweep oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _lattice_performances(draw):
+    # times on a lattice that window starts also hit, so equal onsets, notes
+    # ending exactly at a window start and stacked overlaps are common
+    unit = draw(st.sampled_from([0.125, 0.1, 0.07]))
+    notes = draw(st.lists(
+        st.tuples(
+            st.integers(0, 40),
+            st.integers(1, 16),
+            st.sampled_from([48, 55, 60, 62, 64, 66, 67, 71, 72]),
+        ),
+        max_size=14,
+    ))
+    return Performance.from_notes(Note(k * unit, (k + d) * unit, p, 64) for k, d, p in notes)
+
+
+_window_configs = st.sampled_from([
+    WindowConfig(), WindowConfig(1.0, 1.0), WindowConfig(0.75, 0.25), WindowConfig(0.3, 0.1),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_performances(), _window_configs)
+def test_diameter_series_equals_sweep_oracle(perf, cfg):
+    (times, values), _ = oracle_tension_series(perf, cfg)
+    series = cloud_diameter_series(perf, cfg)
+    assert series.times.tolist() == times
+    assert series.values.tolist() == values
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_performances(), _window_configs)
+def test_momentum_equals_sweep_oracle_within_last_digits(perf, cfg):
+    # the weights are summed in another order than the sweep's, so values
+    # may differ in the last bits; the sample times may not
+    _, (times, values) = oracle_tension_series(perf, cfg)
+    series = cloud_momentum(perf, cfg)
+    assert series.times.tolist() == times
+    np.testing.assert_allclose(series.values, values, rtol=0, atol=1e-12)
