@@ -223,13 +223,16 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     snr_labels = ["none" if tok is None else tok for tok in snr_tokens]
     stem = Path(args.input).stem
     names = [f"{stem}__snr{snr}_rt{ir}.wav" for ir in ir_labels for snr in snr_labels]
+    try:
+        cells = apply_condition_grid(audio, snr_levels, ir_levels, args.seed)
+    except ValueError as err:  # all-zero audio under noise, an IR of another rate or width
+        return _fail(EXIT_PARSE, f"{args.input}: {err}")
     out_dir = Path(args.output)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        cells = apply_condition_grid(audio, snr_levels, ir_levels, args.seed)
         for name, (_, buffer) in zip(names, cells):
             write_wav_file(out_dir / name, buffer)
-    except (ValueError, OSError) as err:
+    except OSError as err:
         return _fail(EXIT_IO, str(err))
     return EXIT_OK
 

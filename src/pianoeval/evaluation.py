@@ -74,8 +74,8 @@ def evaluate_performances(
     return MetricReport(
         pair_id=pair_id,
         frame=frame,
-        note_offset=note_metrics(ref.notes, est.notes, "onset_offset"),
-        note_offset_velocity=note_metrics(ref.notes, est.notes, "onset_offset_velocity"),
+        note_offset=note_metrics(ref, est, "onset_offset"),
+        note_offset_velocity=note_metrics(ref, est, "onset_offset_velocity"),
         musical=musical,
         tags=dict(tags or {}),
     )

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .midi import Note, Performance, expand_ranges, note_columns
+from .midi import Performance, expand_ranges
 
 __all__ = [
     "PRF",
@@ -91,10 +89,11 @@ def build_piano_roll(perf: Performance, frame_length: float = FRAME_LENGTH) -> P
         raise ValueError("frame_length must be positive")
     n_frames = int(math.ceil(perf.end_time / frame_length))
     roll = np.zeros((N_PITCHES, n_frames), dtype=np.bool_)
-    for note in perf.notes:
-        first = int(math.floor(note.onset / frame_length))
-        last = max(first, int(math.ceil(note.offset / frame_length)) - 1)
-        roll[note.pitch, first : min(last, n_frames - 1) + 1] = True
+    firsts = np.floor(perf.onsets / frame_length).astype(np.int64)
+    stops = np.maximum(firsts + 1, np.ceil(perf.offsets / frame_length).astype(np.int64))
+    # one slice per note (faster than a fancy-indexed fill on long notes), clipped at the last frame
+    for pitch, first, stop in zip(perf.pitches.tolist(), firsts.tolist(), stops.tolist()):
+        roll[pitch, first:stop] = True
     return PianoRoll(roll, frame_length)
 
 
@@ -126,14 +125,14 @@ def offset_window(ref_duration):
     return np.maximum(OFFSET_TOLERANCE, OFFSET_RATIO * ref_duration)
 
 
-def _candidate_edges(ref: tuple, est: tuple, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_edges(ref: Performance, est: Performance, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Candidate pairs (i, j) of ref and est note indices passing the
-    mode's onset/offset rules, from the notes' columns.
+    mode's onset/offset rules.
 
     Pairs come ordered by i, then by the est note's (onset, index).
     """
-    ref_onsets, ref_offsets, ref_pitches, _ = ref
-    est_onsets, est_offsets, est_pitches, _ = est
+    ref_onsets, ref_offsets, ref_pitches = ref.onsets, ref.offsets, ref.pitches
+    est_onsets, est_offsets, est_pitches = est.onsets, est.offsets, est.pitches
     order = np.lexsort((est_onsets, est_pitches))
     sorted_pitches, sorted_onsets = est_pitches[order], est_onsets[order]
     lo = np.zeros(len(ref_onsets), dtype=np.int64)
@@ -178,7 +177,7 @@ def _filter_velocity(
     return i[keep], j[keep]
 
 
-def match_notes(ref: Sequence[Note], est: Sequence[Note], mode: str) -> NoteMatching:
+def match_notes(ref: Performance, est: Performance, mode: str) -> NoteMatching:
     """Maximum-cardinality one-to-one matching under the mode's tolerances.
 
     A pair is a candidate iff pitches are equal and onsets differ by at
@@ -189,10 +188,9 @@ def match_notes(ref: Sequence[Note], est: Sequence[Note], mode: str) -> NoteMatc
     """
     if mode not in MATCH_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MATCH_MODES}")
-    ref_columns, est_columns = note_columns(ref), note_columns(est)
-    i, j = _candidate_edges(ref_columns, est_columns, mode)
+    i, j = _candidate_edges(ref, est, mode)
     if mode == "onset_offset_velocity":
-        i, j = _filter_velocity(ref_columns[3], est_columns[3], i, j)
+        i, j = _filter_velocity(ref.velocities, est.velocities, i, j)
     indptr = np.searchsorted(i, np.arange(len(ref) + 1))
     graph = csr_array((np.ones(len(j)), j, indptr), (len(ref), len(est)))
     match = maximum_bipartite_matching(graph, perm_type="column")
@@ -204,11 +202,7 @@ def match_notes(ref: Sequence[Note], est: Sequence[Note], mode: str) -> NoteMatc
     )
 
 
-def note_metrics(ref: Sequence[Note], est: Sequence[Note], mode: str) -> PRF:
+def note_metrics(ref: Performance, est: Performance, mode: str) -> PRF:
     """Note-level precision/recall/F1; empty-vs-empty scores 0 by convention."""
-    matching = match_notes(ref, est, mode)
-    n = len(matching.pairs)
-    precision = n / len(est) if est else 0.0
-    recall = n / len(ref) if ref else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return PRF(precision, recall, f1)
+    n = len(match_notes(ref, est, mode).pairs)
+    return PRF.from_counts(n, len(est) - n, len(ref) - n)

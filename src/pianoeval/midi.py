@@ -1,7 +1,7 @@
-"""Standard MIDI File parsing into tempo-resolved note lists.
+"""Standard MIDI File parsing into tempo-resolved note columns.
 
 Reads SMF format 0 and 1 byte streams and produces a :class:`Performance`:
-a flat, time-sorted list of notes with onset/offset in seconds, pitch and
+time-sorted note columns of onset and offset in seconds, pitch and
 velocity. All channels are merged (solo piano assumption). Sustain pedal
 (CC64) can optionally extend note offsets the way a real piano's dampers
 would.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "parse_midi_file",
     "ticks_to_seconds",
     "apply_sustain_pedal",
-    "note_columns",
     "expand_ranges",
 ]
 
@@ -67,45 +66,75 @@ class Note:
         return self.offset - self.onset
 
 
-def _note_key(note: Note):
-    return (note.onset, note.pitch, note.offset)
+_COLUMNS = (("onsets", np.float64), ("offsets", np.float64), ("pitches", np.int64), ("velocities", np.int64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Performance:
-    """An ordered collection of notes; the input to every metric.
+    """A performance as four read-only note columns; the input to every metric.
 
-    Notes are sorted by (onset, pitch, offset) and ``end_time`` is at least
-    the largest offset (0 for an empty performance).
+    Row k is one note: ``onsets[k]`` and ``offsets[k]`` in seconds
+    (float64), ``pitches[k]`` and ``velocities[k]`` (int64). The
+    constructor checks what :class:`Note` checks, row by row, and that
+    ``end_time`` is at least the largest offset. :meth:`from_notes`,
+    :func:`parse_midi` and :func:`apply_sustain_pedal` sort the rows by
+    (onset, pitch, offset); :meth:`take` keeps the order it is given.
     """
 
-    notes: tuple[Note, ...]
+    onsets: np.ndarray
+    offsets: np.ndarray
+    pitches: np.ndarray
+    velocities: np.ndarray
     end_time: float
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS:
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "end_time", float(self.end_time))
+        if self.onsets.ndim != 1 or any(c.shape != self.onsets.shape for c in self._columns()):
+            raise ValueError("note columns must be one-dimensional and of equal length")
+        for valid, problem in (
+            (self.offsets > self.onsets, "duration must be positive"),
+            ((self.pitches >= 0) & (self.pitches <= 127), "pitch out of range"),
+            ((self.velocities >= 1) & (self.velocities <= 127), "velocity out of range"),
+        ):
+            if not valid.all():
+                k = int(np.argmin(valid))
+                raise ValueError(f"note {k} {tuple(c[k].item() for c in self._columns())}: {problem}")
+        if not self.end_time >= self.offsets.max(initial=-np.inf):
+            raise ValueError(f"end_time {self.end_time} is before the last offset")
 
     @classmethod
     def from_notes(cls, notes: Iterable[Note], end_time: Optional[float] = None) -> "Performance":
-        ordered = tuple(sorted(notes, key=_note_key))
-        if end_time is None:
-            end_time = max((n.offset for n in ordered), default=0.0)
-        return cls(ordered, float(end_time))
+        """The notes as columns, sorted by (onset, pitch, offset)."""
+        rows = [(n.onset, n.offset, n.pitch, n.velocity) for n in notes]
+        return _sorted(*np.array(rows, dtype=np.float64).reshape(-1, 4).T, end_time)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.onsets, self.offsets, self.pitches, self.velocities
+
+    @property
+    def notes(self) -> tuple[Note, ...]:
+        """The rows as :class:`Note` objects, built on each access."""
+        return tuple(map(Note, *(c.tolist() for c in self._columns())))
+
+    def take(self, index) -> "Performance":
+        """The notes at ``index`` (positions or a boolean mask), same end time."""
+        return Performance(*(c[index] for c in self._columns()), self.end_time)
 
     def __len__(self) -> int:
-        return len(self.notes)
-
-    def __iter__(self):
-        return iter(self.notes)
+        return len(self.onsets)
 
 
-def note_columns(notes: Sequence[Note]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The notes as four arrays: float64 onsets and offsets, int64 pitches
-    and velocities, in the order given."""
-    count = len(notes)
-    return (
-        np.fromiter((n.onset for n in notes), np.float64, count),
-        np.fromiter((n.offset for n in notes), np.float64, count),
-        np.fromiter((n.pitch for n in notes), np.int64, count),
-        np.fromiter((n.velocity for n in notes), np.int64, count),
-    )
+def _sorted(onsets, offsets, pitches, velocities, end_time: Optional[float] = None) -> Performance:
+    """The notes ordered by (onset, pitch, offset), ties kept in input order;
+    ``end_time`` defaults to the largest offset (0 without notes)."""
+    order = np.lexsort((offsets, pitches, onsets))
+    if end_time is None:
+        end_time = np.max(offsets) if len(offsets) else 0.0
+    return Performance(onsets[order], offsets[order], pitches[order], velocities[order], end_time)
 
 
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,6 +262,7 @@ def _parse_track(
     while p < end:
         delta, p = _read_varint(data, p, end)
         tick += delta
+        event_start = p
         if p >= end:
             raise MidiParseError("event truncated at track end", p)
         first = data[p]
@@ -259,7 +289,10 @@ def _parse_track(
             if meta_type == 0x51:
                 if meta_len != 3:
                     raise MidiParseError(f"set-tempo event with length {meta_len}", p)
-                tempos.append((tick, int.from_bytes(payload, "big")))
+                uspq = int.from_bytes(payload, "big")
+                if uspq == 0:
+                    raise MidiParseError("set-tempo event with zero tempo", event_start)
+                tempos.append((tick, uspq))
             elif meta_type == 0x2F:
                 break
         elif status in (0xF0, 0xF7):
@@ -316,14 +349,12 @@ def parse_midi(data: bytes, pedal_mode: str = "extend") -> Performance:
         pos = _parse_track(data, pos, raw_notes, tempo_events, raw_pedals)
 
     tempo_map = TempoMap(tempo_events, tpq)
-    notes = []
-    for onset_tick, offset_tick, pitch, velocity in raw_notes:
-        onset = ticks_to_seconds(onset_tick, tempo_map)
-        offset = ticks_to_seconds(offset_tick, tempo_map)
-        if offset <= onset:
-            offset = onset + MIN_NOTE_DURATION
-        notes.append(Note(onset, offset, pitch, velocity))
-    performance = Performance.from_notes(notes)
+    ticks = np.array(raw_notes, dtype=np.int64).reshape(-1, 4)
+    # one exact integer conversion per tick; vectorised int64 products could overflow
+    seconds = [ticks_to_seconds(tick, tempo_map) for tick in ticks[:, :2].ravel().tolist()]
+    onsets, offsets = np.array(seconds, dtype=np.float64).reshape(-1, 2).T
+    offsets = np.where(offsets <= onsets, onsets + MIN_NOTE_DURATION, offsets)
+    performance = _sorted(onsets, offsets, ticks[:, 2], ticks[:, 3])
 
     if pedal_mode == "extend" and raw_pedals:
         raw_pedals.sort(key=lambda e: e[0])
@@ -341,21 +372,6 @@ def parse_midi_file(path, pedal_mode: str = "extend") -> Performance:
 # Sustain pedal
 # ---------------------------------------------------------------------------
 
-def _pedal_down_spans(pedals: Sequence[PedalEvent], threshold: int) -> list[tuple[float, float]]:
-    spans = []
-    down_since: Optional[float] = None
-    for event in pedals:
-        if event.value >= threshold:
-            if down_since is None:
-                down_since = event.time
-        elif down_since is not None:
-            spans.append((down_since, event.time))
-            down_since = None
-    if down_since is not None:
-        spans.append((down_since, float("inf")))
-    return spans
-
-
 def apply_sustain_pedal(
     performance: Performance,
     pedals: Sequence[PedalEvent],
@@ -369,31 +385,27 @@ def apply_sustain_pedal(
     shortened. A pedal that is still down at the end of the data sustains to
     the end of the performance.
     """
-    if not performance.notes or not pedals:
+    if not len(performance) or not pedals:
         return performance
-    spans = _pedal_down_spans(pedals, threshold)
-    if not spans:
+    down = np.array([event.value >= threshold for event in pedals])
+    # the pedal goes down, up, down, ... at these times; a span still down at the end ends at inf
+    flips = np.array([event.time for event in pedals])[np.flatnonzero(np.diff(down, prepend=False))]
+    span_starts, span_ends = flips[0::2], np.append(flips[1::2], [np.inf] * (len(flips) % 2))
+    if not len(span_starts):
         return performance
-    span_starts = [s for s, _ in spans]
     data_end = max(performance.end_time, pedals[-1].time)
+    onsets, offsets, pitches = performance.onsets, performance.offsets, performance.pitches
 
     # next onset of the same pitch, per note (inf when none follows)
-    next_same_pitch = {}
-    last_seen: dict[int, int] = {}
-    for index, note in enumerate(performance.notes):
-        if note.pitch in last_seen:
-            next_same_pitch[last_seen[note.pitch]] = note.onset
-        last_seen[note.pitch] = index
+    by_pitch = np.argsort(pitches, kind="stable")
+    follows = pitches[by_pitch[1:]] == pitches[by_pitch[:-1]]
+    next_same_pitch = np.full(len(performance), np.inf)
+    next_same_pitch[by_pitch[:-1][follows]] = onsets[by_pitch[1:][follows]]
 
-    new_notes = []
-    for index, note in enumerate(performance.notes):
-        i = bisect_right(span_starts, note.offset) - 1
-        if i >= 0 and note.offset < spans[i][1]:
-            release = spans[i][1]
-            if release == float("inf"):
-                release = data_end
-            extended = min(release, next_same_pitch.get(index, float("inf")))
-            if extended > note.offset:
-                note = replace(note, offset=extended)
-        new_notes.append(note)
-    return Performance.from_notes(new_notes)
+    # the down span an offset falls in, if any
+    span = np.searchsorted(span_starts, offsets, "right") - 1
+    release = span_ends[np.maximum(span, 0)]
+    held = (span >= 0) & (offsets < release)
+    extended = np.minimum(np.where(release == np.inf, data_end, release), next_same_pitch)
+    offsets = np.where(held & (extended > offsets), extended, offsets)
+    return _sorted(onsets, offsets, pitches, performance.velocities)

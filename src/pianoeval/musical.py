@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .midi import Note, Performance, expand_ranges, note_columns
+from .midi import Performance, expand_ranges
 from .series import FeatureSeries, GridConfig, correlate_series, grid_times, resample_to_grid, shared_extent
 from .streams import CHORD_EPSILON, split_streams
 from .tension import DEFAULT_PARAMS, SpiralParams, WindowConfig, cloud_diameter_series, cloud_momentum
@@ -66,7 +66,7 @@ class MusicalMetrics:
 METRIC_NAMES = tuple(f.name for f in fields(MusicalMetrics))
 
 
-def ioi_series(stream: Sequence[Note], chord_eps: float = CHORD_EPSILON) -> FeatureSeries:
+def ioi_series(stream: Performance, chord_eps: float = CHORD_EPSILON) -> FeatureSeries:
     """Inter-onset intervals of consecutive notes in one stream.
 
     The sample for the pair (i, i+1) is onset(i+1) - onset(i), timestamped
@@ -75,14 +75,14 @@ def ioi_series(stream: Sequence[Note], chord_eps: float = CHORD_EPSILON) -> Feat
     the last pair's value — the chord's 0 — wins, keeping times strictly
     increasing.
     """
-    onsets = note_columns(stream)[0]
+    onsets = stream.onsets
     ioi = np.diff(onsets)
     # unique over the reversed timestamps finds each timestamp's last pair
     times, last = np.unique(onsets[:0:-1], return_index=True)
     return FeatureSeries(times, np.where(ioi < chord_eps, 0.0, ioi)[::-1][last])
 
 
-def kor_series(stream: Sequence[Note], min_ioi: float = MIN_IOI) -> FeatureSeries:
+def kor_series(stream: Performance, min_ioi: float = MIN_IOI) -> FeatureSeries:
     """Key-overlap ratio of a monophonic stream.
 
     KOR_i = (offset(i) - onset(i+1)) / (onset(i+1) - onset(i)): positive
@@ -90,13 +90,13 @@ def kor_series(stream: Sequence[Note], min_ioi: float = MIN_IOI) -> FeatureSerie
     (staccato), 0 at perfect legato. Pairs closer than ``min_ioi`` are
     skipped. Timestamps are at the second note's onset.
     """
-    onsets, offsets, _, _ = note_columns(stream)
+    onsets, offsets = stream.onsets, stream.offsets
     ioi = np.diff(onsets)
     keep = np.flatnonzero(ioi >= min_ioi)
     return FeatureSeries(onsets[keep + 1], (offsets[keep] - onsets[keep + 1]) / ioi[keep])
 
 
-def _velocity_on_grid(stream: Sequence[Note], grid: np.ndarray) -> np.ndarray:
+def _velocity_on_grid(stream: Performance, grid: np.ndarray) -> np.ndarray:
     """Velocity of the stream at each grid time, with a hold after it ends.
 
     The latest-onset sounding note wins (then the earlier offset, then the
@@ -104,7 +104,7 @@ def _velocity_on_grid(stream: Sequence[Note], grid: np.ndarray) -> np.ndarray:
     later onset, then the higher velocity) holds for ``DYNAMICS_HOLD``
     seconds, after which the stream is silent (0).
     """
-    onsets, offsets, _, velocities = note_columns(stream)
+    onsets, offsets, velocities = stream.onsets, stream.offsets, stream.velocities
     # notes paint their [onset, offset) grid spans in this order; the last to paint a point wins
     order = np.lexsort((-velocities, -offsets, onsets))
     rank, point = expand_ranges(
@@ -120,7 +120,7 @@ def _velocity_on_grid(stream: Sequence[Note], grid: np.ndarray) -> np.ndarray:
 
 
 def dynamics_series(
-    melody: Sequence[Note], bass: Sequence[Note], grid: GridConfig = GridConfig()
+    melody: Performance, bass: Performance, grid: GridConfig = GridConfig()
 ) -> FeatureSeries:
     """Log loudness ratio R(t) = ln(vel_melody(t) / vel_bass(t)) on the grid.
 
@@ -129,9 +129,9 @@ def dynamics_series(
     Grid points where either stream is silent beyond its hold horizon are
     dropped.
     """
-    if not melody or not bass:
+    if not len(melody) or not len(bass):
         return FeatureSeries([], [])
-    end = max(n.offset for n in list(melody) + list(bass))
+    end = float(max(melody.offsets.max(), bass.offsets.max()))
     times = grid_times(0.0, end, grid.step)
     mel = _velocity_on_grid(melody, times)
     bas = _velocity_on_grid(bass, times)

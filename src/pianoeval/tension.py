@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .midi import Note, Performance, expand_ranges, note_columns
+from .midi import Performance, expand_ranges
 from .series import FeatureSeries
 
 __all__ = [
@@ -104,14 +104,14 @@ def _spiral_points(params: SpiralParams) -> np.ndarray:
     return np.array([(p.x, p.y, p.z) for p in (pitch_to_spiral(pc, params) for pc in range(12))])
 
 
-def _pc_weights(notes: Sequence[Note], starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _pc_weights(perf: Performance, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Sounding time of each pitch class in each window [starts[w], ends[w]).
 
     Returns a W x 12 matrix. A note overlaps the windows from the first
     whose end is past its onset up to the last whose start is before its
     offset; ``starts`` and ``ends`` must be non-decreasing.
     """
-    onsets, offsets, pitches, _ = note_columns(notes)
+    onsets, offsets, pitches = perf.onsets, perf.offsets, perf.pitches
     note, window = expand_ranges(
         np.searchsorted(ends, onsets, "right"), np.searchsorted(starts, offsets, "left")
     )
@@ -123,10 +123,10 @@ def _pc_weights(notes: Sequence[Note], starts: np.ndarray, ends: np.ndarray) -> 
 def _window_weights(perf: Performance, cfg: WindowConfig) -> tuple[np.ndarray, np.ndarray]:
     """Start times i*hop of every window overlapping the data, and the
     windows' pitch-class weights."""
-    end_time = max((n.offset for n in perf.notes), default=0.0)
+    end_time = float(perf.offsets.max()) if len(perf) else 0.0
     starts = np.arange(math.ceil(max(end_time, 0.0) / cfg.hop) + 1) * cfg.hop
     starts = starts[starts < end_time - 1e-12]
-    return starts, _pc_weights(perf.notes, starts, starts + cfg.window_length)
+    return starts, _pc_weights(perf, starts, starts + cfg.window_length)
 
 
 def _diameters(present: np.ndarray, params: SpiralParams) -> np.ndarray:
@@ -138,7 +138,7 @@ def _diameters(present: np.ndarray, params: SpiralParams) -> np.ndarray:
 
 
 def center_of_effect(
-    notes: Sequence[Note],
+    perf: Performance,
     start: float,
     end: float,
     params: SpiralParams = DEFAULT_PARAMS,
@@ -148,24 +148,22 @@ def center_of_effect(
     Weight is each note's sounding time inside the window. Returns None
     when nothing sounds in the window.
     """
-    weights = _pc_weights(notes, np.array([start]), np.array([end]))[0]
+    weights = _pc_weights(perf, np.array([start]), np.array([end]))[0]
     total = weights.sum()
     if total <= 0:
         return None
     return SpiralPoint(*(weights @ _spiral_points(params) / total).tolist())
 
 
-def cloud_diameter(
-    notes: Sequence[Note], params: SpiralParams = DEFAULT_PARAMS
-) -> Optional[float]:
+def cloud_diameter(perf: Performance, params: SpiralParams = DEFAULT_PARAMS) -> Optional[float]:
     """Maximum pairwise helix distance over the distinct pitch classes.
 
     Octave-invariant by construction; 0 for a single distinct pitch class;
     None for an empty note set.
     """
-    if not notes:
+    if not len(perf):
         return None
-    present = _pc_weights(notes, np.array([-math.inf]), np.array([math.inf])) > 0
+    present = _pc_weights(perf, np.array([-math.inf]), np.array([math.inf])) > 0
     return float(_diameters(present, params)[0])
 
 

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from pianoeval.midi import Note, Performance
+from pianoeval import midi
+from pianoeval.midi import Note, PedalEvent, Performance, TempoMap, ticks_to_seconds
 from pianoeval.tension import SpiralParams, SpiralPoint, WindowConfig, pitch_to_spiral
 
 # ---------------------------------------------------------------------------
@@ -446,6 +447,116 @@ def oracle_dynamics_series(melody: Sequence[Note], bass: Sequence[Note], step: f
             times.append(t)
             values.append(math.log(vm / vb))
     return times, values
+
+
+# ---------------------------------------------------------------------------
+# Per-note loop oracles for the column passes: parse conversion, sustain
+# pedal, stream split and piano-roll fill
+# ---------------------------------------------------------------------------
+
+def _oracle_sorted(notes) -> list[Note]:
+    return sorted(notes, key=lambda n: (n.onset, n.pitch, n.offset))
+
+
+def oracle_apply_sustain_pedal(notes: Sequence[Note], end_time: float, pedals, threshold: int = 64):
+    """(notes, end_time) after the pedal, one note at a time; ``notes``
+    must be in (onset, pitch, offset) order."""
+    if not notes or not pedals:
+        return list(notes), end_time
+    spans = []
+    down_since = None
+    for event in pedals:
+        if event.value >= threshold:
+            if down_since is None:
+                down_since = event.time
+        elif down_since is not None:
+            spans.append((down_since, event.time))
+            down_since = None
+    if down_since is not None:
+        spans.append((down_since, float("inf")))
+    if not spans:
+        return list(notes), end_time
+    span_starts = [s for s, _ in spans]
+    data_end = max(end_time, pedals[-1].time)
+    next_same_pitch = {}
+    last_seen: dict[int, int] = {}
+    for index, note in enumerate(notes):
+        if note.pitch in last_seen:
+            next_same_pitch[last_seen[note.pitch]] = note.onset
+        last_seen[note.pitch] = index
+    new_notes = []
+    for index, note in enumerate(notes):
+        i = bisect_right(span_starts, note.offset) - 1
+        if i >= 0 and note.offset < spans[i][1]:
+            release = spans[i][1]
+            if release == float("inf"):
+                release = data_end
+            extended = min(release, next_same_pitch.get(index, float("inf")))
+            if extended > note.offset:
+                note = Note(note.onset, extended, note.pitch, note.velocity)
+        new_notes.append(note)
+    return _oracle_sorted(new_notes), max(n.offset for n in new_notes)
+
+
+def oracle_parse_midi(data: bytes, pedal_mode: str = "extend"):
+    """(notes, end_time) of an SMF: the library's track reader, then one
+    Note per raw (onset tick, offset tick, pitch, velocity) tuple."""
+    _, ntrks, tpq, pos = midi._parse_header(data)
+    raw_notes, tempo_events, raw_pedals = [], [], []
+    for _ in range(ntrks):
+        pos = midi._parse_track(data, pos, raw_notes, tempo_events, raw_pedals)
+    tempo_map = TempoMap(tempo_events, tpq)
+    notes = []
+    for onset_tick, offset_tick, pitch, velocity in raw_notes:
+        onset = ticks_to_seconds(onset_tick, tempo_map)
+        offset = ticks_to_seconds(offset_tick, tempo_map)
+        if offset <= onset:
+            offset = onset + midi.MIN_NOTE_DURATION
+        notes.append(Note(onset, offset, pitch, velocity))
+    notes = _oracle_sorted(notes)
+    end_time = max((n.offset for n in notes), default=0.0)
+    if pedal_mode == "extend" and raw_pedals:
+        raw_pedals.sort(key=lambda e: e[0])
+        pedals = [PedalEvent(ticks_to_seconds(t, tempo_map), v) for t, v in raw_pedals]
+        return oracle_apply_sustain_pedal(notes, end_time, pedals)
+    return notes, end_time
+
+
+def oracle_split_streams(notes: Sequence[Note], eps: float = 0.030):
+    """(clusters, melody, bass, accompaniment) as lists of notes, from the
+    greedy anchored sweep and a per-cluster top/bottom scan."""
+    clusters: list[list[Note]] = []
+    anchor = None
+    for note in notes:
+        if anchor is not None and note.onset - anchor <= eps:
+            clusters[-1].append(note)
+        else:
+            clusters.append([note])
+            anchor = note.onset
+    melody, bass, rest = [], [], []
+    for cluster in clusters:
+        # highest and lowest pitch; ties broken by longer duration, then first in order
+        top = bottom = cluster[0]
+        for note in cluster[1:]:
+            if note.pitch > top.pitch or (note.pitch == top.pitch and note.duration > top.duration):
+                top = note
+            if note.pitch < bottom.pitch or (note.pitch == bottom.pitch and note.duration > bottom.duration):
+                bottom = note
+        melody.append(top)
+        bass.append(bottom)
+        rest.extend(n for n in cluster if n is not top)
+    return clusters, melody, bass, rest
+
+
+def oracle_piano_roll(perf: Performance, frame_length: float = 0.010) -> np.ndarray:
+    """The (128, T) roll filled one note at a time."""
+    n_frames = int(math.ceil(perf.end_time / frame_length))
+    roll = np.zeros((128, n_frames), dtype=np.bool_)
+    for note in perf.notes:
+        first = int(math.floor(note.onset / frame_length))
+        last = max(first, int(math.ceil(note.offset / frame_length)) - 1)
+        roll[note.pitch, first : min(last, n_frames - 1) + 1] = True
+    return roll
 
 
 # ---------------------------------------------------------------------------

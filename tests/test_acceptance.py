@@ -88,7 +88,7 @@ def test_note_matching_oracle_parity():
         ref = random_notes(int(rng.integers(0, 13)))
         est = random_notes(int(rng.integers(0, 13)))
         for mode in MATCH_MODES:
-            got = note_metrics(ref, est, mode)
+            got = note_metrics(Performance.from_notes(ref), Performance.from_notes(est), mode)
             precision, recall, f1 = oracle_note_prf(ref, est, mode)
             assert (got.precision, got.recall, got.f1) == (precision, recall, f1)
 
@@ -112,7 +112,7 @@ def test_spiral_geometry():
     assert abs(d - math.sqrt(2.0 + 2.0 / 15.0)) <= 1e-9
 
     octaves = [Note(0.0, 1.0, 36 + 12 * k, 64) for k in range(5)]
-    assert cloud_diameter(octaves) == 0.0
+    assert cloud_diameter(Performance.from_notes(octaves)) == 0.0
 
     steady = Performance.from_notes(
         [Note(i * 0.5, i * 0.5 + 0.5, 60, 64) for i in range(12)]
@@ -165,7 +165,7 @@ def test_degradation_monotonicity():
             value = compute_musical_metrics(ref, est).dynamics
             assert value is not None
             dyn_sums[k] += value
-            prf = note_metrics(ref.notes, est.notes, "onset")
+            prf = note_metrics(ref, est, "onset")
             assert prf.f1 == 1.0
     assert ioi_sums[0] > ioi_sums[1] > ioi_sums[2], ioi_sums
     assert dyn_sums[0] > dyn_sums[1] > dyn_sums[2], dyn_sums

@@ -74,6 +74,16 @@ def test_evaluate_corrupt_midi_is_parse_error(midi_pair, tmp_path, capsys):
     assert "byte offset" in err
 
 
+def test_evaluate_zero_tempo_is_parse_error(midi_pair, tmp_path, capsys):
+    ref, _ = midi_pair
+    bad = tmp_path / "stopped.mid"
+    bad.write_bytes(serialize_smf([], tempos=((0, 0),), fmt=0))
+    assert main(["evaluate", ref, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "stopped.mid" in err
+    assert "zero tempo" in err
+
+
 def test_evaluate_config_file(midi_pair, tmp_path, capsys):
     ref, est = midi_pair
     config = tmp_path / "run.cfg"
@@ -367,6 +377,26 @@ def test_perturb_missing_ir_file_is_io_error(tmp_path, capsys):
     args = ["perturb", str(wav), "--output", str(tmp_path / "o"), "--ir", f"none,{missing}"]
     assert main(args) == 3
     assert "hall.wav" in capsys.readouterr().err
+
+
+def test_perturb_silent_input_with_noise_is_input_error(tmp_path, capsys):
+    wav = tmp_path / "silence.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05, amplitude=0.0))
+    assert main(["perturb", str(wav), "--output", str(tmp_path / "o"), "--snr", "12", "--rt60", "none"]) == 2
+    err = capsys.readouterr().err
+    assert "silence.wav" in err
+    assert "all-zero" in err
+
+
+def test_perturb_ir_at_other_sample_rate_is_input_error(tmp_path, capsys):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    ir = tmp_path / "hall.wav"
+    write_wav_file(ir, sine_audio(seconds=0.01, sample_rate=22050))
+    assert main(["perturb", str(wav), "--output", str(tmp_path / "o"), "--snr", "none", "--ir", str(ir)]) == 2
+    err = capsys.readouterr().err
+    assert "take.wav" in err
+    assert "sample rate" in err
 
 
 def test_perturb_rejects_bad_wav(tmp_path, capsys):

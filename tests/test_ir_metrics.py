@@ -12,6 +12,7 @@ from helpers import (
     oracle_frame_prf,
     oracle_note_frames,
     oracle_note_prf,
+    oracle_piano_roll,
     random_performance,
     serialize_smf,
 )
@@ -26,7 +27,7 @@ from pianoeval.ir_metrics import (
     note_metrics,
     offset_window,
 )
-from pianoeval.midi import Note, Performance, note_columns, parse_midi
+from pianoeval.midi import Note, Performance, parse_midi
 
 
 def _perf(*notes):
@@ -127,6 +128,30 @@ def test_frames_both_empty_score_zero():
     assert (prf.precision, prf.recall, prf.f1) == (0.0, 0.0, 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        # a 5 ms lattice puts onsets and offsets on frame edges and mid-frame
+        st.builds(
+            lambda k, d, pitch: Note(k * 0.005, (k + d) * 0.005, pitch, 64),
+            st.integers(0, 60),
+            st.integers(1, 40),
+            st.sampled_from([0, 60, 127]),
+        ),
+        max_size=12,
+    ),
+    st.sampled_from([0.01, 0.02, 0.03]),
+    st.integers(0, 3),
+)
+def test_piano_roll_equals_per_note_oracle(notes, frame_length, tail):
+    end_time = max((n.offset for n in notes), default=0.0) + tail * 0.005
+    perf = Performance.from_notes(notes, end_time=end_time)
+    roll = build_piano_roll(perf, frame_length).active
+    want = oracle_piano_roll(perf, frame_length)
+    assert roll.shape == want.shape
+    assert np.array_equal(roll, want)
+
+
 def test_frames_match_pure_python_oracle():
     rng = np.random.default_rng(37)
     for _ in range(10):
@@ -144,7 +169,7 @@ def test_frames_match_pure_python_oracle():
 # ---------------------------------------------------------------------------
 
 def test_match_identical_lists_pair_everything():
-    notes = [Note(0.0, 0.5, 60, 64), Note(0.5, 1.0, 62, 70)]
+    notes = Performance.from_notes([Note(0.0, 0.5, 60, 64), Note(0.5, 1.0, 62, 70)])
     for mode in MATCH_MODES:
         matching = match_notes(notes, notes, mode)
         assert sorted(matching.pairs) == [(0, 0), (1, 1)]
@@ -153,16 +178,16 @@ def test_match_identical_lists_pair_everything():
 
 
 def test_match_onset_tolerance_boundary():
-    ref = [Note(0.0, 2.0, 60, 64)]
-    within = [Note(0.05, 2.0, 60, 64)]   # difference is exactly the tolerance
-    beyond = [Note(0.06, 2.0, 60, 64)]
+    ref = Performance.from_notes([Note(0.0, 2.0, 60, 64)])
+    within = Performance.from_notes([Note(0.05, 2.0, 60, 64)])   # difference is exactly the tolerance
+    beyond = Performance.from_notes([Note(0.06, 2.0, 60, 64)])
     assert match_notes(ref, within, "onset").pairs == ((0, 0),)
     assert match_notes(ref, beyond, "onset").pairs == ()
 
 
 def _tick_notes(*notes_ticks):
     """Notes parsed from an SMF at 480 ticks per quarter and 120 BPM: 960 ticks per second."""
-    return list(parse_midi(serialize_smf(notes_ticks, tpq=480)).notes)
+    return parse_midi(serialize_smf(notes_ticks, tpq=480))
 
 
 @pytest.mark.parametrize("est_onset, f1", [(1008, 1.0), (912, 1.0), (1009, 0.0), (911, 0.0)])
@@ -182,8 +207,8 @@ def test_offset_tolerance_boundary_in_ticks(est_offset, f1):
 
 
 def test_match_pitch_must_be_exact():
-    ref = [Note(0.0, 1.0, 60, 64)]
-    est = [Note(0.0, 1.0, 61, 64)]
+    ref = Performance.from_notes([Note(0.0, 1.0, 60, 64)])
+    est = Performance.from_notes([Note(0.0, 1.0, 61, 64)])
     assert match_notes(ref, est, "onset").pairs == ()
 
 
@@ -193,9 +218,9 @@ def test_offset_window_scales_with_duration():
 
 
 def test_match_offset_rule_uses_duration_scaled_window():
-    ref = [Note(0.0, 1.0, 60, 64)]
-    ok = [Note(0.0, 1.15, 60, 64)]       # offset error 0.15 <= 0.2 * 1.0
-    bad = [Note(0.0, 1.25, 60, 64)]      # 0.25 > 0.2
+    ref = Performance.from_notes([Note(0.0, 1.0, 60, 64)])
+    ok = Performance.from_notes([Note(0.0, 1.15, 60, 64)])       # offset error 0.15 <= 0.2 * 1.0
+    bad = Performance.from_notes([Note(0.0, 1.25, 60, 64)])      # 0.25 > 0.2
     assert match_notes(ref, ok, "onset_offset").pairs == ((0, 0),)
     assert match_notes(ref, bad, "onset_offset").pairs == ()
     # but the same est is fine in onset-only mode
@@ -205,19 +230,19 @@ def test_match_offset_rule_uses_duration_scaled_window():
 def test_match_resolves_crossing_greedy_trap():
     # one est note sits within tolerance of two refs; maximum matching must
     # still pair both refs when a second est is available for only one of them
-    ref = [Note(0.00, 1.0, 60, 64), Note(0.04, 1.0, 60, 64)]
-    est = [Note(0.04, 1.0, 60, 64), Note(0.08, 1.0, 60, 64)]
+    ref = Performance.from_notes([Note(0.00, 1.0, 60, 64), Note(0.04, 1.0, 60, 64)])
+    est = Performance.from_notes([Note(0.04, 1.0, 60, 64), Note(0.08, 1.0, 60, 64)])
     matching = match_notes(ref, est, "onset")
     assert len(matching.pairs) == 2
 
 
 def test_match_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        match_notes([], [], "strict")
+        match_notes(Performance.from_notes([]), Performance.from_notes([]), "strict")
 
 
 def test_match_empty_sides():
-    matching = match_notes([], [Note(0.0, 1.0, 60, 64)], "onset")
+    matching = match_notes(Performance.from_notes([]), _perf((0.0, 1.0, 60, 64)), "onset")
     assert matching.pairs == ()
     assert matching.unmatched_est == (0,)
 
@@ -229,14 +254,14 @@ def test_match_empty_sides():
 def test_notes_spurious_extra_note():
     ref = [Note(i * 0.5, i * 0.5 + 0.4, 60 + i, 64) for i in range(4)]
     est = list(ref) + [Note(10.0, 10.4, 100, 64)]
-    prf = note_metrics(ref, est, "onset")
+    prf = note_metrics(Performance.from_notes(ref), Performance.from_notes(est), "onset")
     assert prf.precision == pytest.approx(0.8)
     assert prf.recall == pytest.approx(1.0)
     assert prf.f1 == pytest.approx(8.0 / 9.0)
 
 
 def test_notes_both_empty_score_zero():
-    prf = note_metrics([], [], "onset")
+    prf = note_metrics(Performance.from_notes([]), Performance.from_notes([]), "onset")
     assert (prf.precision, prf.recall, prf.f1) == (0.0, 0.0, 0.0)
 
 
@@ -245,7 +270,7 @@ def test_notes_self_evaluation_is_perfect():
     for _ in range(10):
         perf = random_performance(rng, int(rng.integers(1, 40)))
         for mode in MATCH_MODES:
-            prf = note_metrics(perf.notes, perf.notes, mode)
+            prf = note_metrics(perf, perf, mode)
             assert (prf.precision, prf.recall, prf.f1) == (1.0, 1.0, 1.0)
 
 
@@ -254,7 +279,7 @@ def test_notes_modes_are_increasingly_strict():
     for _ in range(20):
         ref = random_performance(rng, int(rng.integers(5, 30)))
         est = jitter_velocities(jitter_onsets(ref, 0.04, rng), 12.0, rng)
-        scores = [note_metrics(ref.notes, est.notes, mode).f1 for mode in MATCH_MODES]
+        scores = [note_metrics(ref, est, mode).f1 for mode in MATCH_MODES]
         assert scores[0] >= scores[1] >= scores[2]
 
 
@@ -264,8 +289,8 @@ def test_notes_degrade_with_heavier_jitter():
     mild = jitter_onsets(ref, 0.01, rng)
     heavy = jitter_onsets(ref, 0.2, rng)
     assert (
-        note_metrics(ref.notes, mild.notes, "onset").f1
-        >= note_metrics(ref.notes, heavy.notes, "onset").f1
+        note_metrics(ref, mild, "onset").f1
+        >= note_metrics(ref, heavy, "onset").f1
     )
 
 
@@ -287,7 +312,7 @@ def test_note_scores_equal_exhaustive_oracle():
         ref = _small_alphabet_notes(rng, int(rng.integers(0, 9)))
         est = _small_alphabet_notes(rng, int(rng.integers(0, 9)))
         for mode in MATCH_MODES:
-            got = note_metrics(ref, est, mode)
+            got = note_metrics(Performance.from_notes(ref), Performance.from_notes(est), mode)
             want = oracle_note_prf(ref, est, mode)
             assert got.precision == pytest.approx(want[0]), (mode, ref, est)
             assert got.recall == pytest.approx(want[1]), (mode, ref, est)
@@ -308,11 +333,12 @@ _cluster_notes = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(_cluster_notes, _cluster_notes)
 def test_same_pitch_cluster_counts_equal_exhaustive_oracle(ref, est):
+    ref_perf, est_perf = Performance.from_notes(ref), Performance.from_notes(est)
     for mode in MATCH_MODES:
         want = _oracle_max_matching(_oracle_valid_matrix(ref, est, mode), len(est))
-        matched = len(match_notes(ref, est, mode).pairs)
+        matched = len(match_notes(ref_perf, est_perf, mode).pairs)
         assert matched == want, mode
-        assert note_metrics(ref, est, mode) == PRF.from_counts(matched, len(est) - matched, len(ref) - matched)
+        assert note_metrics(ref_perf, est_perf, mode) == PRF.from_counts(matched, len(est) - matched, len(ref) - matched)
 
 
 _tick_lattice_notes = st.lists(
@@ -334,15 +360,17 @@ _tick_lattice_notes = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(_tick_lattice_notes, _tick_lattice_notes)
 def test_candidate_edges_equal_loop_oracle(ref, est):
+    ref, est = Performance.from_notes(ref), Performance.from_notes(est)
     for mode in ("onset", "onset_offset"):
-        i, j = _candidate_edges(note_columns(ref), note_columns(est), mode)
-        assert list(zip(i.tolist(), j.tolist())) == oracle_candidate_edges(ref, est, mode), mode
+        i, j = _candidate_edges(ref, est, mode)
+        assert list(zip(i.tolist(), j.tolist())) == oracle_candidate_edges(ref.notes, est.notes, mode), mode
 
 
 @settings(max_examples=100, deadline=None)
 @given(_tick_lattice_notes, _tick_lattice_notes, st.randoms(use_true_random=False))
 def test_note_metrics_invariant_to_estimate_order(ref, est, random):
-    shuffled = random.sample(est, len(est))
+    ref, est = Performance.from_notes(ref), Performance.from_notes(est)
+    shuffled = est.take(random.sample(range(len(est)), len(est)))
     for mode in MATCH_MODES:
         assert note_metrics(ref, shuffled, mode) == note_metrics(ref, est, mode), mode
 
@@ -350,9 +378,10 @@ def test_note_metrics_invariant_to_estimate_order(ref, est, random):
 def test_matching_pairs_are_valid_and_disjoint():
     rng = np.random.default_rng(59)
     for _ in range(30):
-        ref = _small_alphabet_notes(rng, 10)
-        est = _small_alphabet_notes(rng, 10)
+        ref = Performance.from_notes(_small_alphabet_notes(rng, 10))
+        est = Performance.from_notes(_small_alphabet_notes(rng, 10))
         matching = match_notes(ref, est, "onset_offset")
+        ref, est = ref.notes, est.notes
         ref_used = [i for i, _ in matching.pairs]
         est_used = [j for _, j in matching.pairs]
         assert len(set(ref_used)) == len(ref_used)
@@ -373,7 +402,7 @@ def test_velocity_mode_invariant_to_affine_velocity_maps():
     # est velocities are an exact affine image of ref's: fit recovers it
     ref = [Note(i * 0.3, i * 0.3 + 0.2, 60, 30 + 10 * i) for i in range(6)]
     est = [Note(n.onset, n.offset, n.pitch, min(127, 2 * n.velocity - 20)) for n in ref]
-    prf = note_metrics(ref, est, "onset_offset_velocity")
+    prf = note_metrics(Performance.from_notes(ref), Performance.from_notes(est), "onset_offset_velocity")
     assert prf.f1 == 1.0
 
 
@@ -383,6 +412,7 @@ def test_velocity_mode_rejects_scrambled_velocities():
         Note(n.onset, n.offset, n.pitch, v)
         for n, v in zip(ref, (127, 20, 110, 40, 90, 60))
     ]
+    ref, scrambled = Performance.from_notes(ref), Performance.from_notes(scrambled)
     prf = note_metrics(ref, scrambled, "onset_offset_velocity")
     assert prf.f1 < 1.0
     # sanity: timing alone would have matched everything
@@ -393,5 +423,5 @@ def test_velocity_mode_constant_reference_velocities():
     # zero-range reference velocities normalize to all-zero targets
     ref = [Note(i * 0.3, i * 0.3 + 0.2, 60, 64) for i in range(4)]
     est = [Note(n.onset, n.offset, n.pitch, 90) for n in ref]
-    prf = note_metrics(ref, est, "onset_offset_velocity")
+    prf = note_metrics(Performance.from_notes(ref), Performance.from_notes(est), "onset_offset_velocity")
     assert prf.f1 == 1.0

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import performance_to_smf, random_performance, serialize_smf
+from helpers import (
+    oracle_apply_sustain_pedal,
+    oracle_parse_midi,
+    performance_to_smf,
+    random_performance,
+    serialize_smf,
+)
+from pianoeval.evaluation import evaluate_performances
 from pianoeval.midi import (
     MidiParseError,
     Note,
@@ -10,6 +19,7 @@ from pianoeval.midi import (
     TempoMap,
     apply_sustain_pedal,
     parse_midi,
+    parse_midi_file,
     ticks_to_seconds,
 )
 
@@ -43,6 +53,50 @@ def test_performance_sorting_and_end_time():
     assert perf.end_time == 3.0
     assert len(Performance.from_notes([])) == 0
     assert Performance.from_notes([]).end_time == 0.0
+
+
+def test_performance_columns_are_coerced_read_only_and_checked():
+    perf = Performance([0, 1], [1, 2.5], [60.0, 61.0], [64, 65], 3)
+    assert [c.dtype for c in (perf.onsets, perf.offsets, perf.pitches, perf.velocities)] == [
+        np.float64, np.float64, np.int64, np.int64,
+    ]
+    assert perf.end_time == 3.0 and isinstance(perf.end_time, float)
+    with pytest.raises(ValueError):
+        perf.onsets[0] = 5.0
+    for bad in (
+        ([0.0], [1.0, 2.0], [60], [64], 2.0),  # unequal lengths
+        ([1.0], [1.0], [60], [64], 2.0),  # zero duration
+        ([0.0], [1.0], [128], [64], 2.0),  # pitch
+        ([0.0], [1.0], [60], [0], 2.0),  # velocity
+        ([0.0], [1.0], [60], [64], 0.5),  # end_time before the last offset
+    ):
+        with pytest.raises(ValueError):
+            Performance(*bad)
+
+
+def test_take_keeps_given_order_and_end_time():
+    perf = Performance.from_notes([Note(0.0, 1.0, 60, 64), Note(1.0, 2.0, 62, 70)], end_time=5.0)
+    part = perf.take([1, 0])
+    assert [n.pitch for n in part.notes] == [62, 60]
+    assert part.end_time == 5.0
+    assert len(perf.take(np.array([False, True]))) == 1
+
+
+def test_evaluation_path_builds_no_note(tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    paths = []
+    for name in ("ref.mid", "est.mid"):
+        path = tmp_path / name
+        path.write_bytes(performance_to_smf(random_performance(rng, 80), pedals=((0, 127), (2400, 0), (4800, 100))))
+        paths.append(path)
+
+    def refuse(self):
+        raise AssertionError("a Note was built between parse and report")
+
+    monkeypatch.setattr(Note, "__post_init__", refuse)
+    ref, est = (parse_midi_file(path) for path in paths)
+    report = evaluate_performances(ref, est)
+    assert 0.0 <= report.note_offset.f1 <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +263,13 @@ def test_parse_error_carries_byte_offset():
     assert isinstance(info.value.offset, int)
 
 
+def test_zero_tempo_rejected_at_event_offset():
+    data = serialize_smf([], tempos=((0, 0),), fmt=0)
+    with pytest.raises(MidiParseError, match="zero tempo") as info:
+        parse_midi(data)
+    assert data[info.value.offset : info.value.offset + 3] == b"\xff\x51\x03"
+
+
 def test_parse_requires_known_pedal_mode():
     data = serialize_smf([(0, 480, 60, 64)])
     with pytest.raises(ValueError):
@@ -337,3 +398,61 @@ def test_parse_output_satisfies_invariants():
             assert n.offset > n.onset
             assert 0 <= n.pitch <= 127
             assert 1 <= n.velocity <= 127
+
+
+# ---------------------------------------------------------------------------
+# Differential properties against the per-note loops
+# ---------------------------------------------------------------------------
+
+_lattice_notes = st.lists(
+    # one 0.25 s lattice for notes and pedal events, so offsets meet pedal
+    # releases and same-pitch onsets exactly; two pitches repeat often
+    st.builds(
+        lambda k, d, pitch, velocity: Note(k * 0.25, (k + d) * 0.25, pitch, velocity),
+        st.integers(0, 16),
+        st.integers(1, 8),
+        st.sampled_from([60, 62]),
+        st.sampled_from([40, 90]),
+    ),
+    max_size=12,
+)
+_pedal_events = st.lists(st.tuples(st.integers(0, 30), st.sampled_from([0, 63, 64, 127])), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_notes, _pedal_events, st.sampled_from([64, 1]))
+# same-pitch repeat cut short, pedal still down at the end of the data
+@example([Note(0.0, 0.5, 60, 40), Note(1.0, 1.5, 60, 90)], [(1, 127)], 64)
+# released exactly at an offset
+@example([Note(0.0, 0.5, 60, 40)], [(1, 127), (2, 0)], 64)
+# offset before the first pedal-down
+@example([Note(0.0, 0.5, 60, 40), Note(0.25, 2.0, 62, 40)], [(3, 127), (6, 0)], 64)
+def test_pedal_equals_per_note_oracle(notes, events, threshold):
+    perf = Performance.from_notes(notes)
+    pedals = [PedalEvent(k * 0.25, value) for k, value in sorted(events, key=lambda e: e[0])]
+    out = apply_sustain_pedal(perf, pedals, threshold)
+    want_notes, want_end = oracle_apply_sustain_pedal(perf.notes, perf.end_time, pedals, threshold)
+    assert out.notes == tuple(want_notes)
+    assert out.end_time == want_end
+
+
+_tick_notes = st.lists(
+    # zero-length notes, same-pitch overlaps and unterminated notes all occur
+    st.tuples(st.integers(0, 40), st.integers(0, 6), st.sampled_from([60, 62]), st.integers(1, 127)),
+    max_size=12,
+)
+_tempo_changes = st.lists(st.tuples(st.integers(1, 20), st.sampled_from([300_000, 500_000, 777_777])), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tick_notes, _tempo_changes, _pedal_events, st.sampled_from(["extend", "ignore"]))
+def test_parse_equals_per_note_oracle(notes, tempos, pedals, pedal_mode):
+    data = serialize_smf(
+        [(60 * k, 60 * (k + d), pitch, velocity) for k, d, pitch, velocity in notes],
+        tempos=((0, 500_000), *((240 * k, uspq) for k, uspq in tempos)),
+        pedals=[(60 * k, value) for k, value in pedals],
+    )
+    perf = parse_midi(data, pedal_mode)
+    want_notes, want_end = oracle_parse_midi(data, pedal_mode)
+    assert perf.notes == tuple(want_notes)
+    assert perf.end_time == want_end

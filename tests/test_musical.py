@@ -26,7 +26,7 @@ from pianoeval.series import FeatureSeries
 
 
 def _notes(onsets, duration=0.2, pitch=72, velocity=64):
-    return [Note(t, t + duration, pitch, velocity) for t in onsets]
+    return Performance.from_notes(Note(t, t + duration, pitch, velocity) for t in onsets)
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +47,14 @@ def test_ioi_chord_spacing_clamps_to_zero():
 
 def test_ioi_single_note_is_empty():
     assert len(ioi_series(_notes([0.7]))) == 0
-    assert len(ioi_series([])) == 0
+    assert len(ioi_series(Performance.from_notes([]))) == 0
 
 
 def test_ioi_duplicate_timestamp_keeps_last():
     # three simultaneous-ish onsets produce two pairs with the same
     # timestamp after clamping context; later pair wins
     notes = [Note(0.0, 0.3, 60, 64), Note(0.5, 0.8, 64, 64), Note(0.5, 0.9, 67, 64)]
-    series = ioi_series(notes)
+    series = ioi_series(Performance.from_notes(notes))
     assert series.times.tolist() == [0.5]
     assert series.values[0] == 0.0  # last pair (0.5, 0.5) has zero gap
 
@@ -71,20 +71,20 @@ def test_ioi_custom_chord_eps():
 def test_kor_detached_notes_are_negative():
     # note ends 0.1 s before the next starts over a 0.5 s gap: -0.2
     notes = [Note(0.0, 0.4, 60, 64), Note(0.5, 0.9, 62, 64)]
-    series = kor_series(notes)
+    series = kor_series(Performance.from_notes(notes))
     assert series.times.tolist() == [0.5]
     assert series.values.tolist() == [pytest.approx(-0.2)]
 
 
 def test_kor_overlapped_notes_are_positive():
     notes = [Note(0.0, 0.6, 60, 64), Note(0.5, 0.9, 62, 64)]
-    series = kor_series(notes)
+    series = kor_series(Performance.from_notes(notes))
     assert series.values[0] == pytest.approx(0.2)
 
 
 def test_kor_exact_legato_is_zero():
     notes = [Note(0.0, 0.5, 60, 64), Note(0.5, 0.9, 62, 64)]
-    assert kor_series(notes).values[0] == 0.0
+    assert kor_series(Performance.from_notes(notes)).values[0] == 0.0
 
 
 def test_kor_skips_tiny_iois():
@@ -93,13 +93,13 @@ def test_kor_skips_tiny_iois():
         Note(0.0005, 0.3, 64, 64),  # IOI below the 1 ms floor: skipped
         Note(0.5, 0.8, 67, 64),
     ]
-    series = kor_series(notes)
+    series = kor_series(Performance.from_notes(notes))
     assert len(series) == 1
     assert series.times.tolist() == [0.5]
 
 
 def test_kor_empty_and_single():
-    assert len(kor_series([])) == 0
+    assert len(kor_series(Performance.from_notes([]))) == 0
     assert len(kor_series(_notes([0.3]))) == 0
 
 
@@ -108,16 +108,16 @@ def test_kor_empty_and_single():
 # ---------------------------------------------------------------------------
 
 def test_dynamics_equal_velocities_give_zero():
-    melody = [Note(0.0, 1.0, 72, 80)]
-    bass = [Note(0.0, 1.0, 40, 80)]
+    melody = Performance.from_notes([Note(0.0, 1.0, 72, 80)])
+    bass = Performance.from_notes([Note(0.0, 1.0, 40, 80)])
     series = dynamics_series(melody, bass)
     assert len(series) > 0
     assert all(v == 0.0 for v in series.values)
 
 
 def test_dynamics_double_velocity_gives_log_two():
-    melody = [Note(0.0, 1.0, 72, 80)]
-    bass = [Note(0.0, 1.0, 40, 40)]
+    melody = Performance.from_notes([Note(0.0, 1.0, 72, 80)])
+    bass = Performance.from_notes([Note(0.0, 1.0, 40, 40)])
     series = dynamics_series(melody, bass)
     assert all(v == pytest.approx(math.log(2.0)) for v in series.values)
 
@@ -130,8 +130,8 @@ def _value_near(series: FeatureSeries, t: float) -> float:
 
 
 def test_dynamics_sounding_note_wins_over_held_memory():
-    melody = [Note(0.0, 0.5, 72, 80), Note(1.0, 2.0, 74, 20)]
-    bass = [Note(0.0, 2.0, 40, 40)]
+    melody = Performance.from_notes([Note(0.0, 0.5, 72, 80), Note(1.0, 2.0, 74, 20)])
+    bass = Performance.from_notes([Note(0.0, 2.0, 40, 40)])
     series = dynamics_series(melody, bass)
     assert _value_near(series, 0.0) == pytest.approx(math.log(2.0))
     # at t=1.0 the second melody note sounds: ln(20/40)
@@ -143,16 +143,16 @@ def test_dynamics_sounding_note_wins_over_held_memory():
 def test_dynamics_hold_horizon_expires():
     # bass note ends at 0.45; past ~2.45 it is beyond the 2 s hold, so the
     # ratio becomes undefined and the series stops there
-    melody = [Note(0.0, 4.0, 72, 80)]
-    bass = [Note(0.0, 0.45, 40, 40)]
+    melody = Performance.from_notes([Note(0.0, 4.0, 72, 80)])
+    bass = Performance.from_notes([Note(0.0, 0.45, 40, 40)])
     series = dynamics_series(melody, bass)
     last = max(series.times)
     assert 0.45 + 2.0 - 0.1 - 1e-6 <= last <= 0.45 + 2.0 + 1e-6
 
 
 def test_dynamics_empty_stream_is_empty_series():
-    assert len(dynamics_series([], _notes([0.0]))) == 0
-    assert len(dynamics_series(_notes([0.0]), [])) == 0
+    assert len(dynamics_series(Performance.from_notes([]), _notes([0.0]))) == 0
+    assert len(dynamics_series(_notes([0.0]), Performance.from_notes([]))) == 0
 
 
 _lattice_stream = st.lists(
@@ -173,7 +173,7 @@ _lattice_stream = st.lists(
 @given(_lattice_stream, _lattice_stream)
 def test_dynamics_series_equals_tracker_oracle(melody, bass):
     times, values = oracle_dynamics_series(melody, bass)
-    series = dynamics_series(melody, bass)
+    series = dynamics_series(Performance.from_notes(melody), Performance.from_notes(bass))
     assert series.times.tolist() == times
     assert series.values.tolist() == values
 
@@ -181,11 +181,11 @@ def test_dynamics_series_equals_tracker_oracle(melody, bass):
 @settings(max_examples=100, deadline=None)
 @given(_lattice_stream)
 def test_ioi_and_kor_series_equal_pairwise_oracles(stream):
-    # streams arrive in onset order; equal onsets are chord tones
-    stream = sorted(stream, key=lambda n: n.onset)
+    # streams arrive in (onset, pitch, offset) order; equal onsets are chord tones
+    stream = Performance.from_notes(stream)
     for series, (times, values) in (
-        (ioi_series(stream), oracle_ioi_series(stream)),
-        (kor_series(stream), oracle_kor_series(stream)),
+        (ioi_series(stream), oracle_ioi_series(stream.notes)),
+        (kor_series(stream), oracle_kor_series(stream.notes)),
     ):
         assert series.times.tolist() == times
         assert series.values.tolist() == values
@@ -193,8 +193,8 @@ def test_ioi_and_kor_series_equal_pairwise_oracles(stream):
 
 def test_dynamics_latest_onset_wins_within_stream():
     # two sounding melody notes: the more recent onset defines loudness
-    melody = [Note(0.0, 2.0, 72, 80), Note(1.0, 2.0, 76, 20)]
-    bass = [Note(0.0, 2.0, 40, 40)]
+    melody = Performance.from_notes([Note(0.0, 2.0, 72, 80), Note(1.0, 2.0, 76, 20)])
+    bass = Performance.from_notes([Note(0.0, 2.0, 40, 40)])
     series = dynamics_series(melody, bass)
     assert _value_near(series, 0.5) == pytest.approx(math.log(2.0))
     assert _value_near(series, 1.5) == pytest.approx(math.log(0.5))
@@ -207,7 +207,7 @@ def test_dynamics_latest_onset_wins_within_stream():
 def _kor_pair(mel_kor_value, bass_kor_value):
     melody = [Note(0.0, 0.5 + 0.5 * mel_kor_value, 72, 64), Note(0.5, 1.0, 74, 64)]
     bass = [Note(0.0, 0.5 + 0.5 * bass_kor_value, 40, 64), Note(0.5, 1.0, 36, 64)]
-    return kor_series(melody), kor_series(bass)
+    return kor_series(Performance.from_notes(melody)), kor_series(Performance.from_notes(bass))
 
 
 def test_ratio_kor_identical_streams_give_one():

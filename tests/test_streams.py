@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_performance
+from helpers import oracle_split_streams, random_performance
 from pianoeval.midi import Note, Performance
 from pianoeval.streams import cluster_onsets, split_streams
 
@@ -10,11 +12,17 @@ def _perf(*notes):
 
 
 def _melody(perf):
-    return split_streams(perf)[0]
+    return list(split_streams(perf)[0].notes)
 
 
 def _bass(perf):
-    return split_streams(perf)[1]
+    return list(split_streams(perf)[1].notes)
+
+
+def _clusters(perf, eps):
+    firsts = cluster_onsets(perf, eps).tolist()
+    notes = perf.notes
+    return [list(notes[a:b]) for a, b in zip(firsts, firsts[1:] + [len(notes)])]
 
 
 C4, E4, G4, B3, D5 = 60, 64, 67, 59, 74
@@ -22,18 +30,18 @@ C4, E4, G4, B3, D5 = 60, 64, 67, 59, 74
 
 def test_cluster_simple():
     perf = _perf((0.00, 1.0, 60, 64), (0.01, 1.0, 64, 64), (0.50, 1.0, 67, 64))
-    clusters = cluster_onsets(perf, 0.03)
+    clusters = _clusters(perf, 0.03)
     assert [[n.onset for n in c] for c in clusters] == [[0.00, 0.01], [0.50]]
 
 
 def test_cluster_empty():
-    assert cluster_onsets(_perf(), 0.03) == []
+    assert _clusters(_perf(), 0.03) == []
 
 
 def test_cluster_anchored_not_chained():
     # 0.04 is within eps of 0.02 but not of the anchor 0.00
     perf = _perf((0.00, 1.0, 60, 64), (0.02, 1.0, 64, 64), (0.04, 1.0, 67, 64))
-    clusters = cluster_onsets(perf, 0.03)
+    clusters = _clusters(perf, 0.03)
     assert [[n.onset for n in c] for c in clusters] == [[0.00, 0.02], [0.04]]
 
 
@@ -84,12 +92,12 @@ def test_accompaniment_set_difference():
         (1.0, 2.0, B3, 64),
         (1.0, 2.0, G4, 64),
     )
-    assert [n.pitch for n in split_streams(perf)[2]] == [C4, B3]
-    assert split_streams(_perf((0.0, 1.0, C4, 64), (0.5, 1.0, E4, 64)))[2] == []
+    assert [n.pitch for n in split_streams(perf)[2].notes] == [C4, B3]
+    assert split_streams(_perf((0.0, 1.0, C4, 64), (0.5, 1.0, E4, 64)))[2].notes == ()
     # multiset difference: of two equal notes, only one becomes the melody
     twins = _perf((0.0, 1.0, C4, 64), (0.0, 1.0, C4, 64))
     melody, _, rest = split_streams(twins)
-    assert melody == rest == [Note(0.0, 1.0, C4, 64)]
+    assert melody.notes == rest.notes == (Note(0.0, 1.0, C4, 64),)
 
 
 def test_partition_property():
@@ -101,7 +109,7 @@ def test_partition_property():
         assert len(bass) == len(melody)
         # melody onsets strictly increasing after clustering; likewise bass
         for stream in (melody, bass):
-            onsets = [n.onset for n in stream]
+            onsets = [n.onset for n in stream.notes]
             assert all(b > a for a, b in zip(onsets, onsets[1:]))
 
 
@@ -110,7 +118,7 @@ def test_pitch_dominance_property():
     for _ in range(25):
         perf = random_performance(rng, int(rng.integers(1, 80)))
         melody, bass, _ = split_streams(perf, 0.03)
-        for cluster, top, bottom in zip(cluster_onsets(perf, 0.03), melody, bass, strict=True):
+        for cluster, top, bottom in zip(_clusters(perf, 0.03), melody.notes, bass.notes, strict=True):
             pitches = [n.pitch for n in cluster]
             assert top.pitch == max(pitches)
             assert bottom.pitch == min(pitches)
@@ -118,10 +126,35 @@ def test_pitch_dominance_property():
             for pick in (top, bottom):
                 tied = [n for n in cluster if n.pitch == pick.pitch]
                 longest = max(n.duration for n in tied)
-                assert pick is next(n for n in tied if n.duration == longest)
+                assert pick == next(n for n in tied if n.duration == longest)
 
 
 def test_determinism():
     rng = np.random.default_rng(9)
     perf = random_performance(rng, 50)
-    assert split_streams(perf) == split_streams(perf)
+    assert [s.notes for s in split_streams(perf)] == [s.notes for s in split_streams(perf)]
+
+
+_chord_notes = st.lists(
+    # on a 10 ms lattice onsets land exactly eps after an anchor, where
+    # onset - anchor and anchor + eps round differently; on the binary
+    # 1/128 s lattice notes of different onsets tie on duration exactly
+    st.builds(
+        lambda unit, k, d, pitch, velocity: Note(k * unit, (k + d) * unit, pitch, velocity),
+        st.sampled_from([0.01, 1 / 128]),
+        st.integers(0, 30),
+        st.integers(1, 3),
+        st.sampled_from([55, 60, 64]),
+        st.integers(1, 127),
+    ),
+    max_size=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chord_notes, st.sampled_from([0.0, 0.02, 0.03]))
+def test_split_streams_equal_per_note_oracle(notes, eps):
+    perf = Performance.from_notes(notes)
+    clusters, melody, bass, rest = oracle_split_streams(perf.notes, eps)
+    assert _clusters(perf, eps) == clusters
+    assert [s.notes for s in split_streams(perf, eps)] == [tuple(melody), tuple(bass), tuple(rest)]

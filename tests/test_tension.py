@@ -82,12 +82,12 @@ def test_pitch_range_checked():
 # ---------------------------------------------------------------------------
 
 def test_ce_single_pitch_is_its_point():
-    ce = center_of_effect([_note(60)], 0.0, 1.0)
+    ce = center_of_effect(Performance.from_notes([_note(60)]), 0.0, 1.0)
     assert ce == pitch_to_spiral(60)
 
 
 def test_ce_equal_weights_is_midpoint():
-    ce = center_of_effect([_note(60), _note(67)], 0.0, 1.0)
+    ce = center_of_effect(Performance.from_notes([_note(60), _note(67)]), 0.0, 1.0)
     c, g = pitch_to_spiral(60), pitch_to_spiral(67)
     assert ce.x == pytest.approx((c.x + g.x) / 2)
     assert ce.y == pytest.approx((c.y + g.y) / 2)
@@ -96,7 +96,7 @@ def test_ce_equal_weights_is_midpoint():
 
 def test_ce_duration_weighted():
     notes = [_note(60, 0.0, 0.75), _note(67, 0.75, 1.0)]
-    ce = center_of_effect(notes, 0.0, 1.0)
+    ce = center_of_effect(Performance.from_notes(notes), 0.0, 1.0)
     c, g = pitch_to_spiral(60), pitch_to_spiral(67)
     assert ce.x == pytest.approx(0.75 * c.x + 0.25 * g.x)
     assert ce.y == pytest.approx(0.75 * c.y + 0.25 * g.y)
@@ -104,8 +104,8 @@ def test_ce_duration_weighted():
 
 
 def test_ce_empty_window_undefined():
-    assert center_of_effect([], 0.0, 1.0) is None
-    assert center_of_effect([_note(60, 5.0, 6.0)], 0.0, 1.0) is None
+    assert center_of_effect(Performance.from_notes([]), 0.0, 1.0) is None
+    assert center_of_effect(Performance.from_notes([_note(60, 5.0, 6.0)]), 0.0, 1.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +113,20 @@ def test_ce_empty_window_undefined():
 # ---------------------------------------------------------------------------
 
 def test_diameter_octaves_collapse():
-    assert cloud_diameter([_note(60), _note(72)]) == 0.0
+    assert cloud_diameter(Performance.from_notes([_note(60), _note(72)])) == 0.0
 
 
 def test_diameter_fifth():
-    assert cloud_diameter([_note(60), _note(67)]) == pytest.approx(math.sqrt(2 + 2 / 15))
+    assert cloud_diameter(Performance.from_notes([_note(60), _note(67)])) == pytest.approx(math.sqrt(2 + 2 / 15))
 
 
 def test_diameter_c_g_d():
     notes = [_note(60), _note(67), _note(62)]
-    assert cloud_diameter(notes) == pytest.approx(math.sqrt(4 + 8 / 15))
+    assert cloud_diameter(Performance.from_notes(notes)) == pytest.approx(math.sqrt(4 + 8 / 15))
 
 
 def test_diameter_empty_undefined():
-    assert cloud_diameter([]) is None
+    assert cloud_diameter(Performance.from_notes([])) is None
 
 
 def test_diameter_matches_exhaustive_oracle():
@@ -139,12 +139,13 @@ def test_diameter_matches_exhaustive_oracle():
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
                 expected = max(expected, points[i].distance(points[j]))
-        assert cloud_diameter(notes) == pytest.approx(expected, abs=1e-12)
+        assert cloud_diameter(Performance.from_notes(notes)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_diameter_permutation_invariant():
     notes = [_note(60), _note(67), _note(62)]
-    assert cloud_diameter(notes) == cloud_diameter(list(reversed(notes)))
+    perf = Performance.from_notes(notes)
+    assert cloud_diameter(perf) == cloud_diameter(perf.take(slice(None, None, -1)))
 
 
 # ---------------------------------------------------------------------------
