@@ -24,6 +24,7 @@ __all__ = [
     "write_wav",
     "read_wav_file",
     "write_wav_file",
+    "checked_snr",
     "add_noise_snr",
     "convolve_ir",
     "synth_ir",
@@ -167,14 +168,21 @@ def write_wav_file(path, buffer: AudioBuffer, sample_format: str = "float32") ->
 # Degradations
 # ---------------------------------------------------------------------------
 
+def checked_snr(snr_db: float) -> float:
+    """``snr_db`` if it is a number of dB or +inf (no noise); NaN and -inf raise ValueError."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"SNR must be a number of dB or +inf, got {snr_db}")
+    return snr_db
+
+
 def add_noise_snr(audio: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
     """Add white Gaussian noise at the requested signal-to-noise ratio.
 
     Noise power is set from the measured signal power: P_n = P_s /
     10^(snr_db/10). No clipping is applied; exceeding [-1, 1] is the
-    16-bit writer's problem. An infinite SNR returns the input unchanged.
+    16-bit writer's problem. An SNR of +inf returns the input unchanged.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if checked_snr(snr_db) == math.inf:
         return AudioBuffer(audio.sample_rate, audio.samples.copy())
     signal_power = float(np.mean(audio.samples**2))
     if signal_power == 0.0:
@@ -219,8 +227,8 @@ def synth_ir(rt60: float, sample_rate: int, seed: int) -> AudioBuffer:
     60 dB at t = rt60, where the IR is truncated. The first sample is
     forced to 1.0 so the direct sound is always present.
     """
-    if rt60 <= 0:
-        raise ValueError("rt60 must be positive")
+    if not 0 < rt60 < math.inf:
+        raise ValueError(f"rt60 must be positive and finite, got {rt60}")
     length = max(1, int(math.floor(rt60 * sample_rate)))
     t = np.arange(length) / sample_rate
     envelope = np.exp(-t * math.log(1000.0) / rt60)
@@ -244,14 +252,14 @@ def apply_condition_grid(
     """Every (IR, SNR) combination, reverb first, then noise.
 
     Reverb precedes noise because the noise models the recording chain
-    after the room. Levels of None skip that stage, so including None in
-    both lists yields the untouched original as one cell. Output order is
-    IR-major, then SNR, matching the input level order.
+    after the room. Levels of None and an SNR of +inf skip that stage, so
+    None in both lists yields the untouched original as one cell. Output
+    order is IR-major, then SNR, matching the input level order.
     """
     results = []
     for i_ir, ir in enumerate(ir_levels):
         for i_snr, snr in enumerate(snr_levels):
-            if snr is not None and math.isinf(snr):
+            if snr == math.inf:
                 snr = None
             out = AudioBuffer(audio.sample_rate, audio.samples.copy())
             if ir is not None:

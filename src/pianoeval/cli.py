@@ -16,16 +16,16 @@ from pathlib import Path
 from typing import Optional
 
 from .audio import (
-    AudioBuffer,
     WavFormatError,
     apply_condition_grid,
+    checked_snr,
     derive_seed,
     read_wav_file,
     synth_ir,
     write_wav_file,
 )
 from .evaluation import RunConfig, evaluate_performances
-from .midi import MidiParseError, parse_midi_file
+from .midi import MidiParseError, Performance, parse_midi_file
 from .stats import ALPHA, aggregate, csv_text, emit, kruskal_wallis
 
 EXIT_OK = 0
@@ -92,27 +92,26 @@ def _write_output(data: bytes, output: Optional[str]) -> None:
 # evaluate
 # ---------------------------------------------------------------------------
 
+def _load_midi(path: str, config: RunConfig) -> Performance:
+    """Parse one MIDI file; a parse error (as ValueError) or I/O error names the file."""
+    try:
+        return parse_midi_file(path, pedal_mode=config.pedal_mode)
+    except MidiParseError as err:
+        raise ValueError(f"{path}: {err}") from err
+    except OSError as err:
+        raise OSError(f"{path}: {err}") from err
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         config = _build_run_config(args)
+        ref, est = _load_midi(args.ref, config), _load_midi(args.est, config)
     except ValueError as err:
         return _fail(EXIT_PARSE, str(err))
     except OSError as err:
         return _fail(EXIT_IO, str(err))
-    performances = []
-    for path in (args.ref, args.est):
-        try:
-            performances.append(parse_midi_file(path, pedal_mode=config.pedal_mode))
-        except MidiParseError as err:
-            return _fail(EXIT_PARSE, f"{path}: {err}")
-        except OSError as err:
-            return _fail(EXIT_IO, f"{path}: {err}")
-    report = evaluate_performances(
-        performances[0],
-        performances[1],
-        config,
-        pair_id=f"{Path(args.ref).stem}__vs__{Path(args.est).stem}",
-    )
+    pair_id = f"{Path(args.ref).stem}__vs__{Path(args.est).stem}"
+    report = evaluate_performances(ref, est, config, pair_id)
     try:
         _write_output(emit([report], args.format), args.output)
     except OSError as err:
@@ -148,8 +147,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         tags = {k: v for k, v in row.items() if k not in ("ref", "est")}
         pair_id = tags.get("id") or f"pair{index:04d}"
         try:
-            ref = parse_midi_file(row["ref"], pedal_mode=config.pedal_mode)
-            est = parse_midi_file(row["est"], pedal_mode=config.pedal_mode)
+            ref = _load_midi(row["ref"], config)
+            est = _load_midi(row["est"], config)
             return index, evaluate_performances(ref, est, config, pair_id, tags), None
         except (OSError, ValueError) as err:
             return index, None, str(err)
@@ -187,8 +186,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
 # perturb
 # ---------------------------------------------------------------------------
 
-def _parse_levels(spec: str) -> list[Optional[str]]:
-    return [None if token.strip().lower() == "none" else token.strip() for token in spec.split(",")]
+def _parse_levels(flag: str, spec: str, make) -> tuple[tuple[str, ...], tuple]:
+    """The comma-separated tokens, and ``make(index, token)`` for each (None
+    for 'none'); a ValueError names the flag and the token."""
+    levels = []
+    for i, token in enumerate(t.strip() for t in spec.split(",")):
+        try:
+            levels.append(("none", None) if token.lower() == "none" else (token, make(i, token)))
+        except ValueError as err:
+            raise ValueError(f"{flag} {token!r}: {err}") from None
+    return tuple(zip(*levels))
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
@@ -199,30 +206,22 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     except OSError as err:
         return _fail(EXIT_IO, f"{args.input}: {err}")
 
+    def room(i: int, token: str):
+        if args.ir:
+            return read_wav_file(token)
+        return synth_ir(float(token), audio.sample_rate, derive_seed(args.seed, 1, i))
+
     try:
-        snr_tokens = _parse_levels(args.snr)
-        snr_levels = [None if tok is None else float(tok) for tok in snr_tokens]
-        ir_levels: list[Optional[AudioBuffer]] = []
-        ir_labels: list[str] = []
-        for i, tok in enumerate(_parse_levels(args.ir or args.rt60)):
-            if tok is None:
-                ir_levels.append(None)
-                ir_labels.append("none")
-            elif args.ir:
-                ir_levels.append(read_wav_file(tok))
-                ir_labels.append(Path(tok).stem)
-            else:
-                seed = derive_seed(args.seed, 1, i)
-                ir_levels.append(synth_ir(float(tok), audio.sample_rate, seed))
-                ir_labels.append(tok)
+        snr_tokens, snr_levels = _parse_levels("--snr", args.snr, lambda i, tok: checked_snr(float(tok)))
+        ir_tokens, ir_levels = _parse_levels("--ir" if args.ir else "--rt60", args.ir or args.rt60, room)
     except ValueError as err:
         return _fail(EXIT_PARSE, str(err))
     except OSError as err:
         return _fail(EXIT_IO, str(err))
 
-    snr_labels = ["none" if tok is None else tok for tok in snr_tokens]
     stem = Path(args.input).stem
-    names = [f"{stem}__snr{snr}_rt{ir}.wav" for ir in ir_labels for snr in snr_labels]
+    ir_labels = [Path(tok).stem for tok in ir_tokens] if args.ir else ir_tokens
+    names = [f"{stem}__snr{snr}_rt{ir}.wav" for ir in ir_labels for snr in snr_tokens]
     try:
         cells = apply_condition_grid(audio, snr_levels, ir_levels, args.seed)
     except ValueError as err:  # all-zero audio under noise, an IR of another rate or width

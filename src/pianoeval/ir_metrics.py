@@ -9,7 +9,7 @@ bipartite matching so no valid pairing is left on the table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -110,13 +110,13 @@ def frame_metrics(ref: PianoRoll, est: PianoRoll) -> PRF:
     return PRF.from_counts(tp, fp, fn)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoteMatching:
-    """One-to-one pairing of reference and estimate note indices."""
+    """One-to-one pairing of reference and estimate note indices: ``pairs``
+    is an int64 array of shape (n, 2), one (ref, est) row per match, in
+    reference order."""
 
-    pairs: tuple[tuple[int, int], ...]
-    unmatched_ref: tuple[int, ...] = field(default=())
-    unmatched_est: tuple[int, ...] = field(default=())
+    pairs: np.ndarray
 
 
 def offset_window(ref_duration):
@@ -195,11 +195,7 @@ def match_notes(ref: Performance, est: Performance, mode: str) -> NoteMatching:
     graph = csr_array((np.ones(len(j)), j, indptr), (len(ref), len(est)))
     match = maximum_bipartite_matching(graph, perm_type="column")
     matched = np.flatnonzero(match != -1)
-    return NoteMatching(
-        tuple(zip(matched.tolist(), match[matched].tolist())),
-        tuple(np.flatnonzero(match == -1).tolist()),
-        tuple(np.setdiff1d(np.arange(len(est)), match).tolist()),
-    )
+    return NoteMatching(np.column_stack((matched, match[matched])).astype(np.int64, copy=False))
 
 
 def note_metrics(ref: Performance, est: Performance, mode: str) -> PRF:

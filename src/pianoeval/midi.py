@@ -75,24 +75,22 @@ class Performance:
 
     Row k is one note: ``onsets[k]`` and ``offsets[k]`` in seconds
     (float64), ``pitches[k]`` and ``velocities[k]`` (int64). The
-    constructor checks what :class:`Note` checks, row by row, and that
-    ``end_time`` is at least the largest offset. :meth:`from_notes`,
-    :func:`parse_midi` and :func:`apply_sustain_pedal` sort the rows by
-    (onset, pitch, offset); :meth:`take` keeps the order it is given.
+    constructor checks what :class:`Note` checks, row by row.
+    :meth:`from_notes`, :func:`parse_midi` and :func:`apply_sustain_pedal`
+    sort the rows by (onset, pitch, offset); :meth:`take` keeps the order
+    it is given.
     """
 
     onsets: np.ndarray
     offsets: np.ndarray
     pitches: np.ndarray
     velocities: np.ndarray
-    end_time: float
 
     def __post_init__(self):
         for name, dtype in _COLUMNS:
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "end_time", float(self.end_time))
         if self.onsets.ndim != 1 or any(c.shape != self.onsets.shape for c in self._columns()):
             raise ValueError("note columns must be one-dimensional and of equal length")
         for valid, problem in (
@@ -103,17 +101,20 @@ class Performance:
             if not valid.all():
                 k = int(np.argmin(valid))
                 raise ValueError(f"note {k} {tuple(c[k].item() for c in self._columns())}: {problem}")
-        if not self.end_time >= self.offsets.max(initial=-np.inf):
-            raise ValueError(f"end_time {self.end_time} is before the last offset")
 
     @classmethod
-    def from_notes(cls, notes: Iterable[Note], end_time: Optional[float] = None) -> "Performance":
+    def from_notes(cls, notes: Iterable[Note]) -> "Performance":
         """The notes as columns, sorted by (onset, pitch, offset)."""
         rows = [(n.onset, n.offset, n.pitch, n.velocity) for n in notes]
-        return _sorted(*np.array(rows, dtype=np.float64).reshape(-1, 4).T, end_time)
+        return _sorted(*np.array(rows, dtype=np.float64).reshape(-1, 4).T)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return self.onsets, self.offsets, self.pitches, self.velocities
+
+    @property
+    def end_time(self) -> float:
+        """The largest offset in seconds; 0.0 without notes."""
+        return float(self.offsets.max()) if len(self) else 0.0
 
     @property
     def notes(self) -> tuple[Note, ...]:
@@ -121,20 +122,17 @@ class Performance:
         return tuple(map(Note, *(c.tolist() for c in self._columns())))
 
     def take(self, index) -> "Performance":
-        """The notes at ``index`` (positions or a boolean mask), same end time."""
-        return Performance(*(c[index] for c in self._columns()), self.end_time)
+        """The notes at ``index`` (positions or a boolean mask)."""
+        return Performance(*(c[index] for c in self._columns()))
 
     def __len__(self) -> int:
         return len(self.onsets)
 
 
-def _sorted(onsets, offsets, pitches, velocities, end_time: Optional[float] = None) -> Performance:
-    """The notes ordered by (onset, pitch, offset), ties kept in input order;
-    ``end_time`` defaults to the largest offset (0 without notes)."""
+def _sorted(onsets, offsets, pitches, velocities) -> Performance:
+    """The notes ordered by (onset, pitch, offset), ties kept in input order."""
     order = np.lexsort((offsets, pitches, onsets))
-    if end_time is None:
-        end_time = np.max(offsets) if len(offsets) else 0.0
-    return Performance(onsets[order], offsets[order], pitches[order], velocities[order], end_time)
+    return Performance(onsets[order], offsets[order], pitches[order], velocities[order])
 
 
 def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

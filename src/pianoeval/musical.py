@@ -39,6 +39,10 @@ MIN_IOI = 0.001  # seconds; KOR is unstable below this inter-onset interval
 DYNAMICS_HOLD = 2.0  # seconds a stream's last velocity stays valid after its offset
 RATIO_KOR_GUARD = 1e-6  # |bass KOR| below this drops the ratio sample
 
+# ln(m / b) per velocity pair; math.log, not np.log: the two differ in the last ulp for some ratios
+_LOG_RATIO = np.array([[math.log(m / b) if m and b else 0.0 for b in range(128)] for m in range(128)])
+_LOG_RATIO.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class MusicalMetrics:
@@ -82,17 +86,17 @@ def ioi_series(stream: Performance, chord_eps: float = CHORD_EPSILON) -> Feature
     return FeatureSeries(times, np.where(ioi < chord_eps, 0.0, ioi)[::-1][last])
 
 
-def kor_series(stream: Performance, min_ioi: float = MIN_IOI) -> FeatureSeries:
+def kor_series(stream: Performance) -> FeatureSeries:
     """Key-overlap ratio of a monophonic stream.
 
     KOR_i = (offset(i) - onset(i+1)) / (onset(i+1) - onset(i)): positive
     when the notes overlap (legato), negative when a gap separates them
-    (staccato), 0 at perfect legato. Pairs closer than ``min_ioi`` are
+    (staccato), 0 at perfect legato. Pairs closer than ``MIN_IOI`` are
     skipped. Timestamps are at the second note's onset.
     """
     onsets, offsets = stream.onsets, stream.offsets
     ioi = np.diff(onsets)
-    keep = np.flatnonzero(ioi >= min_ioi)
+    keep = np.flatnonzero(ioi >= MIN_IOI)
     return FeatureSeries(onsets[keep + 1], (offsets[keep] - onsets[keep + 1]) / ioi[keep])
 
 
@@ -131,14 +135,11 @@ def dynamics_series(
     """
     if not len(melody) or not len(bass):
         return FeatureSeries([], [])
-    end = float(max(melody.offsets.max(), bass.offsets.max()))
-    times = grid_times(0.0, end, grid.step)
+    times = grid_times(0.0, max(melody.end_time, bass.end_time), grid.step)
     mel = _velocity_on_grid(melody, times)
     bas = _velocity_on_grid(bass, times)
     keep = (mel > 0) & (bas > 0)
-    # math.log, not np.log: the two differ in the last ulp for some ratios
-    values = [math.log(m / b) for m, b in zip(mel[keep].tolist(), bas[keep].tolist())]
-    return FeatureSeries(times[keep], values)
+    return FeatureSeries(times[keep], _LOG_RATIO[mel[keep], bas[keep]])
 
 
 def ratio_kor_series(
@@ -153,8 +154,8 @@ def ratio_kor_series(
     extent = shared_extent(melody_kor, bass_kor)
     if extent is None:
         return FeatureSeries([], [])
-    mel = np.array(resample_to_grid(melody_kor, *extent, grid.step))
-    bas = np.array(resample_to_grid(bass_kor, *extent, grid.step))
+    mel = resample_to_grid(melody_kor, *extent, grid.step)
+    bas = resample_to_grid(bass_kor, *extent, grid.step)
     keep = np.abs(bas) >= RATIO_KOR_GUARD
     return FeatureSeries(grid_times(*extent, grid.step)[keep], mel[keep] / bas[keep])
 

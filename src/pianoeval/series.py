@@ -89,19 +89,17 @@ def shared_extent(a: FeatureSeries, b: FeatureSeries) -> Optional[tuple[float, f
     return (t0, t1) if t0 <= t1 else None
 
 
-def resample_to_grid(
-    series: FeatureSeries, t0: float, t1: float, step: float
-) -> list[Optional[float]]:
+def resample_to_grid(series: FeatureSeries, t0: float, t1: float, step: float) -> np.ndarray:
     """Previous-value-hold resampling onto the grid t0, t0+step, ..., <= t1.
 
-    Each grid point takes the value of the latest sample at or before it;
-    grid points before the first sample are undefined (None).
+    Each grid point takes the value of the latest sample at or before it,
+    as a float64 array. The grid must not start before the first sample.
     """
     if t1 < t0:
         raise ValueError("t0 must not exceed t1")
-    held = np.searchsorted(series.times, grid_times(t0, t1, step), side="right") - 1
-    undefined = int(np.count_nonzero(held < 0))
-    return [None] * undefined + series.values[held[undefined:]].tolist()
+    if not len(series) or t0 < series.times[0]:
+        raise ValueError(f"grid start {t0} precedes the series' first sample")
+    return series.values[np.searchsorted(series.times, grid_times(t0, t1, step), side="right") - 1]
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> Optional[float]:

@@ -123,9 +123,8 @@ def _pc_weights(perf: Performance, starts: np.ndarray, ends: np.ndarray) -> np.n
 def _window_weights(perf: Performance, cfg: WindowConfig) -> tuple[np.ndarray, np.ndarray]:
     """Start times i*hop of every window overlapping the data, and the
     windows' pitch-class weights."""
-    end_time = float(perf.offsets.max()) if len(perf) else 0.0
-    starts = np.arange(math.ceil(max(end_time, 0.0) / cfg.hop) + 1) * cfg.hop
-    starts = starts[starts < end_time - 1e-12]
+    starts = np.arange(math.ceil(max(perf.end_time, 0.0) / cfg.hop) + 1) * cfg.hop
+    starts = starts[starts < perf.end_time - 1e-12]
     return starts, _pc_weights(perf, starts, starts + cfg.window_length)
 
 

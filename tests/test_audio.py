@@ -145,6 +145,12 @@ def test_infinite_snr_returns_untouched_copy():
     assert np.array_equal(out.samples, audio.samples)
 
 
+@pytest.mark.parametrize("snr", [math.nan, -math.inf])
+def test_noise_rejects_nan_and_negative_infinite_snr(snr):
+    with pytest.raises(ValueError, match=r"\+inf"):
+        add_noise_snr(sine_audio(), snr, seed=1)
+
+
 def test_noise_is_seed_deterministic():
     audio = sine_audio()
     a = add_noise_snr(audio, 12.0, seed=7)
@@ -257,6 +263,12 @@ def test_synth_ir_rejects_nonpositive_rt60():
         synth_ir(0.0, 44100, seed=1)
 
 
+@pytest.mark.parametrize("rt60", [math.inf, math.nan])
+def test_synth_ir_rejects_non_finite_rt60(rt60):
+    with pytest.raises(ValueError, match="positive and finite"):
+        synth_ir(rt60, 44100, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Seed derivation and the condition grid
 # ---------------------------------------------------------------------------
@@ -310,6 +322,12 @@ def test_grid_treats_infinite_snr_as_none():
     condition, out = cells[0]
     assert condition.snr_db is None
     assert np.array_equal(out.samples, audio.samples)
+
+
+def test_grid_rejects_negative_infinite_snr():
+    # -inf dB is infinitely loud noise, not "no noise"
+    with pytest.raises(ValueError):
+        apply_condition_grid(sine_audio(seconds=0.05), [-math.inf], [None], seed=1)
 
 
 def test_buffer_validation():

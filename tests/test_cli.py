@@ -227,6 +227,17 @@ def test_batch_reports_partial_failures(tmp_path, capsys):
     assert "row 2 failed" in capsys.readouterr().err
 
 
+def test_batch_failure_names_the_file_as_evaluate_does(tmp_path, capsys):
+    manifest = _make_batch(tmp_path, n_good=0, n_bad=1)
+    ref, bad = _read_csv((tmp_path / "manifest.csv").read_text())[0]["ref"], str(tmp_path / "bad0.mid")
+    assert main(["evaluate", ref, bad]) == 2
+    message = capsys.readouterr().err.removeprefix("pianoeval: ").rstrip("\n")
+    assert message.startswith(f"{bad}: ")
+    assert main(["batch", manifest, "--output", str(tmp_path / "out")]) == 4
+    (failure,) = _read_csv((tmp_path / "out" / "failures.csv").read_text())
+    assert failure["error"] == message
+
+
 def test_batch_failures_csv_quotes_paths_with_commas(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     missing = str(tmp_path / "a,b.mid")
@@ -399,6 +410,15 @@ def test_perturb_ir_at_other_sample_rate_is_input_error(tmp_path, capsys):
     assert "sample rate" in err
 
 
+def test_perturb_bad_ir_file_names_flag_and_file(tmp_path, capsys):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    ir = tmp_path / "hall.wav"
+    ir.write_bytes(b"junk")
+    assert main(["perturb", str(wav), "--output", str(tmp_path / "o"), "--snr", "none", "--ir", str(ir)]) == 2
+    assert f"--ir '{ir}'" in capsys.readouterr().err
+
+
 def test_perturb_rejects_bad_wav(tmp_path, capsys):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"RIFFxxxxNOPE")
@@ -414,6 +434,19 @@ def test_perturb_rejects_bad_level(tmp_path, capsys):
     wav = tmp_path / "take.wav"
     write_wav_file(wav, sine_audio(seconds=0.05))
     assert main(["perturb", str(wav), "--output", str(tmp_path / "o"), "--snr", "loud"]) == 2
+    assert "--snr 'loud'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, token", [("--rt60", "inf"), ("--rt60", "nan"), ("--snr", "nan"), ("--snr", "-inf")])
+def test_perturb_rejects_non_finite_level_naming_flag_and_token(tmp_path, capsys, flag, token):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), f"{flag}={token}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} '{token}'" in err
+    assert "take.wav" not in err  # the input is not to blame
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from pianoeval.ir_metrics import (
     FRAME_LENGTH,
     MATCH_MODES,
     PRF,
+    NoteMatching,
     _candidate_edges,
     build_piano_roll,
     frame_metrics,
@@ -28,6 +31,7 @@ from pianoeval.ir_metrics import (
     offset_window,
 )
 from pianoeval.midi import Note, Performance, parse_midi
+from pianoeval.series import FeatureSeries, resample_to_grid
 
 
 def _perf(*notes):
@@ -141,11 +145,9 @@ def test_frames_both_empty_score_zero():
         max_size=12,
     ),
     st.sampled_from([0.01, 0.02, 0.03]),
-    st.integers(0, 3),
 )
-def test_piano_roll_equals_per_note_oracle(notes, frame_length, tail):
-    end_time = max((n.offset for n in notes), default=0.0) + tail * 0.005
-    perf = Performance.from_notes(notes, end_time=end_time)
+def test_piano_roll_equals_per_note_oracle(notes, frame_length):
+    perf = Performance.from_notes(notes)
     roll = build_piano_roll(perf, frame_length).active
     want = oracle_piano_roll(perf, frame_length)
     assert roll.shape == want.shape
@@ -168,21 +170,26 @@ def test_frames_match_pure_python_oracle():
 # Note matching
 # ---------------------------------------------------------------------------
 
+def _unmatched(matching, n, side):
+    """The indices of range(n) that no pair uses on ``side`` (0 ref, 1 est)."""
+    return sorted(set(range(n)) - set(matching.pairs[:, side].tolist()))
+
+
 def test_match_identical_lists_pair_everything():
     notes = Performance.from_notes([Note(0.0, 0.5, 60, 64), Note(0.5, 1.0, 62, 70)])
     for mode in MATCH_MODES:
         matching = match_notes(notes, notes, mode)
-        assert sorted(matching.pairs) == [(0, 0), (1, 1)]
-        assert matching.unmatched_ref == ()
-        assert matching.unmatched_est == ()
+        assert matching.pairs.tolist() == [[0, 0], [1, 1]]
+        assert _unmatched(matching, 2, 0) == []
+        assert _unmatched(matching, 2, 1) == []
 
 
 def test_match_onset_tolerance_boundary():
     ref = Performance.from_notes([Note(0.0, 2.0, 60, 64)])
     within = Performance.from_notes([Note(0.05, 2.0, 60, 64)])   # difference is exactly the tolerance
     beyond = Performance.from_notes([Note(0.06, 2.0, 60, 64)])
-    assert match_notes(ref, within, "onset").pairs == ((0, 0),)
-    assert match_notes(ref, beyond, "onset").pairs == ()
+    assert match_notes(ref, within, "onset").pairs.tolist() == [[0, 0]]
+    assert match_notes(ref, beyond, "onset").pairs.tolist() == []
 
 
 def _tick_notes(*notes_ticks):
@@ -209,7 +216,7 @@ def test_offset_tolerance_boundary_in_ticks(est_offset, f1):
 def test_match_pitch_must_be_exact():
     ref = Performance.from_notes([Note(0.0, 1.0, 60, 64)])
     est = Performance.from_notes([Note(0.0, 1.0, 61, 64)])
-    assert match_notes(ref, est, "onset").pairs == ()
+    assert match_notes(ref, est, "onset").pairs.tolist() == []
 
 
 def test_offset_window_scales_with_duration():
@@ -221,10 +228,10 @@ def test_match_offset_rule_uses_duration_scaled_window():
     ref = Performance.from_notes([Note(0.0, 1.0, 60, 64)])
     ok = Performance.from_notes([Note(0.0, 1.15, 60, 64)])       # offset error 0.15 <= 0.2 * 1.0
     bad = Performance.from_notes([Note(0.0, 1.25, 60, 64)])      # 0.25 > 0.2
-    assert match_notes(ref, ok, "onset_offset").pairs == ((0, 0),)
-    assert match_notes(ref, bad, "onset_offset").pairs == ()
+    assert match_notes(ref, ok, "onset_offset").pairs.tolist() == [[0, 0]]
+    assert match_notes(ref, bad, "onset_offset").pairs.tolist() == []
     # but the same est is fine in onset-only mode
-    assert match_notes(ref, bad, "onset").pairs == ((0, 0),)
+    assert match_notes(ref, bad, "onset").pairs.tolist() == [[0, 0]]
 
 
 def test_match_resolves_crossing_greedy_trap():
@@ -243,8 +250,21 @@ def test_match_unknown_mode_rejected():
 
 def test_match_empty_sides():
     matching = match_notes(Performance.from_notes([]), _perf((0.0, 1.0, 60, 64)), "onset")
-    assert matching.pairs == ()
-    assert matching.unmatched_est == (0,)
+    assert matching.pairs.tolist() == []
+    assert _unmatched(matching, 1, 1) == [0]
+
+
+def test_layers_hand_each_other_arrays():
+    assert [f.name for f in fields(Performance)] == ["onsets", "offsets", "pitches", "velocities"]
+    assert [f.name for f in fields(NoteMatching)] == ["pairs"]
+    ref = Performance.from_notes([Note(0.0, 1.0, 60, 64), Note(1.0, 2.0, 62, 64), Note(2.0, 3.0, 64, 64)])
+    pairs = match_notes(ref, ref.take([2, 0]), "onset").pairs
+    assert isinstance(pairs, np.ndarray) and pairs.dtype == np.int64 and pairs.shape == (2, 2)
+    assert pairs.tolist() == [[0, 1], [2, 0]]  # in reference order
+    empty = match_notes(ref, Performance.from_notes([]), "onset").pairs
+    assert empty.dtype == np.int64 and empty.shape == (0, 2)
+    held = resample_to_grid(FeatureSeries([0.0, 1.0], [3.0, 4.0]), 0.0, 1.0, 0.5)
+    assert isinstance(held, np.ndarray) and held.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +402,16 @@ def test_matching_pairs_are_valid_and_disjoint():
         est = Performance.from_notes(_small_alphabet_notes(rng, 10))
         matching = match_notes(ref, est, "onset_offset")
         ref, est = ref.notes, est.notes
-        ref_used = [i for i, _ in matching.pairs]
-        est_used = [j for _, j in matching.pairs]
+        ref_used = matching.pairs[:, 0].tolist()
+        est_used = matching.pairs[:, 1].tolist()
         assert len(set(ref_used)) == len(ref_used)
         assert len(set(est_used)) == len(est_used)
-        for i, j in matching.pairs:
+        for i, j in matching.pairs.tolist():
             assert ref[i].pitch == est[j].pitch
             assert abs(ref[i].onset - est[j].onset) <= 0.05 + 1e-12
             assert abs(ref[i].offset - est[j].offset) <= offset_window(ref[i].duration) + 1e-12
-        assert set(ref_used) | set(matching.unmatched_ref) == set(range(10))
-        assert set(est_used) | set(matching.unmatched_est) == set(range(10))
+        assert set(ref_used) <= set(range(10))
+        assert set(est_used) <= set(range(10))
 
 
 # ---------------------------------------------------------------------------

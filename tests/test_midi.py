@@ -56,30 +56,31 @@ def test_performance_sorting_and_end_time():
 
 
 def test_performance_columns_are_coerced_read_only_and_checked():
-    perf = Performance([0, 1], [1, 2.5], [60.0, 61.0], [64, 65], 3)
+    perf = Performance([0, 1], [1, 2.5], [60.0, 61.0], [64, 65])
     assert [c.dtype for c in (perf.onsets, perf.offsets, perf.pitches, perf.velocities)] == [
         np.float64, np.float64, np.int64, np.int64,
     ]
-    assert perf.end_time == 3.0 and isinstance(perf.end_time, float)
+    assert perf.end_time == 2.5 and isinstance(perf.end_time, float)
     with pytest.raises(ValueError):
         perf.onsets[0] = 5.0
     for bad in (
-        ([0.0], [1.0, 2.0], [60], [64], 2.0),  # unequal lengths
-        ([1.0], [1.0], [60], [64], 2.0),  # zero duration
-        ([0.0], [1.0], [128], [64], 2.0),  # pitch
-        ([0.0], [1.0], [60], [0], 2.0),  # velocity
-        ([0.0], [1.0], [60], [64], 0.5),  # end_time before the last offset
+        ([0.0], [1.0, 2.0], [60], [64]),  # unequal lengths
+        ([1.0], [1.0], [60], [64]),  # zero duration
+        ([0.0], [1.0], [128], [64]),  # pitch
+        ([0.0], [1.0], [60], [0]),  # velocity
     ):
         with pytest.raises(ValueError):
             Performance(*bad)
 
 
 def test_take_keeps_given_order_and_end_time():
-    perf = Performance.from_notes([Note(0.0, 1.0, 60, 64), Note(1.0, 2.0, 62, 70)], end_time=5.0)
+    perf = Performance.from_notes([Note(0.0, 2.0, 60, 64), Note(1.0, 1.5, 62, 70)])
     part = perf.take([1, 0])
     assert [n.pitch for n in part.notes] == [62, 60]
-    assert part.end_time == 5.0
-    assert len(perf.take(np.array([False, True]))) == 1
+    assert part.end_time == perf.end_time == 2.0
+    masked = perf.take(np.array([False, True]))
+    assert len(masked) == 1
+    assert masked.end_time == 1.5  # the end time is always the last offset
 
 
 def test_evaluation_path_builds_no_note(tmp_path, monkeypatch):

@@ -56,31 +56,35 @@ def test_grid_config_validation():
 
 def test_resample_hold_rule():
     series = _series((0.0, 1.0), (1.0, 2.0))
-    assert resample_to_grid(series, 0.0, 1.0, 0.5) == [1.0, 1.0, 2.0]
+    assert resample_to_grid(series, 0.0, 1.0, 0.5).tolist() == [1.0, 1.0, 2.0]
 
 
-def test_resample_empty_series_all_undefined():
-    assert resample_to_grid(_series(), 0.0, 1.0, 0.5) == [None, None, None]
+def test_resample_empty_series_rejected():
+    with pytest.raises(ValueError):
+        resample_to_grid(_series(), 0.0, 1.0, 0.5)
 
 
-def test_resample_drops_points_before_first_sample():
-    assert resample_to_grid(_series((0.3, 5.0)), 0.0, 0.5, 0.25) == [None, None, 5.0]
+def test_resample_grid_before_first_sample_rejected():
+    with pytest.raises(ValueError):
+        resample_to_grid(_series((0.3, 5.0)), 0.0, 0.5, 0.25)
+    assert resample_to_grid(_series((0.3, 5.0)), 0.3, 0.5, 0.1).tolist() == [5.0, 5.0, 5.0]
 
 
 def test_resample_holds_past_last_sample():
-    assert resample_to_grid(_series((0.0, 7.0)), 0.0, 2.0, 1.0) == [7.0, 7.0, 7.0]
+    assert resample_to_grid(_series((0.0, 7.0)), 0.0, 2.0, 1.0).tolist() == [7.0, 7.0, 7.0]
 
 
 @st.composite
 def _hold_cases(draw):
     """A series, some of whose sample times sit exactly on the grid, and a
-    grid that may start before the first sample."""
+    grid that may start before the first sample, on it, or after it."""
     t0 = draw(st.floats(-20.0, 20.0))
     step = draw(st.floats(0.01, 3.0))
     t1 = t0 + draw(st.floats(0.0, 30.0))
     on_grid = draw(st.lists(st.integers(-5, 40), max_size=10))
     off_grid = draw(st.lists(st.floats(-30.0, 60.0), max_size=10))
-    times = sorted({t0 + k * step for k in on_grid} | set(off_grid))
+    lead = draw(st.lists(st.floats(0.0, 10.0), max_size=1))  # a sample at or before t0, or none
+    times = sorted({t0 + k * step for k in on_grid} | set(off_grid) | {t0 - x for x in lead})
     values = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(times), max_size=len(times)))
     return times, values, t0, t1, step
 
@@ -89,8 +93,12 @@ def _hold_cases(draw):
 @given(_hold_cases())
 def test_resample_equals_per_point_bisect(case):
     times, values, t0, t1, step = case
-    got = resample_to_grid(FeatureSeries(times, values), t0, t1, step)
-    assert got == oracle_hold(times, values, t0, t1, step)
+    series = FeatureSeries(times, values)
+    if not times or t0 < times[0]:
+        with pytest.raises(ValueError):
+            resample_to_grid(series, t0, t1, step)
+    else:
+        assert resample_to_grid(series, t0, t1, step).tolist() == oracle_hold(times, values, t0, t1, step)
 
 
 def test_pearson_perfect():
