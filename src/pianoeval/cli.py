@@ -1,7 +1,9 @@
 """Batch-oriented command line: evaluate, batch, perturb, stats.
 
-Exit codes: 0 success; 2 unparseable input (MIDI/WAV/CSV columns/usage);
-3 I/O failure; 4 batch run where every row failed.
+Commands raise, and ``main`` turns the exception into the exit code: 0
+success; 2 unparseable input, a ValueError (MIDI/WAV/CSV/config/levels;
+argparse uses 2 for usage too); 3 I/O failure, an OSError; 4 batch run where
+every row failed. Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -11,21 +13,13 @@ import csv
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .audio import (
-    WavFormatError,
-    apply_condition_grid,
-    checked_snr,
-    derive_seed,
-    read_wav_file,
-    synth_ir,
-    write_wav_file,
-)
+from .audio import apply_condition_grid, checked_snr, derive_seed, read_wav_file, synth_ir, write_wav_file
 from .evaluation import RunConfig, evaluate_performances
-from .midi import MidiParseError, Performance, parse_midi_file
+from .midi import parse_midi_file
 from .stats import ALPHA, aggregate, csv_text, emit, kruskal_wallis
 
 EXIT_OK = 0
@@ -42,11 +36,19 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-# ---------------------------------------------------------------------------
-# Run configuration
-# ---------------------------------------------------------------------------
+def _read(path: str, reader, *args):
+    """``reader(path, *args)``, naming the file in every input error: a ValueError (or
+    csv.Error) or an OSError is re-raised as a ValueError or OSError ``<path>: <error>``."""
+    try:
+        return reader(path, *args)
+    except (ValueError, csv.Error) as err:
+        raise ValueError(f"{path}: {err}") from err
+    except OSError as err:
+        raise OSError(f"{path}: {err}") from err
 
-def _parse_config_file(path: str) -> dict[str, str]:
+
+def _config_file(path: str) -> RunConfig:
+    """A flat key=value file over the defaults, each value coerced to its field's type."""
     raw: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, 1):
@@ -54,68 +56,41 @@ def _parse_config_file(path: str) -> dict[str, str]:
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise ValueError(f"{path}:{line_number}: expected key=value, got {stripped!r}")
+                raise ValueError(f"line {line_number}: expected key=value, got {stripped!r}")
             key, _, value = stripped.partition("=")
             raw[key.strip()] = value.strip()
-    return raw
-
-
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overridden by the config file, overridden by flags."""
     field_types = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict = {}
-    path = getattr(args, "config", None)
-    if path:
-        for key, raw in _parse_config_file(path).items():
-            if key not in field_types:
-                raise ValueError(f"{path}: unknown config key {key!r}")
-            try:
-                values[key] = field_types[key](raw)
-            except ValueError as err:
-                raise ValueError(f"{path}: {key}: {err}") from None
-    if getattr(args, "pedal", None):
-        values["pedal_mode"] = args.pedal
-    try:
-        return RunConfig(**values)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None  # only config values can be out of range
+    for key, value in raw.items():
+        if key not in field_types:
+            raise ValueError(f"unknown config key {key!r}")
+        try:
+            values[key] = field_types[key](value)
+        except ValueError as err:
+            raise ValueError(f"{key}: {err}") from None
+    return RunConfig(**values)
 
 
-def _write_output(data: bytes, output: Optional[str]) -> None:
-    if output:
-        Path(output).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode())
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, overridden by the config file, overridden by --pedal."""
+    config = _read(args.config, _config_file) if args.config else RunConfig()
+    return replace(config, pedal_mode=args.pedal) if args.pedal else config
 
 
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _load_midi(path: str, config: RunConfig) -> Performance:
-    """Parse one MIDI file; a parse error (as ValueError) or I/O error names the file."""
-    try:
-        return parse_midi_file(path, pedal_mode=config.pedal_mode)
-    except MidiParseError as err:
-        raise ValueError(f"{path}: {err}") from err
-    except OSError as err:
-        raise OSError(f"{path}: {err}") from err
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        config = _build_run_config(args)
-        ref, est = _load_midi(args.ref, config), _load_midi(args.est, config)
-    except ValueError as err:
-        return _fail(EXIT_PARSE, str(err))
-    except OSError as err:
-        return _fail(EXIT_IO, str(err))
+    config = _run_config(args)
+    ref, est = (_read(path, parse_midi_file, config.pedal_mode) for path in (args.ref, args.est))
     pair_id = f"{Path(args.ref).stem}__vs__{Path(args.est).stem}"
     report = evaluate_performances(ref, est, config, pair_id)
-    try:
-        _write_output(emit([report], args.format), args.output)
-    except OSError as err:
-        return _fail(EXIT_IO, str(err))
+    data = emit([report], args.format)
+    if args.output:
+        Path(args.output).write_bytes(data)
+    else:
+        sys.stdout.write(data.decode())
     return EXIT_OK
 
 
@@ -123,22 +98,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # batch
 # ---------------------------------------------------------------------------
 
-def _read_manifest(path: str) -> list[dict[str, str]]:
+def _manifest_rows(path: str) -> list[dict[str, str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"ref", "est"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: manifest needs 'ref' and 'est' columns")
-        return [{k: (v or "") for k, v in row.items()} for row in reader]
+            raise ValueError("manifest needs 'ref' and 'est' columns")
+        rows = []
+        for row in reader:
+            if None in row:  # DictReader files a row's surplus cells under None
+                n = len(reader.fieldnames)
+                raise ValueError(f"line {reader.line_num}: {n + len(row[None])} cells for {n} columns")
+            rows.append({k: (v or "") for k, v in row.items()})
+        return rows
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        config = _build_run_config(args)
-        rows = _read_manifest(args.manifest)
-    except ValueError as err:
-        return _fail(EXIT_PARSE, str(err))
-    except OSError as err:
-        return _fail(EXIT_IO, str(err))
+    config = _run_config(args)
+    rows = _read(args.manifest, _manifest_rows)
     if not rows:
         return _fail(EXIT_ALL_FAILED, f"{args.manifest}: empty manifest")
 
@@ -147,35 +123,26 @@ def cmd_batch(args: argparse.Namespace) -> int:
         tags = {k: v for k, v in row.items() if k not in ("ref", "est")}
         pair_id = tags.get("id") or f"pair{index:04d}"
         try:
-            ref = _load_midi(row["ref"], config)
-            est = _load_midi(row["est"], config)
-            return index, evaluate_performances(ref, est, config, pair_id, tags), None
+            ref, est = (_read(row[side], parse_midi_file, config.pedal_mode) for side in ("ref", "est"))
+            return evaluate_performances(ref, est, config, pair_id, tags), None
         except (OSError, ValueError) as err:
-            return index, None, str(err)
+            return None, str(err)
         except Exception as err:  # any other fault fails this row, not the batch
-            return index, None, f"{type(err).__name__}: {err}"
+            return None, f"{type(err).__name__}: {err}"
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(run_row, enumerate(rows)))
-    results.sort(key=lambda item: item[0])
-    reports = [r for _, r, _ in results if r is not None]
-    failures = [(i, rows[i]["ref"], rows[i]["est"], err) for i, _, err in results if err]
+        results = list(pool.map(run_row, enumerate(rows)))  # in row order
+    reports = [report for report, _ in results if report is not None]
+    failures = [(i, rows[i]["ref"], rows[i]["est"], e) for i, (_, e) in enumerate(results) if e is not None]
 
     out_dir = Path(args.output)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = args.format
-        (out_dir / f"reports.{suffix}").write_bytes(emit(reports, args.format))
-        failures_csv = csv_text(["row", "ref", "est", "error"], failures)
-        (out_dir / "failures.csv").write_text(failures_csv, encoding="utf-8")
-        if args.group_by and reports:
-            keys = [k.strip() for k in args.group_by.split(",") if k.strip()]
-            table = aggregate(reports, keys)
-            (out_dir / f"aggregate.{suffix}").write_bytes(emit(table, args.format))
-    except ValueError as err:
-        return _fail(EXIT_PARSE, str(err))
-    except OSError as err:
-        return _fail(EXIT_IO, str(err))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"reports.{args.format}").write_bytes(emit(reports, args.format))
+    failures_csv = csv_text(["row", "ref", "est", "error"], failures)
+    (out_dir / "failures.csv").write_text(failures_csv, encoding="utf-8")
+    if args.group_by and reports:
+        table = aggregate(reports, [k.strip() for k in args.group_by.split(",") if k.strip()])
+        (out_dir / f"aggregate.{args.format}").write_bytes(emit(table, args.format))
 
     for i, ref, est, err in failures:
         print(f"pianoeval: row {i} failed ({ref} vs {est}): {err}", file=sys.stderr)
@@ -186,53 +153,49 @@ def cmd_batch(args: argparse.Namespace) -> int:
 # perturb
 # ---------------------------------------------------------------------------
 
-def _parse_levels(flag: str, spec: str, make) -> tuple[tuple[str, ...], tuple]:
-    """The comma-separated tokens, and ``make(index, token)`` for each (None
-    for 'none'); a ValueError names the flag and the token."""
+def _labels(flag: str, spec: str, label) -> list[str]:
+    """Each level's part of the output names, 'none' or ``label(token)``; a repeat would overwrite a file."""
+    labels = ["none" if t.strip().lower() == "none" else label(t.strip()) for t in spec.split(",")]
+    repeated = [name for i, name in enumerate(labels) if name in labels[:i]]
+    if repeated:
+        raise ValueError(f"{flag}: level {repeated[0]!r} is given twice, so two cells would write one file")
+    return labels
+
+
+def _parse_levels(flag: str, spec: str, make) -> list:
+    """``make(index, token)`` for each comma-separated token (None for
+    'none'); a ValueError names the flag and the token."""
     levels = []
     for i, token in enumerate(t.strip() for t in spec.split(",")):
         try:
-            levels.append(("none", None) if token.lower() == "none" else (token, make(i, token)))
+            levels.append(None if token.lower() == "none" else make(i, token))
         except ValueError as err:
             raise ValueError(f"{flag} {token!r}: {err}") from None
-    return tuple(zip(*levels))
+    return levels
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
-    try:
-        audio = read_wav_file(args.input)
-    except WavFormatError as err:
-        return _fail(EXIT_PARSE, f"{args.input}: {err}")
-    except OSError as err:
-        return _fail(EXIT_IO, f"{args.input}: {err}")
+    ir_flag, ir_spec = ("--ir", args.ir) if args.ir else ("--rt60", args.rt60)
+    snr_labels = _labels("--snr", args.snr, str)
+    ir_labels = _labels(ir_flag, ir_spec, (lambda tok: Path(tok).stem) if args.ir else str)
+    audio = _read(args.input, read_wav_file)
 
     def room(i: int, token: str):
         if args.ir:
             return read_wav_file(token)
         return synth_ir(float(token), audio.sample_rate, derive_seed(args.seed, 1, i))
 
-    try:
-        snr_tokens, snr_levels = _parse_levels("--snr", args.snr, lambda i, tok: checked_snr(float(tok)))
-        ir_tokens, ir_levels = _parse_levels("--ir" if args.ir else "--rt60", args.ir or args.rt60, room)
-    except ValueError as err:
-        return _fail(EXIT_PARSE, str(err))
-    except OSError as err:
-        return _fail(EXIT_IO, str(err))
-
-    stem = Path(args.input).stem
-    ir_labels = [Path(tok).stem for tok in ir_tokens] if args.ir else ir_tokens
-    names = [f"{stem}__snr{snr}_rt{ir}.wav" for ir in ir_labels for snr in snr_tokens]
+    snr_levels = _parse_levels("--snr", args.snr, lambda i, tok: checked_snr(float(tok)))
+    ir_levels = _parse_levels(ir_flag, ir_spec, room)
     try:
         cells = apply_condition_grid(audio, snr_levels, ir_levels, args.seed)
     except ValueError as err:  # all-zero audio under noise, an IR of another rate or width
-        return _fail(EXIT_PARSE, f"{args.input}: {err}")
+        raise ValueError(f"{args.input}: {err}") from None
+    names = [f"{Path(args.input).stem}__snr{snr}_rt{ir}.wav" for ir in ir_labels for snr in snr_labels]
     out_dir = Path(args.output)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, (_, buffer) in zip(names, cells):
-            write_wav_file(out_dir / name, buffer)
-    except OSError as err:
-        return _fail(EXIT_IO, str(err))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (_, buffer) in zip(names, cells):
+        write_wav_file(out_dir / name, buffer)
     return EXIT_OK
 
 
@@ -240,33 +203,32 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 # stats
 # ---------------------------------------------------------------------------
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        with open(args.reports, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            columns = reader.fieldnames or []
-            if args.metric not in columns:
-                return _fail(EXIT_PARSE, f"unknown metric column {args.metric!r}")
-            if args.group_by not in columns:
-                return _fail(EXIT_PARSE, f"unknown group column {args.group_by!r}")
-            grouped: dict[str, list[float]] = {}
-            for row in reader:
-                cell = (row.get(args.metric) or "").strip()
-                if cell in ("", "NA"):
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ValueError(f"line {reader.line_num}: {args.metric} {cell!r} is not a finite number")
-                grouped.setdefault(row.get(args.group_by) or "", []).append(value)
-    except OSError as err:
-        return _fail(EXIT_IO, f"{args.reports}: {err}")
-    except ValueError as err:
-        return _fail(EXIT_PARSE, f"{args.reports}: {err}")
+def _metric_groups(path: str, metric: str, group_by: str) -> list[list[float]]:
+    """The defined ``metric`` values of a reports CSV, one list per ``group_by`` value, in sorted order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        columns = reader.fieldnames or []
+        if metric not in columns:
+            raise ValueError(f"unknown metric column {metric!r}")
+        if group_by not in columns:
+            raise ValueError(f"unknown group column {group_by!r}")
+        grouped: dict[str, list[float]] = {}
+        for row in reader:
+            cell = (row.get(metric) or "").strip()
+            if cell in ("", "NA"):
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"line {reader.line_num}: {metric} {cell!r} is not a finite number")
+            grouped.setdefault(row.get(group_by) or "", []).append(value)
+    return [values for _, values in sorted(grouped.items())]
 
-    groups = [values for _, values in sorted(grouped.items())]
+
+def cmd_stats(args: argparse.Namespace) -> int:
+    groups = _read(args.reports, _metric_groups, args.metric, args.group_by)
     if len(groups) < 2:
         return _fail(EXIT_PARSE, f"need at least 2 groups with defined '{args.metric}' values")
     result = kruskal_wallis(groups)
@@ -290,23 +252,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("evaluate", help="evaluate one MIDI pair")
+    run = argparse.ArgumentParser(add_help=False)  # the run flags of evaluate and batch
+    run.add_argument("--config", help="flat key=value run configuration file")
+    run.add_argument("--format", choices=("csv", "json"), default="csv")
+    run.add_argument("--pedal", choices=("ignore", "extend"), help="sustain pedal handling")
+
+    pe = sub.add_parser("evaluate", parents=[run], help="evaluate one MIDI pair")
     pe.add_argument("ref", help="ground-truth MIDI file")
     pe.add_argument("est", help="estimated (transcribed) MIDI file")
-    pe.add_argument("--config", help="flat key=value run configuration file")
     pe.add_argument("--output", help="report file (default: stdout)")
-    pe.add_argument("--format", choices=("csv", "json"), default="csv")
-    pe.add_argument("--pedal", choices=("ignore", "extend"), help="sustain pedal handling")
     pe.set_defaults(func=cmd_evaluate)
 
-    pb = sub.add_parser("batch", help="evaluate every row of a manifest CSV")
+    pb = sub.add_parser("batch", parents=[run], help="evaluate every row of a manifest CSV")
     pb.add_argument("manifest", help="CSV with header 'ref,est' plus tag columns")
     pb.add_argument("--output", default=".", help="directory for reports/failures/aggregate")
-    pb.add_argument("--config", help="flat key=value run configuration file")
-    pb.add_argument("--format", choices=("csv", "json"), default="csv")
     pb.add_argument("--jobs", type=int, default=1, help="parallel rows")
     pb.add_argument("--group-by", dest="group_by", help="comma-separated tag keys to aggregate on")
-    pb.add_argument("--pedal", choices=("ignore", "extend"))
     pb.set_defaults(func=cmd_batch)
 
     pp = sub.add_parser(
@@ -336,7 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        return _fail(EXIT_PARSE, str(err))
+    except OSError as err:
+        return _fail(EXIT_IO, str(err))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -183,6 +184,16 @@ def test_pedal_flag_overrides_config(tmp_path, capsys):
     assert extended["note_offset_f1"] == "1.000000"
 
 
+def test_evaluate_unexpected_error_propagates(midi_pair, monkeypatch):
+    # main maps only ValueError and OSError to exit codes; anything else is a bug
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "evaluate_performances", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["evaluate", *midi_pair])
+
+
 # ---------------------------------------------------------------------------
 # batch
 # ---------------------------------------------------------------------------
@@ -291,6 +302,16 @@ def test_batch_missing_columns(tmp_path, capsys):
 
 def test_batch_missing_manifest(tmp_path, capsys):
     assert main(["batch", str(tmp_path / "none.csv"), "--output", str(tmp_path / "o")]) == 3
+
+
+def test_batch_manifest_row_with_surplus_cell_names_file_and_line(tmp_path, capsys):
+    manifest = _make_batch(tmp_path, n_good=2)
+    with open(manifest, "a") as fh:
+        fh.write(f"{tmp_path / 'ref0.mid'},{tmp_path / 'est0.mid'},pair-2,modelA,surplus\n")
+    out = tmp_path / "out"
+    assert main(["batch", manifest, "--output", str(out), "--group-by", "model"]) == 2
+    assert f"pianoeval: {manifest}: line 4: 5 cells for 4 columns" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_batch_group_by_writes_aggregate(tmp_path, capsys):
@@ -430,6 +451,41 @@ def test_perturb_missing_input(tmp_path, capsys):
     assert main(["perturb", str(tmp_path / "none.wav"), "--output", str(tmp_path / "o")]) == 3
 
 
+def test_perturb_non_finite_sample_names_file(tmp_path, capsys):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    data = bytearray(wav.read_bytes())
+    first_sample = data.index(b"data") + 8
+    data[first_sample:first_sample + 4] = struct.pack("<f", math.nan)
+    wav.write_bytes(bytes(data))
+    assert main(["perturb", str(wav), "--output", str(tmp_path / "o")]) == 2
+    assert f"pianoeval: {wav}: samples must be finite" in capsys.readouterr().err
+
+
+def test_perturb_rejects_repeated_snr_level(tmp_path, capsys):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--snr", "6,6", "--rt60", "none"]) == 2
+    assert "--snr: level '6' is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_perturb_rejects_ir_files_with_one_stem(tmp_path, capsys):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    irs = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        irs.append(tmp_path / folder / "hall.wav")
+        write_wav_file(irs[-1], sine_audio(seconds=0.01, amplitude=0.3))
+    out = tmp_path / "o"
+    args = ["perturb", str(wav), "--output", str(out), "--snr", "none", "--ir", ",".join(map(str, irs))]
+    assert main(args) == 2
+    assert "--ir: level 'hall' is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_perturb_rejects_bad_level(tmp_path, capsys):
     wav = tmp_path / "take.wav"
     write_wav_file(wav, sine_audio(seconds=0.05))
@@ -512,6 +568,12 @@ def test_stats_unknown_metric(tmp_path, capsys):
     assert "note_f1" in capsys.readouterr().err
 
 
+def test_stats_unknown_metric_names_reports_file(tmp_path, capsys):
+    path = _stats_csv(tmp_path, [("p1", "a", 1.0)])
+    assert main(["stats", path, "--metric", "note_f1", "--group-by", "model"]) == 2
+    assert f"pianoeval: {path}: unknown metric column 'note_f1'" in capsys.readouterr().err
+
+
 def test_stats_unknown_group_column(tmp_path, capsys):
     path = _stats_csv(tmp_path, [("p1", "a", 1.0)])
     assert main(["stats", path, "--metric", "frame_f1", "--group-by", "split"]) == 2
@@ -521,6 +583,12 @@ def test_stats_single_group_rejected(tmp_path, capsys):
     path = _stats_csv(tmp_path, [("p1", "a", 1.0), ("p2", "a", 2.0)])
     assert main(["stats", path, "--metric", "frame_f1", "--group-by", "model"]) == 2
     assert "2 groups" in capsys.readouterr().err
+
+
+def test_stats_oversized_csv_field_is_parse_error(tmp_path, capsys):
+    path = _stats_csv(tmp_path, [("p" * 200_000, "a", 1.0), ("p2", "b", 2.0)])
+    assert main(["stats", path, "--metric", "frame_f1", "--group-by", "model"]) == 2
+    assert f"pianoeval: {path}: field larger than field limit" in capsys.readouterr().err
 
 
 def test_stats_missing_file(tmp_path, capsys):

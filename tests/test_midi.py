@@ -457,3 +457,50 @@ def test_parse_equals_per_note_oracle(notes, tempos, pedals, pedal_mode):
     want_notes, want_end = oracle_parse_midi(data, pedal_mode)
     assert perf.notes == tuple(want_notes)
     assert perf.end_time == want_end
+
+
+# ---------------------------------------------------------------------------
+# Robustness: malformed bytes fail as MidiParseError and nothing else
+# ---------------------------------------------------------------------------
+
+_valid_smfs = st.builds(
+    lambda notes, tempos, pedals, fmt: serialize_smf(
+        [(60 * k, 60 * (k + d), pitch, velocity) for k, d, pitch, velocity in notes],
+        tempos=((0, 500_000), *((240 * k, uspq) for k, uspq in tempos)),
+        pedals=[(60 * k, value) for k, value in pedals],
+        fmt=fmt,
+    ),
+    _tick_notes,
+    _tempo_changes,
+    _pedal_events,
+    st.sampled_from([0, 1]),
+)
+
+
+@st.composite
+def _damaged_smfs(draw):
+    """A valid SMF with 1-5 bytes overwritten, deleted, or cut off at the end."""
+    data = bytearray(draw(_valid_smfs))
+    for _ in range(draw(st.integers(1, 5))):
+        if not data:
+            break
+        at = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(["overwrite", "delete", "truncate"]))
+        if edit == "overwrite":
+            data[at] = draw(st.integers(0, 255))
+        elif edit == "delete":
+            del data[at]
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+# Only the parse runs: a damaged delta can make a valid file of enormous
+# duration, which evaluating or rasterising would have to allocate for.
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _damaged_smfs()), st.sampled_from(["extend", "ignore"]))
+def test_parse_raises_only_midi_parse_error(data, pedal_mode):
+    try:
+        parse_midi(data, pedal_mode)
+    except MidiParseError:
+        pass
