@@ -33,13 +33,10 @@ from .ir_metrics import (
 from .midi import (
     MidiParseError,
     Note,
-    PedalEvent,
     Performance,
-    TempoMap,
     apply_sustain_pedal,
     parse_midi,
     parse_midi_file,
-    ticks_to_seconds,
 )
 from .musical import (
     MusicalMetrics,

@@ -20,7 +20,7 @@ from typing import Optional
 from .audio import apply_condition_grid, checked_snr, derive_seed, read_wav_file, synth_ir, write_wav_file
 from .evaluation import RunConfig, evaluate_performances
 from .midi import parse_midi_file
-from .stats import ALPHA, aggregate, csv_text, emit, kruskal_wallis
+from .stats import ALPHA, REPORT_METRIC_COLUMNS, aggregate, csv_text, emit, kruskal_wallis
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -98,11 +98,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # batch
 # ---------------------------------------------------------------------------
 
+# tag names that would give a report or aggregate column a second meaning
+_RESERVED_TAGS = {"pair_id", "count"} | {f"{c}{s}" for c in REPORT_METRIC_COLUMNS for s in ("", "_excluded")}
+
+
 def _manifest_rows(path: str) -> list[dict[str, str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"ref", "est"} <= set(reader.fieldnames):
+        header = reader.fieldnames
+        if header is None or not {"ref", "est"} <= set(header):
             raise ValueError("manifest needs 'ref' and 'est' columns")
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValueError(f"column {name!r} is repeated in the header")
+            if name in _RESERVED_TAGS:
+                raise ValueError(f"tag column {name!r} has the name of a report column")
         rows = []
         for row in reader:
             if None in row:  # DictReader files a row's surplus cells under None

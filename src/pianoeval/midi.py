@@ -10,7 +10,6 @@ would.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -19,12 +18,9 @@ import numpy as np
 __all__ = [
     "Note",
     "Performance",
-    "TempoMap",
-    "PedalEvent",
     "MidiParseError",
     "parse_midi",
     "parse_midi_file",
-    "ticks_to_seconds",
     "apply_sustain_pedal",
     "expand_ranges",
 ]
@@ -142,58 +138,19 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
-@dataclass(frozen=True)
-class PedalEvent:
-    """One CC64 controller change, in seconds."""
+def _tick_seconds(ticks: np.ndarray, tempos: Sequence[tuple[int, int]], tpq: int) -> np.ndarray:
+    """Seconds at each absolute tick through the (tick, us-per-quarter) set-tempo events.
 
-    time: float
-    value: int
-
-
-@dataclass
-class TempoMap:
-    """Piecewise-constant tempo as (tick, microseconds-per-quarter) events.
-
-    Events are normalised on construction: sorted by tick, duplicates at the
-    same tick collapsed to the last one, and a default 500000 us/quarter
-    entry inserted at tick 0 when absent.
+    The last event at a tick wins, and 500000 us/quarter holds before the
+    first. Each tick's microticks are summed as exact Python ints (object
+    arrays) and divided once, so no conversion drifts or overflows.
     """
-
-    events: list[tuple[int, int]]
-    ticks_per_quarter: int
-
-    def __post_init__(self):
-        if self.ticks_per_quarter <= 0:
-            raise ValueError("ticks_per_quarter must be positive")
-        merged: dict[int, int] = {}
-        for tick, uspq in sorted(self.events, key=lambda e: e[0]):
-            if tick < 0 or uspq <= 0:
-                raise ValueError(f"invalid tempo event ({tick}, {uspq})")
-            merged[tick] = uspq
-        if 0 not in merged:
-            merged[0] = DEFAULT_TEMPO
-        self.events = sorted(merged.items())
-        # prefix sums in exact integer tick*uspq units, one float division later
-        ticks = [t for t, _ in self.events]
-        cum = [0]
-        for i in range(1, len(self.events)):
-            dticks = ticks[i] - ticks[i - 1]
-            cum.append(cum[-1] + dticks * self.events[i - 1][1])
-        self._ticks = ticks
-        self._cum_microticks = cum
-
-
-def ticks_to_seconds(tick: int, tempo_map: TempoMap) -> float:
-    """Convert an absolute tick to seconds through the tempo map.
-
-    Accumulates exact integer tick * tempo products per segment and divides
-    once at the end, so repeated conversions never drift.
-    """
-    if tick < 0:
-        raise ValueError("tick must be non-negative")
-    i = bisect_right(tempo_map._ticks, tick) - 1
-    micro = tempo_map._cum_microticks[i] + (tick - tempo_map._ticks[i]) * tempo_map.events[i][1]
-    return micro / (tempo_map.ticks_per_quarter * 1_000_000)
+    merged = dict(sorted([(0, DEFAULT_TEMPO), *tempos], key=lambda e: e[0]))
+    starts, uspq = (np.array(c, dtype=object) for c in zip(*merged.items()))
+    micro_at_start = np.cumsum(np.append(0, np.diff(starts) * uspq[:-1]))
+    i = np.searchsorted(starts.astype(np.int64), ticks, "right") - 1
+    micro = micro_at_start[i] + (ticks.astype(object) - starts[i]) * uspq[i]
+    return (micro / (tpq * 1_000_000)).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +297,19 @@ def parse_midi(data: bytes, pedal_mode: str = "extend") -> Performance:
         raise ValueError(f"pedal_mode must be 'ignore' or 'extend', got {pedal_mode!r}")
 
     fmt, ntrks, tpq, pos = _parse_header(data)
-    raw_notes: list[tuple[int, int, int, int]] = []
-    tempo_events: list[tuple[int, int]] = []
-    raw_pedals: list[tuple[int, int]] = []
+    raw_notes, tempos, raw_pedals = [], [], []  # filled by _parse_track
     for _ in range(ntrks):
-        pos = _parse_track(data, pos, raw_notes, tempo_events, raw_pedals)
+        pos = _parse_track(data, pos, raw_notes, tempos, raw_pedals)
 
-    tempo_map = TempoMap(tempo_events, tpq)
     ticks = np.array(raw_notes, dtype=np.int64).reshape(-1, 4)
-    # one exact integer conversion per tick; vectorised int64 products could overflow
-    seconds = [ticks_to_seconds(tick, tempo_map) for tick in ticks[:, :2].ravel().tolist()]
-    onsets, offsets = np.array(seconds, dtype=np.float64).reshape(-1, 2).T
+    onsets, offsets = _tick_seconds(ticks[:, :2], tempos, tpq).T
     offsets = np.where(offsets <= onsets, onsets + MIN_NOTE_DURATION, offsets)
     performance = _sorted(onsets, offsets, ticks[:, 2], ticks[:, 3])
 
     if pedal_mode == "extend" and raw_pedals:
         raw_pedals.sort(key=lambda e: e[0])
-        pedal_events = [PedalEvent(ticks_to_seconds(t, tempo_map), v) for t, v in raw_pedals]
-        performance = apply_sustain_pedal(performance, pedal_events)
+        pedal_ticks, values = np.array(raw_pedals, dtype=np.int64).T
+        performance = apply_sustain_pedal(performance, _tick_seconds(pedal_ticks, tempos, tpq), values)
     return performance
 
 
@@ -371,27 +323,27 @@ def parse_midi_file(path, pedal_mode: str = "extend") -> Performance:
 # ---------------------------------------------------------------------------
 
 def apply_sustain_pedal(
-    performance: Performance,
-    pedals: Sequence[PedalEvent],
-    threshold: int = 64,
+    performance: Performance, times: np.ndarray, values: np.ndarray, threshold: int = 64
 ) -> Performance:
     """Extend note offsets over sustain-pedal spans.
 
-    While CC64 >= ``threshold`` the pedal is down. A note whose nominal
-    offset falls inside a down span keeps sounding until the pedal release,
-    truncated at the next onset of the same pitch. Notes are never
-    shortened. A pedal that is still down at the end of the data sustains to
-    the end of the performance.
+    ``times`` (seconds, non-decreasing) and ``values`` are the CC64
+    controller changes in order. While CC64 >= ``threshold`` the pedal is
+    down. A note whose nominal offset falls inside a down span keeps
+    sounding until the pedal release, truncated at the next onset of the
+    same pitch. Notes are never shortened. A pedal that is still down at
+    the end of the data sustains to the end of the performance.
     """
-    if not len(performance) or not pedals:
+    times, values = np.asarray(times, dtype=np.float64), np.asarray(values)
+    if not len(performance) or not len(times):
         return performance
-    down = np.array([event.value >= threshold for event in pedals])
+    down = values >= threshold
     # the pedal goes down, up, down, ... at these times; a span still down at the end ends at inf
-    flips = np.array([event.time for event in pedals])[np.flatnonzero(np.diff(down, prepend=False))]
+    flips = times[np.flatnonzero(np.diff(down, prepend=False))]
     span_starts, span_ends = flips[0::2], np.append(flips[1::2], [np.inf] * (len(flips) % 2))
     if not len(span_starts):
         return performance
-    data_end = max(performance.end_time, pedals[-1].time)
+    data_end = max(performance.end_time, times[-1])
     onsets, offsets, pitches = performance.onsets, performance.offsets, performance.pitches
 
     # next onset of the same pitch, per note (inf when none follows)

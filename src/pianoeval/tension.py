@@ -130,8 +130,8 @@ def _window_weights(perf: Performance, cfg: WindowConfig) -> tuple[np.ndarray, n
 
 def _diameters(present: np.ndarray, params: SpiralParams) -> np.ndarray:
     """Cloud diameter of each row of a W x 12 pitch-class presence mask."""
-    points = [pitch_to_spiral(pc, params) for pc in range(12)]
-    table = np.array([[a.distance(b) for b in points] for a in points])
+    points = _spiral_points(params)
+    table = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
     pairs = present[:, :, None] & present[:, None, :]
     return np.where(pairs, table, 0.0).max(axis=(1, 2), initial=0.0)
 

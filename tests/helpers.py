@@ -11,12 +11,13 @@ import heapq
 import math
 import struct
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from pianoeval import midi
-from pianoeval.midi import Note, PedalEvent, Performance, TempoMap, ticks_to_seconds
+from pianoeval.midi import Note, Performance
 from pianoeval.tension import SpiralParams, SpiralPoint, WindowConfig, pitch_to_spiral
 
 # ---------------------------------------------------------------------------
@@ -450,9 +451,63 @@ def oracle_dynamics_series(melody: Sequence[Note], bass: Sequence[Note], step: f
 
 
 # ---------------------------------------------------------------------------
-# Per-note loop oracles for the column passes: parse conversion, sustain
-# pedal, stream split and piano-roll fill
+# Per-note loop oracles for the column passes: the tempo map and per-tick
+# conversion, sustain pedal, stream split and piano-roll fill
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PedalEvent:
+    """One CC64 controller change, in seconds."""
+
+    time: float
+    value: int
+
+
+@dataclass
+class TempoMap:
+    """Piecewise-constant tempo as (tick, microseconds-per-quarter) events.
+
+    Events are normalised on construction: sorted by tick, duplicates at the
+    same tick collapsed to the last one, and a default 500000 us/quarter
+    entry inserted at tick 0 when absent.
+    """
+
+    events: list[tuple[int, int]]
+    ticks_per_quarter: int
+
+    def __post_init__(self):
+        if self.ticks_per_quarter <= 0:
+            raise ValueError("ticks_per_quarter must be positive")
+        merged: dict[int, int] = {}
+        for tick, uspq in sorted(self.events, key=lambda e: e[0]):
+            if tick < 0 or uspq <= 0:
+                raise ValueError(f"invalid tempo event ({tick}, {uspq})")
+            merged[tick] = uspq
+        if 0 not in merged:
+            merged[0] = midi.DEFAULT_TEMPO
+        self.events = sorted(merged.items())
+        # prefix sums in exact integer tick*uspq units, one float division later
+        ticks = [t for t, _ in self.events]
+        cum = [0]
+        for i in range(1, len(self.events)):
+            dticks = ticks[i] - ticks[i - 1]
+            cum.append(cum[-1] + dticks * self.events[i - 1][1])
+        self._ticks = ticks
+        self._cum_microticks = cum
+
+
+def ticks_to_seconds(tick: int, tempo_map: TempoMap) -> float:
+    """Convert an absolute tick to seconds through the tempo map.
+
+    Accumulates exact integer tick * tempo products per segment and divides
+    once at the end, so repeated conversions never drift.
+    """
+    if tick < 0:
+        raise ValueError("tick must be non-negative")
+    i = bisect_right(tempo_map._ticks, tick) - 1
+    micro = tempo_map._cum_microticks[i] + (tick - tempo_map._ticks[i]) * tempo_map.events[i][1]
+    return micro / (tempo_map.ticks_per_quarter * 1_000_000)
+
 
 def _oracle_sorted(notes) -> list[Note]:
     return sorted(notes, key=lambda n: (n.onset, n.pitch, n.offset))

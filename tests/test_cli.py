@@ -314,6 +314,33 @@ def test_batch_manifest_row_with_surplus_cell_names_file_and_line(tmp_path, caps
     assert not out.exists()
 
 
+def _batch_with_header(tmp_path, header):
+    """A two-row batch manifest under ``header``, which names one column more than ``_make_batch``."""
+    manifest = _make_batch(tmp_path, n_good=2)
+    with open(manifest) as fh:
+        rows = fh.read().splitlines()[1:]
+    with open(manifest, "w") as fh:
+        fh.write("".join(f"{line}\n" for line in [header, *(row + ",x" for row in rows)]))
+    return manifest
+
+
+def test_batch_rejects_repeated_manifest_column(tmp_path, capsys):
+    manifest = _batch_with_header(tmp_path, "ref,est,id,model,ref")
+    out = tmp_path / "out"
+    assert main(["batch", manifest, "--output", str(out)]) == 2
+    assert f"pianoeval: {manifest}: column 'ref' is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tag", ["frame_f1", "pair_id", "count", "melody_ioi_excluded"])
+def test_batch_rejects_tag_named_like_a_report_column(tmp_path, capsys, tag):
+    manifest = _batch_with_header(tmp_path, f"ref,est,id,model,{tag}")
+    out = tmp_path / "out"
+    assert main(["batch", manifest, "--output", str(out)]) == 2
+    assert f"pianoeval: {manifest}: tag column {tag!r} has the name of a report column" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_batch_group_by_writes_aggregate(tmp_path, capsys):
     manifest = _make_batch(tmp_path, n_good=4)
     out = tmp_path / "out"

@@ -1,17 +1,21 @@
-"""Every imported name in ``src/`` and ``tests/`` is used.
+"""Every imported name in ``src/`` and ``tests/`` is used, and every public name is bound.
 
 The package ships without a linter, so this scan stands in for the
 unused-import check: a name bound by ``import`` or ``from ... import`` must
 be referenced somewhere in its module. ``__init__.py`` files are exempt
-(their imports are re-exports), and so is ``from __future__``.
+(their imports are re-exports), and so is ``from __future__``. The other
+way round, a name deleted from a module must also leave its ``__all__`` and
+the package's re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pianoeval"
 MODULES = sorted(
     p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
 )
@@ -71,3 +75,13 @@ def test_scan_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).with_suffix("").as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_public_names_are_bound(path):
+    module = importlib.import_module("pianoeval" if path.stem == "__init__" else f"pianoeval.{path.stem}")
+    names = list(getattr(module, "__all__", ()))
+    if path.stem == "__init__":
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names += [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert [name for name in names if not hasattr(module, name)] == []

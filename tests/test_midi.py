@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    PedalEvent,
     oracle_apply_sustain_pedal,
     oracle_parse_midi,
     performance_to_smf,
@@ -14,13 +15,10 @@ from pianoeval.evaluation import evaluate_performances
 from pianoeval.midi import (
     MidiParseError,
     Note,
-    PedalEvent,
     Performance,
-    TempoMap,
     apply_sustain_pedal,
     parse_midi,
     parse_midi_file,
-    ticks_to_seconds,
 )
 
 
@@ -101,42 +99,50 @@ def test_evaluation_path_builds_no_note(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# ticks_to_seconds
+# Ticks to seconds through the tempo map, seen through parse_midi
 # ---------------------------------------------------------------------------
 
+def _parsed_offsets(offset_ticks, **smf):
+    """The offsets of back-to-back notes ending at these ticks, the first from tick 0, after a parse."""
+    onset_ticks = [0, *offset_ticks[:-1]]
+    data = serialize_smf([(a, b, 60, 64) for a, b in zip(onset_ticks, offset_ticks)], **smf)
+    return parse_midi(data, pedal_mode="ignore").offsets.tolist()
+
+
 def test_ticks_to_seconds_origin():
-    assert ticks_to_seconds(0, TempoMap([], 480)) == 0.0
+    assert parse_midi(serialize_smf([(0, 480, 60, 64)], tempos=())).onsets.tolist() == [0.0]
 
 
 def test_ticks_to_seconds_constant_tempo():
-    assert ticks_to_seconds(960, TempoMap([(0, 500_000)], 480)) == 1.0
+    assert _parsed_offsets([960], tempos=((0, 500_000),)) == [1.0]
 
 
 def test_ticks_to_seconds_tempo_change():
-    tempo_map = TempoMap([(0, 500_000), (480, 250_000)], 480)
-    assert ticks_to_seconds(960, tempo_map) == 0.75
+    assert _parsed_offsets([960], tempos=((0, 500_000), (480, 250_000))) == [0.75]
 
 
 def test_tempo_map_inserts_default_at_zero():
-    tempo_map = TempoMap([(480, 250_000)], 480)
-    assert tempo_map.events[0] == (0, 500_000)
-    assert ticks_to_seconds(480, tempo_map) == 0.5
+    # 500000 us/quarter holds before the first set-tempo event
+    assert _parsed_offsets([480], tempos=((480, 250_000),)) == [0.5]
 
 
-def test_tempo_map_validation():
-    with pytest.raises(ValueError):
-        TempoMap([], 0)
-    with pytest.raises(ValueError):
-        TempoMap([(-1, 500_000)], 480)
-    with pytest.raises(ValueError):
-        TempoMap([(0, 0)], 480)
+def test_division_zero_is_parse_error():
+    data = serialize_smf([(0, 480, 60, 64)])
+    with pytest.raises(MidiParseError, match="zero ticks per quarter"):
+        parse_midi(data[:12] + b"\x00\x00" + data[14:])
 
 
 def test_ticks_to_seconds_no_drift():
     # exact integer accumulation: quarter at 120 BPM is exactly 0.5 s
-    tempo_map = TempoMap([(0, 500_000)], 480)
-    for k in range(1, 200):
-        assert ticks_to_seconds(480 * k, tempo_map) == 0.5 * k
+    assert _parsed_offsets([480 * k for k in range(1, 200)]) == [0.5 * k for k in range(1, 200)]
+
+
+def test_tick_conversion_exact_past_2_53():
+    # 3q ticks at 0xFFFFFF us/quarter is past 2**53 microseconds, where float64 products round
+    q = 2**28 - 1
+    data = serialize_smf([(q, 3 * q, 60, 64), (2 * q, 2 * q + 1, 62, 64)], tpq=1, tempos=((0, 0xFFFFFF),))
+    # parse only: evaluating a file this long would allocate for its whole duration
+    assert parse_midi(data).offsets.max() == 3 * q * 0xFFFFFF / 10**6 == 13510798026.473475
 
 
 # ---------------------------------------------------------------------------
@@ -300,49 +306,49 @@ def _perf(*notes):
 
 def test_pedal_no_events_identity():
     perf = _perf((0.0, 1.0, 60, 64))
-    assert apply_sustain_pedal(perf, []) == perf
+    assert apply_sustain_pedal(perf, [], []) == perf
 
 
 def test_pedal_extends_to_release():
     perf = _perf((0.0, 1.0, 60, 64))
-    pedals = [PedalEvent(0.5, 100), PedalEvent(2.0, 0)]
-    out = apply_sustain_pedal(perf, pedals)
+    times, values = [0.5, 2.0], [100, 0]
+    out = apply_sustain_pedal(perf, times, values)
     assert out.notes[0].offset == 2.0
 
 
 def test_pedal_extension_truncated_at_same_pitch_onset():
     perf = _perf((0.0, 1.0, 60, 64), (1.5, 2.5, 60, 64))
-    pedals = [PedalEvent(0.5, 100), PedalEvent(3.0, 0)]
-    out = apply_sustain_pedal(perf, pedals)
+    times, values = [0.5, 3.0], [100, 0]
+    out = apply_sustain_pedal(perf, times, values)
     assert out.notes[0].offset == 1.5  # truncated by the next pitch-60 onset
     assert out.notes[1].offset == 3.0
 
 
 def test_pedal_down_only_when_offset_inside_span():
     perf = _perf((0.0, 1.0, 60, 64))
-    pedals = [PedalEvent(1.2, 100), PedalEvent(2.0, 0)]  # pedal goes down after the note ends
-    out = apply_sustain_pedal(perf, pedals)
+    times, values = [1.2, 2.0], [100, 0]  # pedal goes down after the note ends
+    out = apply_sustain_pedal(perf, times, values)
     assert out.notes[0].offset == 1.0
 
 
 def test_pedal_release_boundary_is_up():
     perf = _perf((0.0, 1.0, 60, 64))
-    pedals = [PedalEvent(0.2, 100), PedalEvent(1.0, 0)]  # released exactly at the offset
-    out = apply_sustain_pedal(perf, pedals)
+    times, values = [0.2, 1.0], [100, 0]  # released exactly at the offset
+    out = apply_sustain_pedal(perf, times, values)
     assert out.notes[0].offset == 1.0
 
 
 def test_pedal_threshold():
     perf = _perf((0.0, 1.0, 60, 64))
-    pedals = [PedalEvent(0.5, 63), PedalEvent(2.0, 0)]  # below default threshold
-    assert apply_sustain_pedal(perf, pedals).notes[0].offset == 1.0
-    assert apply_sustain_pedal(perf, pedals, threshold=63).notes[0].offset == 2.0
+    times, values = [0.5, 2.0], [63, 0]  # below default threshold
+    assert apply_sustain_pedal(perf, times, values).notes[0].offset == 1.0
+    assert apply_sustain_pedal(perf, times, values, threshold=63).notes[0].offset == 2.0
 
 
 def test_pedal_unreleased_extends_to_data_end():
     perf = _perf((0.0, 1.0, 60, 64), (0.0, 3.0, 72, 64))
-    pedals = [PedalEvent(0.5, 127)]
-    out = apply_sustain_pedal(perf, pedals)
+    times, values = [0.5], [127]
+    out = apply_sustain_pedal(perf, times, values)
     assert max(n.offset for n in out.notes) == 3.0
     assert [n.offset for n in out.notes if n.pitch == 60] == [3.0]
 
@@ -351,9 +357,9 @@ def test_pedal_never_shortens():
     rng = np.random.default_rng(7)
     for _ in range(20):
         perf = random_performance(rng, 30)
-        times = sorted(rng.uniform(0, perf.end_time, size=6))
-        pedals = [PedalEvent(t, int(v)) for t, v in zip(times, rng.integers(0, 128, size=6))]
-        out = apply_sustain_pedal(perf, pedals)
+        times = np.sort(rng.uniform(0, perf.end_time, size=6))
+        values = rng.integers(0, 128, size=6)
+        out = apply_sustain_pedal(perf, times, values)
         before = sorted((n.onset, n.pitch, n.offset) for n in perf.notes)
         after = sorted((n.onset, n.pitch, n.offset) for n in out.notes)
         for (o1, p1, f1), (o2, p2, f2) in zip(before, after):
@@ -431,7 +437,7 @@ _pedal_events = st.lists(st.tuples(st.integers(0, 30), st.sampled_from([0, 63, 6
 def test_pedal_equals_per_note_oracle(notes, events, threshold):
     perf = Performance.from_notes(notes)
     pedals = [PedalEvent(k * 0.25, value) for k, value in sorted(events, key=lambda e: e[0])]
-    out = apply_sustain_pedal(perf, pedals, threshold)
+    out = apply_sustain_pedal(perf, [e.time for e in pedals], [e.value for e in pedals], threshold)
     want_notes, want_end = oracle_apply_sustain_pedal(perf.notes, perf.end_time, pedals, threshold)
     assert out.notes == tuple(want_notes)
     assert out.end_time == want_end

@@ -142,6 +142,15 @@ def test_diameter_matches_exhaustive_oracle():
         assert cloud_diameter(Performance.from_notes(notes)) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("params", [SpiralParams(), SpiralParams(2.5, 0.3), SpiralParams(0.7, 1.9)])
+def test_diameter_of_each_pair_is_its_point_distance_exactly(params):
+    for a in range(12):
+        for b in range(a + 1, 12):
+            perf = Performance.from_notes([_note(60 + a), _note(60 + b)])
+            expected = pitch_to_spiral(a, params).distance(pitch_to_spiral(b, params))
+            assert cloud_diameter(perf, params) == expected
+
+
 def test_diameter_permutation_invariant():
     notes = [_note(60), _note(67), _note(62)]
     perf = Performance.from_notes(notes)
