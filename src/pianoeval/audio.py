@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = [
     "AudioBuffer",
@@ -207,12 +207,18 @@ def convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
         )
     if ir.channels not in (1, audio.channels):
         raise ValueError(f"cannot apply {ir.channels}-channel IR to {audio.channels}-channel audio")
-    out = np.stack(
-        [
-            fftconvolve(audio.samples[c], ir.samples[c % ir.channels], mode="full")
-            for c in range(audio.channels)
-        ]
-    )
+    n, m = audio.n_samples, ir.n_samples
+    if n == 0 or m == 0:
+        out = np.zeros((audio.channels, 0))
+    elif n == 1 or m == 1:  # a length-1 side needs no transform: a broadcast product
+        out = audio.samples * ir.samples
+    else:
+        # scipy.signal.fftconvolve(mode="full")'s transform, with the IR spectrum taken once
+        size = next_fast_len(n + m - 1, True)
+        spectra = rfft(ir.samples, size, axis=-1)
+        out = np.empty((audio.channels, n + m - 1))
+        for c in range(audio.channels):
+            out[c] = irfft(rfft(audio.samples[c], size) * spectra[c % ir.channels], size)[: n + m - 1]
     in_peak = audio.peak()
     out_peak = float(np.max(np.abs(out))) if out.size else 0.0
     if in_peak > 0.0 and out_peak > 0.0:
@@ -261,11 +267,13 @@ def apply_condition_grid(
         for i_snr, snr in enumerate(snr_levels):
             if snr == math.inf:
                 snr = None
-            out = AudioBuffer(audio.sample_rate, audio.samples.copy())
+            out = audio
             if ir is not None:
                 out = convolve_ir(out, ir)
             derived = derive_seed(seed, 0, i_ir, i_snr)
             if snr is not None:
                 out = add_noise_snr(out, snr, derived)
+            if out is audio:  # each stage returns a new buffer, so only a cell without one copies
+                out = AudioBuffer(audio.sample_rate, audio.samples.copy())
             results.append((PerturbCondition(snr, ir, derived), out))
     return results

@@ -1,9 +1,10 @@
 """Batch-oriented command line: evaluate, batch, perturb, stats.
 
 Commands raise, and ``main`` turns the exception into the exit code: 0
-success; 2 unparseable input, a ValueError (MIDI/WAV/CSV/config/levels;
-argparse uses 2 for usage too); 3 I/O failure, an OSError; 4 batch run where
-every row failed. Any other exception is a bug and propagates.
+success; 2 unparseable input, a ValueError (MIDI/WAV/CSV/config/levels, or a
+performance longer than ``max_duration``; argparse uses 2 for usage too); 3
+I/O failure, an OSError; 4 batch run where every row failed. Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 
 from .audio import apply_condition_grid, checked_snr, derive_seed, read_wav_file, synth_ir, write_wav_file
 from .evaluation import RunConfig, evaluate_performances
-from .midi import parse_midi_file
+from .midi import Performance, parse_midi_file
 from .stats import ALPHA, REPORT_METRIC_COLUMNS, aggregate, csv_text, emit, kruskal_wallis
 
 EXIT_OK = 0
@@ -81,9 +82,14 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 # evaluate
 # ---------------------------------------------------------------------------
 
+def _performance(path: str, config: RunConfig, side: str) -> Performance:
+    """One side of a pair, parsed and held to ``config.max_duration``."""
+    return config.checked_duration(parse_midi_file(path, config.pedal_mode), side)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    ref, est = (_read(path, parse_midi_file, config.pedal_mode) for path in (args.ref, args.est))
+    ref, est = (_read(getattr(args, side), _performance, config, side) for side in ("ref", "est"))
     pair_id = f"{Path(args.ref).stem}__vs__{Path(args.est).stem}"
     report = evaluate_performances(ref, est, config, pair_id)
     data = emit([report], args.format)
@@ -133,7 +139,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         tags = {k: v for k, v in row.items() if k not in ("ref", "est")}
         pair_id = tags.get("id") or f"pair{index:04d}"
         try:
-            ref, est = (_read(row[side], parse_midi_file, config.pedal_mode) for side in ("ref", "est"))
+            ref, est = (_read(row[side], _performance, config, side) for side in ("ref", "est"))
             return evaluate_performances(ref, est, config, pair_id, tags), None
         except (OSError, ValueError) as err:
             return None, str(err)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,10 +30,13 @@ class RunConfig:
     pedal_mode: str = "extend"
     spiral_radius: float = SpiralParams.radius
     spiral_rise: float = SpiralParams.rise
+    max_duration: float = 7200.0
 
     def __post_init__(self):
         if self.frame_length <= 0:
             raise ValueError("frame_length must be positive")
+        if not 0 < self.max_duration < math.inf:
+            raise ValueError("max_duration must be positive and finite")
         if self.chord_epsilon <= 0:
             raise ValueError("chord_epsilon must be positive")
         if self.pedal_mode not in ("ignore", "extend"):
@@ -51,6 +55,16 @@ class RunConfig:
     def spiral(self) -> SpiralParams:
         return SpiralParams(self.spiral_radius, self.spiral_rise)
 
+    def checked_duration(self, perf: Performance, side: str) -> Performance:
+        """``perf`` if it ends within ``max_duration``; otherwise a ValueError naming
+        ``side``. Frame, grid and window arrays grow with the duration, so a small
+        valid file whose ticks span years would otherwise ask for terabytes."""
+        if perf.end_time > self.max_duration:
+            raise ValueError(
+                f"{side} lasts {perf.end_time:.6g} s, longer than max_duration {self.max_duration:g} s"
+            )
+        return perf
+
 
 def evaluate_performances(
     ref: Performance,
@@ -59,7 +73,12 @@ def evaluate_performances(
     pair_id: str = "pair",
     tags: Optional[dict[str, str]] = None,
 ) -> MetricReport:
-    """Frame PRF, the two headline note PRFs, and the eight correlations."""
+    """Frame PRF, the two headline note PRFs, and the eight correlations.
+
+    A side longer than ``config.max_duration`` raises ValueError before any
+    array is built."""
+    config.checked_duration(ref, "ref")
+    config.checked_duration(est, "est")
     frame = frame_metrics(
         build_piano_roll(ref, config.frame_length), build_piano_roll(est, config.frame_length)
     )

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from pianoeval import midi
+from pianoeval.audio import AudioBuffer
 from pianoeval.midi import Note, Performance
 from pianoeval.tension import SpiralParams, SpiralPoint, WindowConfig, pitch_to_spiral
 
@@ -663,15 +665,29 @@ def oracle_note_frames(onset: float, offset: float, h: float) -> set[int]:
 # Audio helpers
 # ---------------------------------------------------------------------------
 
+def oracle_convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
+    """``convolve_ir`` through ``scipy.signal.fftconvolve``: each channel
+    convolved on its own (a mono IR serves every channel), then peak-matched."""
+    out = np.stack(
+        [
+            fftconvolve(audio.samples[c], ir.samples[c % ir.channels], mode="full")
+            for c in range(audio.channels)
+        ]
+    )
+    in_peak = audio.peak()
+    out_peak = float(np.max(np.abs(out))) if out.size else 0.0
+    if in_peak > 0.0 and out_peak > 0.0:
+        out *= in_peak / out_peak
+    return AudioBuffer(audio.sample_rate, out)
+
+
 def sine_audio(
     frequency: float = 440.0,
     seconds: float = 1.0,
     sample_rate: int = 44100,
     amplitude: float = 0.8,
     channels: int = 1,
-):
-    from pianoeval.audio import AudioBuffer
-
+) -> AudioBuffer:
     t = np.arange(int(seconds * sample_rate)) / sample_rate
     wave = amplitude * np.sin(2 * np.pi * frequency * t)
     return AudioBuffer(sample_rate, np.tile(wave, (channels, 1)))

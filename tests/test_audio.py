@@ -3,8 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import sine_audio
+from helpers import oracle_convolve_ir, sine_audio
 from pianoeval.audio import (
     AudioBuffer,
     WavFormatError,
@@ -230,6 +232,27 @@ def test_convolution_rejects_mismatches():
     stereo_ir = AudioBuffer(44100, np.array([[1.0], [1.0]]))
     with pytest.raises(ValueError):
         convolve_ir(audio, stereo_ir)  # stereo IR on mono audio
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 3000),
+    m=st.integers(0, 3000),
+    channels=st.sampled_from([1, 2]),
+    stereo_ir=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, m=40, channels=2, stereo_ir=True, seed=0)
+@example(n=40, m=1, channels=2, stereo_ir=False, seed=1)
+@example(n=1, m=40, channels=2, stereo_ir=True, seed=2)
+@example(n=1, m=1, channels=1, stereo_ir=False, seed=3)
+def test_convolution_equals_fftconvolve_bit_for_bit(n, m, channels, stereo_ir, seed):
+    rng = np.random.default_rng(seed)
+    audio = AudioBuffer(8000, rng.standard_normal((channels, n)))
+    ir = AudioBuffer(8000, rng.standard_normal((channels if stereo_ir else 1, m)))
+    out, expected = convolve_ir(audio, ir).samples, oracle_convolve_ir(audio, ir).samples
+    assert out.shape == expected.shape
+    assert np.array_equal(out, expected)
 
 
 # ---------------------------------------------------------------------------

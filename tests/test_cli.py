@@ -11,7 +11,8 @@ from helpers import performance_to_smf, random_performance, serialize_smf, sine_
 from pianoeval import cli
 from pianoeval.audio import write_wav_file
 from pianoeval.cli import main
-from pianoeval.evaluation import RunConfig
+from pianoeval.evaluation import RunConfig, evaluate_performances
+from pianoeval.midi import parse_midi
 from pianoeval.stats import parse_reports_json
 
 
@@ -105,6 +106,7 @@ def test_config_file_sets_every_run_config_field(midi_pair, tmp_path, monkeypatc
         pedal_mode="ignore",
         spiral_radius=2.0,
         spiral_rise=0.5,
+        max_duration=600.0,
     )
     assert all(getattr(wanted, f.name) != f.default for f in fields(RunConfig))
     config = tmp_path / "run.cfg"
@@ -136,6 +138,8 @@ def test_evaluate_unknown_config_key(midi_pair, tmp_path, capsys):
         ("min_samples = 8.0", "min_samples: invalid literal for int()"),
         ("grid_step = fast", "grid_step: could not convert string to float"),
         ("hop = 5", "hop must be in (0, window_length]"),
+        ("max_duration = nan", "max_duration must be positive and finite"),
+        ("max_duration = 0", "max_duration must be positive and finite"),
     ],
 )
 def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line, message):
@@ -150,6 +154,38 @@ def test_evaluate_missing_config_file_is_io_error(midi_pair, tmp_path, capsys):
     ref, est = midi_pair
     assert main(["evaluate", ref, est, "--config", str(tmp_path / "absent.cfg")]) == 3
     assert "absent.cfg" in capsys.readouterr().err
+
+
+# 3q ticks at tpq 1 and 0xFFFFFF us/quarter: a valid 70-byte file that lasts 1.35e10 s
+_Q = 2**28 - 1
+_OVERLONG_SMF = serialize_smf([(_Q, 3 * _Q, 60, 64), (2 * _Q, 2 * _Q + 1, 62, 64)], tpq=1, tempos=((0, 0xFFFFFF),))
+
+
+def test_overlong_performance_is_rejected_before_any_array():
+    long = parse_midi(_OVERLONG_SMF)
+    short = random_performance(np.random.default_rng(5), 10)
+    with pytest.raises(ValueError, match=r"^ref lasts 1\.35108e\+10 s, longer than max_duration 7200 s$"):
+        evaluate_performances(long, short)
+    with pytest.raises(ValueError, match=r"^est lasts"):
+        evaluate_performances(short, long)
+
+
+def test_evaluate_overlong_file_exits_2_naming_it(midi_pair, tmp_path, capsys):
+    ref, _ = midi_pair
+    long = tmp_path / "long.mid"
+    long.write_bytes(_OVERLONG_SMF)
+    assert main(["evaluate", ref, str(long)]) == 2
+    assert capsys.readouterr().err == (
+        f"pianoeval: {long}: est lasts 1.35108e+10 s, longer than max_duration 7200 s\n"
+    )
+
+
+def test_config_max_duration_bounds_evaluate(midi_pair, tmp_path, capsys):
+    ref, est = midi_pair
+    config = tmp_path / "run.cfg"
+    config.write_text("max_duration = 0.5\n")
+    assert main(["evaluate", ref, est, "--config", str(config)]) == 2
+    assert f"pianoeval: {ref}: ref lasts" in capsys.readouterr().err
 
 
 def test_evaluate_malformed_config_line(midi_pair, tmp_path, capsys):
@@ -247,6 +283,21 @@ def test_batch_failure_names_the_file_as_evaluate_does(tmp_path, capsys):
     assert main(["batch", manifest, "--output", str(tmp_path / "out")]) == 4
     (failure,) = _read_csv((tmp_path / "out" / "failures.csv").read_text())
     assert failure["error"] == message
+
+
+def test_batch_overlong_row_fails_alone(tmp_path, capsys):
+    manifest = _make_batch(tmp_path, n_good=2)
+    long = tmp_path / "long.mid"
+    long.write_bytes(_OVERLONG_SMF)
+    ref = _read_csv((tmp_path / "manifest.csv").read_text())[0]["ref"]
+    with open(manifest, "a") as fh:
+        fh.write(f"{long},{ref},long,modelB\n")
+    out = tmp_path / "out"
+    assert main(["batch", manifest, "--output", str(out)]) == 0
+    assert [r["pair_id"] for r in _read_csv((out / "reports.csv").read_text())] == ["pair-0", "pair-1"]
+    (failure,) = _read_csv((out / "failures.csv").read_text())
+    assert failure["row"] == "2"
+    assert failure["error"] == f"{long}: ref lasts 1.35108e+10 s, longer than max_duration 7200 s"
 
 
 def test_batch_failures_csv_quotes_paths_with_commas(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every imported name in ``src/`` and ``tests/`` is used, and every public name is bound.
+"""Every imported name in ``src/`` and ``tests/`` is used, every public name is
+bound, and importing the package stays cheap.
 
 The package ships without a linter, so this scan stands in for the
 unused-import check: a name bound by ``import`` or ``from ... import`` must
@@ -6,10 +7,17 @@ be referenced somewhere in its module. ``__init__.py`` files are exempt
 (their imports are re-exports), and so is ``from __future__``. The other
 way round, a name deleted from a module must also leave its ``__all__`` and
 the package's re-exports.
+
+Start-up cost is pinned by what gets imported, not by a time: the CLI must
+not load the large scipy subpackages, and no function in ``src/`` may import
+anything, so a cost cannot move unseen from start-up into a first call.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +93,37 @@ def test_public_names_are_bound(path):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names += [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+# scipy subpackages that cost most of a second and tens of MB to import, and that the package does not need
+HEAVY_SCIPY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+
+
+def test_cli_import_leaves_heavy_scipy_out():
+    code = f"import sys, pianoeval.cli; print(*[m for m in {HEAVY_SCIPY!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
+
+
+def deferred_imports(source: str) -> list[int]:
+    """Lines of the ``import`` statements inside a function or method."""
+    tree = ast.parse(source)
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted(
+        {n.lineno for f in functions for n in ast.walk(f) if isinstance(n, (ast.Import, ast.ImportFrom))}
+    )
+
+
+def test_deferred_import_scan():
+    source = (
+        "import math\n"
+        "class A:\n    def f(self):\n        from os import path\n        return path\n"
+        "def g():\n    def h():\n        import json\n    return math.pi\n"
+    )
+    assert deferred_imports(source) == [4, 8]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_deferred_imports_in_package(path):
+    assert deferred_imports(path.read_text(encoding="utf-8")) == []
