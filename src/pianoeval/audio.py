@@ -216,9 +216,12 @@ def convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
         # scipy.signal.fftconvolve(mode="full")'s transform, with the IR spectrum taken once
         size = next_fast_len(n + m - 1, True)
         spectra = rfft(ir.samples, size, axis=-1)
-        out = np.empty((audio.channels, n + m - 1))
-        for c in range(audio.channels):
-            out[c] = irfft(rfft(audio.samples[c], size) * spectra[c % ir.channels], size)[: n + m - 1]
+        out = np.stack(
+            [
+                irfft(rfft(audio.samples[c], size) * spectra[c % ir.channels], size)[: n + m - 1]
+                for c in range(audio.channels)
+            ]
+        )
     in_peak = audio.peak()
     out_peak = float(np.max(np.abs(out))) if out.size else 0.0
     if in_peak > 0.0 and out_peak > 0.0:

@@ -2,7 +2,7 @@
 
 Commands raise, and ``main`` turns the exception into the exit code: 0
 success; 2 unparseable input, a ValueError (MIDI/WAV/CSV/config/levels, or a
-performance longer than ``max_duration``; argparse uses 2 for usage too); 3
+performance longer than ``MAX_DURATION``; argparse uses 2 for usage too); 3
 I/O failure, an OSError; 4 batch run where every row failed. Any other
 exception is a bug and propagates.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .audio import apply_condition_grid, checked_snr, derive_seed, read_wav_file, synth_ir, write_wav_file
-from .evaluation import RunConfig, evaluate_performances
+from .evaluation import RunConfig, checked_duration, evaluate_performances
 from .midi import Performance, parse_midi_file
 from .stats import ALPHA, REPORT_METRIC_COLUMNS, aggregate, csv_text, emit, kruskal_wallis
 
@@ -83,8 +83,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _performance(path: str, config: RunConfig, side: str) -> Performance:
-    """One side of a pair, parsed and held to ``config.max_duration``."""
-    return config.checked_duration(parse_midi_file(path, config.pedal_mode), side)
+    """One side of a pair, parsed and held to ``MAX_DURATION``."""
+    return checked_duration(parse_midi_file(path, config.pedal_mode), side)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -14,7 +13,10 @@ from .stats import MetricReport
 from .streams import CHORD_EPSILON
 from .tension import SpiralParams, WindowConfig
 
-__all__ = ["RunConfig", "evaluate_performances"]
+__all__ = ["MAX_DURATION", "RunConfig", "checked_duration", "evaluate_performances"]
+
+# Longest performance evaluated, seconds: a full two-hour recital
+MAX_DURATION = 7200.0
 
 
 @dataclass(frozen=True)
@@ -30,13 +32,10 @@ class RunConfig:
     pedal_mode: str = "extend"
     spiral_radius: float = SpiralParams.radius
     spiral_rise: float = SpiralParams.rise
-    max_duration: float = 7200.0
 
     def __post_init__(self):
         if self.frame_length <= 0:
             raise ValueError("frame_length must be positive")
-        if not 0 < self.max_duration < math.inf:
-            raise ValueError("max_duration must be positive and finite")
         if self.chord_epsilon <= 0:
             raise ValueError("chord_epsilon must be positive")
         if self.pedal_mode not in ("ignore", "extend"):
@@ -55,15 +54,14 @@ class RunConfig:
     def spiral(self) -> SpiralParams:
         return SpiralParams(self.spiral_radius, self.spiral_rise)
 
-    def checked_duration(self, perf: Performance, side: str) -> Performance:
-        """``perf`` if it ends within ``max_duration``; otherwise a ValueError naming
-        ``side``. Frame, grid and window arrays grow with the duration, so a small
-        valid file whose ticks span years would otherwise ask for terabytes."""
-        if perf.end_time > self.max_duration:
-            raise ValueError(
-                f"{side} lasts {perf.end_time:.6g} s, longer than max_duration {self.max_duration:g} s"
-            )
-        return perf
+
+def checked_duration(perf: Performance, side: str) -> Performance:
+    """``perf`` if it ends within ``MAX_DURATION``; otherwise a ValueError naming
+    ``side``. Frame, grid and window arrays grow with the duration, so a small
+    valid file whose ticks span years would otherwise ask for terabytes."""
+    if perf.end_time > MAX_DURATION:
+        raise ValueError(f"{side} lasts {perf.end_time:.6g} s, longer than the {MAX_DURATION:g} s limit")
+    return perf
 
 
 def evaluate_performances(
@@ -75,10 +73,10 @@ def evaluate_performances(
 ) -> MetricReport:
     """Frame PRF, the two headline note PRFs, and the eight correlations.
 
-    A side longer than ``config.max_duration`` raises ValueError before any
-    array is built."""
-    config.checked_duration(ref, "ref")
-    config.checked_duration(est, "est")
+    A side longer than ``MAX_DURATION`` raises ValueError before any array is
+    built."""
+    checked_duration(ref, "ref")
+    checked_duration(est, "est")
     frame = frame_metrics(
         build_piano_roll(ref, config.frame_length), build_piano_roll(est, config.frame_length)
     )

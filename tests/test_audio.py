@@ -240,18 +240,21 @@ def test_convolution_rejects_mismatches():
     m=st.integers(0, 3000),
     channels=st.sampled_from([1, 2]),
     stereo_ir=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=0, m=40, channels=2, stereo_ir=True, seed=0)
-@example(n=40, m=1, channels=2, stereo_ir=False, seed=1)
-@example(n=1, m=40, channels=2, stereo_ir=True, seed=2)
-@example(n=1, m=1, channels=1, stereo_ir=False, seed=3)
-def test_convolution_equals_fftconvolve_bit_for_bit(n, m, channels, stereo_ir, seed):
+@example(n=0, m=40, channels=2, stereo_ir=True, dtype=np.float64, seed=0)
+@example(n=40, m=1, channels=2, stereo_ir=False, dtype=np.float64, seed=1)
+@example(n=1, m=40, channels=2, stereo_ir=True, dtype=np.float64, seed=2)
+@example(n=1, m=1, channels=1, stereo_ir=False, dtype=np.float64, seed=3)
+@example(n=300, m=40, channels=2, stereo_ir=True, dtype=np.float32, seed=4)
+def test_convolution_equals_fftconvolve_bit_for_bit(n, m, channels, stereo_ir, dtype, seed):
     rng = np.random.default_rng(seed)
-    audio = AudioBuffer(8000, rng.standard_normal((channels, n)))
-    ir = AudioBuffer(8000, rng.standard_normal((channels if stereo_ir else 1, m)))
+    audio = AudioBuffer(8000, rng.standard_normal((channels, n)).astype(dtype))
+    ir = AudioBuffer(8000, rng.standard_normal((channels if stereo_ir else 1, m)).astype(dtype))
     out, expected = convolve_ir(audio, ir).samples, oracle_convolve_ir(audio, ir).samples
     assert out.shape == expected.shape
+    assert out.dtype == expected.dtype
     assert np.array_equal(out, expected)
 
 

@@ -106,7 +106,6 @@ def test_config_file_sets_every_run_config_field(midi_pair, tmp_path, monkeypatc
         pedal_mode="ignore",
         spiral_radius=2.0,
         spiral_rise=0.5,
-        max_duration=600.0,
     )
     assert all(getattr(wanted, f.name) != f.default for f in fields(RunConfig))
     config = tmp_path / "run.cfg"
@@ -138,8 +137,6 @@ def test_evaluate_unknown_config_key(midi_pair, tmp_path, capsys):
         ("min_samples = 8.0", "min_samples: invalid literal for int()"),
         ("grid_step = fast", "grid_step: could not convert string to float"),
         ("hop = 5", "hop must be in (0, window_length]"),
-        ("max_duration = nan", "max_duration must be positive and finite"),
-        ("max_duration = 0", "max_duration must be positive and finite"),
     ],
 )
 def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line, message):
@@ -164,7 +161,7 @@ _OVERLONG_SMF = serialize_smf([(_Q, 3 * _Q, 60, 64), (2 * _Q, 2 * _Q + 1, 62, 64
 def test_overlong_performance_is_rejected_before_any_array():
     long = parse_midi(_OVERLONG_SMF)
     short = random_performance(np.random.default_rng(5), 10)
-    with pytest.raises(ValueError, match=r"^ref lasts 1\.35108e\+10 s, longer than max_duration 7200 s$"):
+    with pytest.raises(ValueError, match=r"^ref lasts 1\.35108e\+10 s, longer than the 7200 s limit$"):
         evaluate_performances(long, short)
     with pytest.raises(ValueError, match=r"^est lasts"):
         evaluate_performances(short, long)
@@ -176,16 +173,8 @@ def test_evaluate_overlong_file_exits_2_naming_it(midi_pair, tmp_path, capsys):
     long.write_bytes(_OVERLONG_SMF)
     assert main(["evaluate", ref, str(long)]) == 2
     assert capsys.readouterr().err == (
-        f"pianoeval: {long}: est lasts 1.35108e+10 s, longer than max_duration 7200 s\n"
+        f"pianoeval: {long}: est lasts 1.35108e+10 s, longer than the 7200 s limit\n"
     )
-
-
-def test_config_max_duration_bounds_evaluate(midi_pair, tmp_path, capsys):
-    ref, est = midi_pair
-    config = tmp_path / "run.cfg"
-    config.write_text("max_duration = 0.5\n")
-    assert main(["evaluate", ref, est, "--config", str(config)]) == 2
-    assert f"pianoeval: {ref}: ref lasts" in capsys.readouterr().err
 
 
 def test_evaluate_malformed_config_line(midi_pair, tmp_path, capsys):
@@ -297,7 +286,7 @@ def test_batch_overlong_row_fails_alone(tmp_path, capsys):
     assert [r["pair_id"] for r in _read_csv((out / "reports.csv").read_text())] == ["pair-0", "pair-1"]
     (failure,) = _read_csv((out / "failures.csv").read_text())
     assert failure["row"] == "2"
-    assert failure["error"] == f"{long}: ref lasts 1.35108e+10 s, longer than max_duration 7200 s"
+    assert failure["error"] == f"{long}: ref lasts 1.35108e+10 s, longer than the 7200 s limit"
 
 
 def test_batch_failures_csv_quotes_paths_with_commas(tmp_path, capsys):
