@@ -61,7 +61,6 @@ from .tension import (
     SpiralParams,
     SpiralPoint,
     WindowConfig,
-    center_of_effect,
     cloud_diameter,
     cloud_diameter_series,
     cloud_momentum,

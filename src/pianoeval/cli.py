@@ -133,6 +133,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
     rows = _read(args.manifest, _manifest_rows)
     if not rows:
         return _fail(EXIT_ALL_FAILED, f"{args.manifest}: empty manifest")
+    group_by = [k.strip() for k in (args.group_by or "").split(",") if k.strip()]
+    tag_columns = [k for k in rows[0] if k not in ("ref", "est")]  # every row holds every header column
+    for key in group_by:
+        if key not in tag_columns:
+            raise ValueError(f"{args.manifest}: --group-by key {key!r} is not a tag column {tag_columns}")
 
     def run_row(indexed_row):
         index, row = indexed_row
@@ -157,7 +162,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     failures_csv = csv_text(["row", "ref", "est", "error"], failures)
     (out_dir / "failures.csv").write_text(failures_csv, encoding="utf-8")
     if args.group_by and reports:
-        table = aggregate(reports, [k.strip() for k in args.group_by.split(",") if k.strip()])
+        table = aggregate(reports, group_by)
         (out_dir / f"aggregate.{args.format}").write_bytes(emit(table, args.format))
 
     for i, ref, est, err in failures:

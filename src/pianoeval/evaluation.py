@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,10 +35,9 @@ class RunConfig:
     spiral_rise: float = SpiralParams.rise
 
     def __post_init__(self):
-        if self.frame_length <= 0:
-            raise ValueError("frame_length must be positive")
-        if self.chord_epsilon <= 0:
-            raise ValueError("chord_epsilon must be positive")
+        for name in ("frame_length", "chord_epsilon"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be positive and finite")
         if self.pedal_mode not in ("ignore", "extend"):
             raise ValueError(f"pedal_mode must be 'ignore' or 'extend', got {self.pedal_mode!r}")
         # grid/window/spiral ranges are enforced by their own constructors

@@ -85,8 +85,8 @@ def build_piano_roll(perf: Performance, frame_length: float = FRAME_LENGTH) -> P
     max(floor(onset/h), ceil(offset/h) - 1), so every note covers at least
     one frame; same-pitch overlaps simply OR together.
     """
-    if frame_length <= 0:
-        raise ValueError("frame_length must be positive")
+    if not 0 < frame_length < math.inf:
+        raise ValueError("frame_length must be positive and finite")
     n_frames = int(math.ceil(perf.end_time / frame_length))
     roll = np.zeros((N_PITCHES, n_frames), dtype=np.bool_)
     firsts = np.floor(perf.onsets / frame_length).astype(np.int64)

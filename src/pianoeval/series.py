@@ -64,8 +64,8 @@ class GridConfig:
     min_samples: int = 8
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
         if self.min_samples < 2:
             raise ValueError("min_samples must be at least 2")
 

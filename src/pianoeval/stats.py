@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -117,37 +117,14 @@ class MetricReport:
     tags: dict[str, str]
 
 
-def _prf_columns(name: str) -> list[str]:
-    return [f"{name}_precision", f"{name}_recall", f"{name}_f1"]
+_PRF_FIELDS = ("frame", "note_offset", "note_offset_velocity")
 
-
-REPORT_METRIC_COLUMNS = (
-    _prf_columns("frame")
-    + _prf_columns("note_offset")
-    + _prf_columns("note_offset_velocity")
-    + list(METRIC_NAMES)
-)
+REPORT_METRIC_COLUMNS = [f"{name}_{f.name}" for name in _PRF_FIELDS for f in fields(PRF)] + list(METRIC_NAMES)
 
 
 def _report_values(report: MetricReport) -> dict[str, Optional[float]]:
-    values: dict[str, Optional[float]] = {}
-    for name, prf in (
-        ("frame", report.frame),
-        ("note_offset", report.note_offset),
-        ("note_offset_velocity", report.note_offset_velocity),
-    ):
-        values[f"{name}_precision"] = prf.precision
-        values[f"{name}_recall"] = prf.recall
-        values[f"{name}_f1"] = prf.f1
-    values.update(report.musical.as_dict())
-    return values
-
-
-def _tag_keys(reports: Sequence[MetricReport]) -> list[str]:
-    keys: set[str] = set()
-    for r in reports:
-        keys.update(r.tags)
-    return sorted(keys)
+    parts = [getattr(report, name) for name in _PRF_FIELDS] + [report.musical]
+    return dict(zip(REPORT_METRIC_COLUMNS, (v for part in parts for v in astuple(part))))
 
 
 def aggregate(reports: Sequence[MetricReport], group_by: Sequence[str]) -> list[dict]:
@@ -167,13 +144,11 @@ def aggregate(reports: Sequence[MetricReport], group_by: Sequence[str]) -> list[
 
     rows = []
     for key in sorted(grouped):
-        members = grouped[key]
+        members = [_report_values(r) for r in grouped[key]]
         row: dict = dict(zip(group_by, key))
         row["count"] = len(members)
         for column in REPORT_METRIC_COLUMNS:
-            defined = [
-                v for v in (_report_values(r)[column] for r in members) if v is not None
-            ]
+            defined = [values[column] for values in members if values[column] is not None]
             row[column] = sum(defined) / len(defined) if defined else None
             if column in METRIC_NAMES:
                 row[f"{column}_excluded"] = len(members) - len(defined)
@@ -201,76 +176,40 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return out.getvalue()
 
 
-def _reports_csv(reports: Sequence[MetricReport]) -> str:
-    tag_keys = _tag_keys(reports)
-    rows = []
-    for r in reports:
-        values = _report_values(r)
-        rows.append(
-            [r.pair_id]
-            + [r.tags.get(k, "") for k in tag_keys]
-            + [_format_cell(values[c]) for c in REPORT_METRIC_COLUMNS]
-        )
-    return csv_text(["pair_id", *tag_keys, *REPORT_METRIC_COLUMNS], rows)
-
-
-def _aggregate_csv(rows: Sequence[dict]) -> str:
-    if not rows:
-        return ""
-    header = list(rows[0].keys())
-    return csv_text(header, ([_format_cell(row[c]) for c in header] for row in rows))
-
-
-def _report_to_json_obj(report: MetricReport) -> dict:
-    def prf(p: PRF) -> dict:
-        return {"precision": p.precision, "recall": p.recall, "f1": p.f1}
-
-    return {
-        "pair_id": report.pair_id,
-        "frame": prf(report.frame),
-        "note_offset": prf(report.note_offset),
-        "note_offset_velocity": prf(report.note_offset_velocity),
-        "musical": report.musical.as_dict(),
-        "tags": dict(report.tags),
-    }
-
-
 def emit(payload, fmt: str = "csv") -> bytes:
     """Serialize reports (or an aggregate table) to CSV or JSON bytes.
 
     CSV uses a header row, dot decimals at 6 places and the literal "NA"
-    for undefined values; JSON mirrors the field names exactly, with null
-    for undefined. Column and key order is stable across runs.
+    for undefined values; a report row is pair_id, the sorted tag keys (""
+    where a report lacks one) and REPORT_METRIC_COLUMNS. JSON keys are the
+    dataclass fields in declaration order, with null for undefined.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     is_reports = all(isinstance(x, MetricReport) for x in payload)
-    if fmt == "csv":
-        text = _reports_csv(payload) if is_reports else _aggregate_csv(payload)
-        return text.encode()
+    if fmt == "json":
+        obj = [asdict(r) for r in payload] if is_reports else list(payload)
+        return json.dumps(obj, indent=2).encode()
     if is_reports:
-        obj = [_report_to_json_obj(r) for r in payload]
-    else:
-        obj = list(payload)
-    return json.dumps(obj, indent=2, sort_keys=False).encode()
+        tag_keys = sorted({k for r in payload for k in r.tags})
+        header = ["pair_id", *tag_keys, *REPORT_METRIC_COLUMNS]
+        rows = [
+            {"pair_id": r.pair_id, **{k: r.tags.get(k, "") for k in tag_keys}, **_report_values(r)}
+            for r in payload
+        ]
+    else:  # aggregate rows; an empty payload took the report branch
+        header, rows = list(payload[0]), payload
+    return csv_text(header, ([_format_cell(row[c]) for c in header] for row in rows)).encode()
 
 
 def parse_reports_json(data: bytes) -> list[MetricReport]:
     """Inverse of emit(..., "json") for report lists."""
-
-    def prf(obj: dict) -> PRF:
-        return PRF(obj["precision"], obj["recall"], obj["f1"])
-
-    reports = []
-    for item in json.loads(data.decode()):
-        reports.append(
-            MetricReport(
-                pair_id=item["pair_id"],
-                frame=prf(item["frame"]),
-                note_offset=prf(item["note_offset"]),
-                note_offset_velocity=prf(item["note_offset_velocity"]),
-                musical=MusicalMetrics(**item["musical"]),
-                tags=dict(item["tags"]),
-            )
+    return [
+        MetricReport(
+            pair_id=item["pair_id"],
+            **{name: PRF(**item[name]) for name in _PRF_FIELDS},
+            musical=MusicalMetrics(**item["musical"]),
+            tags=dict(item["tags"]),
         )
-    return reports
+        for item in json.loads(data.decode())
+    ]

@@ -23,7 +23,6 @@ __all__ = [
     "SpiralPoint",
     "WindowConfig",
     "pitch_to_spiral",
-    "center_of_effect",
     "cloud_diameter",
     "cloud_diameter_series",
     "cloud_momentum",
@@ -47,8 +46,8 @@ class SpiralParams:
     rise: float = math.sqrt(2.0 / 15.0)
 
     def __post_init__(self):
-        if self.radius <= 0 or self.rise <= 0:
-            raise ValueError("radius and rise must be positive")
+        if not (0 < self.radius < math.inf and 0 < self.rise < math.inf):
+            raise ValueError("radius and rise must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,8 @@ class WindowConfig:
     hop: float = 0.5
 
     def __post_init__(self):
-        if self.window_length <= 0:
-            raise ValueError("window_length must be positive")
+        if not 0 < self.window_length < math.inf:
+            raise ValueError("window_length must be positive and finite")
         if not 0 < self.hop <= self.window_length:
             raise ValueError("hop must be in (0, window_length]")
 
@@ -134,24 +133,6 @@ def _diameters(present: np.ndarray, params: SpiralParams) -> np.ndarray:
     table = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
     pairs = present[:, :, None] & present[:, None, :]
     return np.where(pairs, table, 0.0).max(axis=(1, 2), initial=0.0)
-
-
-def center_of_effect(
-    perf: Performance,
-    start: float,
-    end: float,
-    params: SpiralParams = DEFAULT_PARAMS,
-) -> Optional[SpiralPoint]:
-    """Duration-weighted centroid of the notes sounding in [start, end).
-
-    Weight is each note's sounding time inside the window. Returns None
-    when nothing sounds in the window.
-    """
-    weights = _pc_weights(perf, np.array([start]), np.array([end]))[0]
-    total = weights.sum()
-    if total <= 0:
-        return None
-    return SpiralPoint(*(weights @ _spiral_points(params) / total).tolist())
 
 
 def cloud_diameter(perf: Performance, params: SpiralParams = DEFAULT_PARAMS) -> Optional[float]:

@@ -7,7 +7,10 @@ geometry. They trade speed for obviousness.
 
 from __future__ import annotations
 
+import csv
 import heapq
+import io
+import json
 import math
 import struct
 from bisect import bisect_left, bisect_right
@@ -19,7 +22,10 @@ from scipy.signal import fftconvolve
 
 from pianoeval import midi
 from pianoeval.audio import AudioBuffer
+from pianoeval.ir_metrics import PRF
 from pianoeval.midi import Note, Performance
+from pianoeval.musical import MusicalMetrics
+from pianoeval.stats import MetricReport
 from pianoeval.tension import SpiralParams, SpiralPoint, WindowConfig, pitch_to_spiral
 
 # ---------------------------------------------------------------------------
@@ -659,6 +665,122 @@ def oracle_note_frames(onset: float, offset: float, h: float) -> set[int]:
     first = math.floor(onset / h)
     last = max(first, math.ceil(offset / h) - 1)
     return set(range(first, last + 1))
+
+
+# ---------------------------------------------------------------------------
+# Report-layer oracle: each column and key spelled out by hand
+# ---------------------------------------------------------------------------
+
+_ORACLE_PRF_COLUMNS = [
+    f"{name}_{part}"
+    for name in ("frame", "note_offset", "note_offset_velocity")
+    for part in ("precision", "recall", "f1")
+]
+_ORACLE_MUSICAL = (
+    "melody_ioi", "accompaniment_ioi", "melody_kor", "bass_kor",
+    "ratio_kor", "cloud_diameter", "cloud_momentum", "dynamics",
+)
+ORACLE_METRIC_COLUMNS = _ORACLE_PRF_COLUMNS + list(_ORACLE_MUSICAL)
+
+
+def _oracle_values(report: MetricReport) -> dict:
+    values = {}
+    for name, prf in (
+        ("frame", report.frame),
+        ("note_offset", report.note_offset),
+        ("note_offset_velocity", report.note_offset_velocity),
+    ):
+        values[f"{name}_precision"] = prf.precision
+        values[f"{name}_recall"] = prf.recall
+        values[f"{name}_f1"] = prf.f1
+    values.update({name: getattr(report.musical, name) for name in _ORACLE_MUSICAL})
+    return values
+
+
+def _oracle_cell(value) -> str:
+    if value is None:
+        return "NA"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+def _oracle_csv(header: list, rows: list) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def oracle_aggregate(reports: Sequence[MetricReport], group_by: Sequence[str]) -> list[dict]:
+    """Per-group means, each column's values gathered by its own pass over
+    the members."""
+    grouped: dict = {}
+    for r in reports:
+        grouped.setdefault(tuple(r.tags[k] for k in group_by), []).append(r)
+    rows = []
+    for key in sorted(grouped):
+        members = grouped[key]
+        row: dict = dict(zip(group_by, key))
+        row["count"] = len(members)
+        for column in ORACLE_METRIC_COLUMNS:
+            defined = [v for v in (_oracle_values(r)[column] for r in members) if v is not None]
+            row[column] = sum(defined) / len(defined) if defined else None
+            if column in _ORACLE_MUSICAL:
+                row[f"{column}_excluded"] = len(members) - len(defined)
+        rows.append(row)
+    return rows
+
+
+def _oracle_report_json(report: MetricReport) -> dict:
+    def prf(p: PRF) -> dict:
+        return {"precision": p.precision, "recall": p.recall, "f1": p.f1}
+
+    return {
+        "pair_id": report.pair_id,
+        "frame": prf(report.frame),
+        "note_offset": prf(report.note_offset),
+        "note_offset_velocity": prf(report.note_offset_velocity),
+        "musical": {name: getattr(report.musical, name) for name in _ORACLE_MUSICAL},
+        "tags": dict(report.tags),
+    }
+
+
+def oracle_emit(payload, fmt: str) -> bytes:
+    """Reports or aggregate rows as CSV or JSON, with one writer per table kind."""
+    is_reports = all(isinstance(x, MetricReport) for x in payload)
+    if fmt == "json":
+        obj = [_oracle_report_json(r) for r in payload] if is_reports else list(payload)
+        return json.dumps(obj, indent=2).encode()
+    if not is_reports:
+        header = list(payload[0].keys())
+        return _oracle_csv(header, [[_oracle_cell(row[c]) for c in header] for row in payload]).encode()
+    tag_keys = sorted({k for r in payload for k in r.tags})
+    rows = [
+        [r.pair_id]
+        + [r.tags.get(k, "") for k in tag_keys]
+        + [_oracle_cell(_oracle_values(r)[c]) for c in ORACLE_METRIC_COLUMNS]
+        for r in payload
+    ]
+    return _oracle_csv(["pair_id", *tag_keys, *ORACLE_METRIC_COLUMNS], rows).encode()
+
+
+def oracle_parse_reports_json(data: bytes) -> list[MetricReport]:
+    def prf(obj: dict) -> PRF:
+        return PRF(obj["precision"], obj["recall"], obj["f1"])
+
+    return [
+        MetricReport(
+            pair_id=item["pair_id"],
+            frame=prf(item["frame"]),
+            note_offset=prf(item["note_offset"]),
+            note_offset_velocity=prf(item["note_offset_velocity"]),
+            musical=MusicalMetrics(**item["musical"]),
+            tags=dict(item["tags"]),
+        )
+        for item in json.loads(data.decode())
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,10 @@ def test_evaluate_unknown_config_key(midi_pair, tmp_path, capsys):
         ("min_samples = 8.0", "min_samples: invalid literal for int()"),
         ("grid_step = fast", "grid_step: could not convert string to float"),
         ("hop = 5", "hop must be in (0, window_length]"),
+        ("frame_length = inf", "frame_length must be positive and finite"),
+        ("chord_epsilon = nan", "chord_epsilon must be positive and finite"),
+        ("spiral_radius = nan", "radius and rise must be positive and finite"),
+        ("grid_step = inf", "step must be positive and finite"),
     ],
 )
 def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line, message):
@@ -145,6 +149,13 @@ def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line,
     config.write_text(line + "\n")
     assert main(["evaluate", ref, est, "--config", str(config)]) == 2
     assert f"pianoeval: {config}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if isinstance(f.default, float)])
+def test_run_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError):
+        RunConfig(**{name: value})
 
 
 def test_evaluate_missing_config_file_is_io_error(midi_pair, tmp_path, capsys):
@@ -388,6 +399,18 @@ def test_batch_group_by_writes_aggregate(tmp_path, capsys):
     rows = _read_csv((out / "aggregate.csv").read_text())
     assert [r["model"] for r in rows] == ["modelA", "modelB"]
     assert all(r["count"] == "2" for r in rows)
+
+
+@pytest.mark.parametrize("key", ["modle", "ref"])
+def test_batch_rejects_bad_group_by_key_before_any_row(tmp_path, capsys, monkeypatch, key):
+    manifest = _make_batch(tmp_path, n_good=2)
+    loaded = []
+    monkeypatch.setattr(cli, "_performance", lambda *args: loaded.append(args))
+    out = tmp_path / "out"
+    assert main(["batch", manifest, "--output", str(out), "--group-by", f"model,{key}"]) == 2
+    err = capsys.readouterr().err
+    assert f"pianoeval: {manifest}: --group-by key {key!r} is not a tag column ['id', 'model']" in err
+    assert loaded == [] and not out.exists()
 
 
 def test_batch_jobs_do_not_change_output(tmp_path, capsys):

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import oracle_aggregate, oracle_emit, oracle_parse_reports_json
 from pianoeval.ir_metrics import PRF
 from pianoeval.musical import METRIC_NAMES, MusicalMetrics
 from pianoeval.stats import (
@@ -230,3 +233,38 @@ def test_emit_is_deterministic():
     ]
     assert emit(reports, "csv") == emit(list(reports), "csv")
     assert emit(reports, "json") == emit(list(reports), "json")
+
+
+# ---------------------------------------------------------------------------
+# Parity with the hand-written report serializers
+# ---------------------------------------------------------------------------
+
+# tag names a manifest may use (report column names are rejected by the CLI)
+_TAG_KEYS = ["model", "cond", "split", "id", "a,b", 'say "x"', ""]
+_cells = st.text(alphabet=["a", "b", ",", '"', " ", "\n", "é"], max_size=4)
+_prf = st.builds(PRF, *[st.floats(0.0, 1.0)] * 3)
+_musical = st.builds(MusicalMetrics, *[st.none() | st.floats(-1.0, 1.0)] * len(METRIC_NAMES))
+_tags = st.dictionaries(st.sampled_from(_TAG_KEYS), _cells, max_size=4)
+
+
+@st.composite
+def _reports(draw):
+    # the group-by keys are in every report's tags, over few values, so groups hold several reports
+    group_by = draw(st.lists(st.sampled_from(_TAG_KEYS), unique=True, max_size=2))
+    grouped = st.fixed_dictionaries({k: st.sampled_from(["x", "y,z", ""]) for k in group_by})
+    tags = st.builds(lambda extra, keyed: {**extra, **keyed}, _tags, grouped)
+    reports = draw(st.lists(st.builds(MetricReport, _cells, _prf, _prf, _prf, _musical, tags), max_size=6))
+    return reports, group_by
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reports())
+def test_emit_matches_hand_written_serializers(drawn):
+    reports, group_by = drawn
+    rows = aggregate(reports, group_by)
+    assert rows == oracle_aggregate(reports, group_by)
+    for fmt in ("csv", "json"):
+        assert emit(reports, fmt) == oracle_emit(reports, fmt)
+        assert emit(rows, fmt) == oracle_emit(rows, fmt)
+    data = emit(reports, "json")
+    assert parse_reports_json(data) == oracle_parse_reports_json(data) == reports

@@ -10,7 +10,6 @@ from pianoeval.midi import Note, Performance
 from pianoeval.tension import (
     SpiralParams,
     WindowConfig,
-    center_of_effect,
     cloud_diameter,
     cloud_diameter_series,
     cloud_momentum,
@@ -78,34 +77,36 @@ def test_pitch_range_checked():
 
 
 # ---------------------------------------------------------------------------
-# Center of effect
+# Center of effect, as cloud_momentum's step from a C-only window
 # ---------------------------------------------------------------------------
 
+_ONE_SECOND = WindowConfig(1.0, 1.0)
+
+
+def _momentum(*notes):
+    return cloud_momentum(Performance.from_notes([_note(60, 0.0, 1.0), *notes]), _ONE_SECOND)
+
+
 def test_ce_single_pitch_is_its_point():
-    ce = center_of_effect(Performance.from_notes([_note(60)]), 0.0, 1.0)
-    assert ce == pitch_to_spiral(60)
+    series = _momentum(_note(67, 1.0, 2.0))
+    assert series.times.tolist() == [1.0]
+    assert series.values.tolist() == [pytest.approx(pitch_to_spiral(60).distance(pitch_to_spiral(67)))]
 
 
 def test_ce_equal_weights_is_midpoint():
-    ce = center_of_effect(Performance.from_notes([_note(60), _note(67)]), 0.0, 1.0)
-    c, g = pitch_to_spiral(60), pitch_to_spiral(67)
-    assert ce.x == pytest.approx((c.x + g.x) / 2)
-    assert ce.y == pytest.approx((c.y + g.y) / 2)
-    assert ce.z == pytest.approx((c.z + g.z) / 2)
+    series = _momentum(_note(60, 1.0, 2.0), _note(67, 1.0, 2.0))
+    assert series.values.tolist() == [pytest.approx(pitch_to_spiral(60).distance(pitch_to_spiral(67)) / 2)]
 
 
 def test_ce_duration_weighted():
-    notes = [_note(60, 0.0, 0.75), _note(67, 0.75, 1.0)]
-    ce = center_of_effect(Performance.from_notes(notes), 0.0, 1.0)
-    c, g = pitch_to_spiral(60), pitch_to_spiral(67)
-    assert ce.x == pytest.approx(0.75 * c.x + 0.25 * g.x)
-    assert ce.y == pytest.approx(0.75 * c.y + 0.25 * g.y)
-    assert ce.z == pytest.approx(0.75 * c.z + 0.25 * g.z)
+    series = _momentum(_note(60, 1.0, 1.75), _note(67, 1.75, 2.0))
+    assert series.values.tolist() == [pytest.approx(0.25 * pitch_to_spiral(60).distance(pitch_to_spiral(67)))]
 
 
 def test_ce_empty_window_undefined():
-    assert center_of_effect(Performance.from_notes([]), 0.0, 1.0) is None
-    assert center_of_effect(Performance.from_notes([_note(60, 5.0, 6.0)]), 0.0, 1.0) is None
+    assert len(cloud_momentum(Performance.from_notes([]), _ONE_SECOND)) == 0
+    # the window [1, 2) is silent, so neither neighbour pair has a step
+    assert len(_momentum(_note(67, 2.0, 3.0))) == 0
 
 
 # ---------------------------------------------------------------------------
