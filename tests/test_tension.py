@@ -81,6 +81,7 @@ def test_pitch_range_checked():
 # ---------------------------------------------------------------------------
 
 _ONE_SECOND = WindowConfig(1.0, 1.0)
+_C_TO_G = pitch_to_spiral(60).distance(pitch_to_spiral(67))
 
 
 def _momentum(*notes):
@@ -90,17 +91,17 @@ def _momentum(*notes):
 def test_ce_single_pitch_is_its_point():
     series = _momentum(_note(67, 1.0, 2.0))
     assert series.times.tolist() == [1.0]
-    assert series.values.tolist() == [pytest.approx(pitch_to_spiral(60).distance(pitch_to_spiral(67)))]
+    assert series.values.tolist() == [pytest.approx(_C_TO_G)]
 
 
 def test_ce_equal_weights_is_midpoint():
     series = _momentum(_note(60, 1.0, 2.0), _note(67, 1.0, 2.0))
-    assert series.values.tolist() == [pytest.approx(pitch_to_spiral(60).distance(pitch_to_spiral(67)) / 2)]
+    assert series.values.tolist() == [pytest.approx(_C_TO_G / 2)]
 
 
 def test_ce_duration_weighted():
     series = _momentum(_note(60, 1.0, 1.75), _note(67, 1.75, 2.0))
-    assert series.values.tolist() == [pytest.approx(0.25 * pitch_to_spiral(60).distance(pitch_to_spiral(67)))]
+    assert series.values.tolist() == [pytest.approx(0.25 * _C_TO_G)]
 
 
 def test_ce_empty_window_undefined():
