@@ -85,6 +85,7 @@ class PerturbCondition:
 
 _PCM16 = 1
 _IEEE_FLOAT = 3
+MAX_SAMPLE_RATE = 768_000  # Hz; the highest rate audio interfaces record at
 
 
 def read_wav(data: bytes) -> AudioBuffer:
@@ -115,6 +116,8 @@ def read_wav(data: bytes) -> AudioBuffer:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels not in (1, 2):
         raise WavFormatError(f"unsupported channel count {channels}")
+    if sample_rate > MAX_SAMPLE_RATE:
+        raise WavFormatError(f"sample rate {sample_rate} Hz is above the {MAX_SAMPLE_RATE} Hz limit")
     if audio_format == _PCM16 and bits == 16:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % (2 * channels)], dtype="<i2")
         planar = raw.reshape(-1, channels).T.astype(np.float64) / 32768.0
@@ -229,15 +232,19 @@ def convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(audio.sample_rate, out)
 
 
+MAX_RT60 = 60.0  # seconds; the longest synthetic reverb, ten times a large concert hall's
+
+
 def synth_ir(rt60: float, sample_rate: int, seed: int) -> AudioBuffer:
     """Synthetic exponential-decay impulse response.
 
     White Gaussian noise under the envelope exp(-t ln(1000) / rt60) — down
     60 dB at t = rt60, where the IR is truncated. The first sample is
-    forced to 1.0 so the direct sound is always present.
+    forced to 1.0 so the direct sound is always present. An RT60 above
+    ``MAX_RT60`` raises ValueError.
     """
-    if not 0 < rt60 < math.inf:
-        raise ValueError(f"rt60 must be positive and finite, got {rt60}")
+    if not 0 < rt60 <= MAX_RT60:
+        raise ValueError(f"rt60 must be positive and finite, at most {MAX_RT60:g} s, got {rt60}")
     length = max(1, int(math.floor(rt60 * sample_rate)))
     t = np.arange(length) / sample_rate
     envelope = np.exp(-t * math.log(1000.0) / rt60)

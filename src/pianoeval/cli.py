@@ -134,6 +134,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if not rows:
         return _fail(EXIT_ALL_FAILED, f"{args.manifest}: empty manifest")
     group_by = [k.strip() for k in (args.group_by or "").split(",") if k.strip()]
+    if args.group_by is not None and not group_by:
+        raise ValueError(f"{args.manifest}: --group-by {args.group_by!r} names no tag column")
     tag_columns = [k for k in rows[0] if k not in ("ref", "est")]  # every row holds every header column
     for key in group_by:
         if key not in tag_columns:
@@ -161,7 +163,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     (out_dir / f"reports.{args.format}").write_bytes(emit(reports, args.format))
     failures_csv = csv_text(["row", "ref", "est", "error"], failures)
     (out_dir / "failures.csv").write_text(failures_csv, encoding="utf-8")
-    if args.group_by and reports:
+    if group_by and reports:
         table = aggregate(reports, group_by)
         (out_dir / f"aggregate.{args.format}").write_bytes(emit(table, args.format))
 

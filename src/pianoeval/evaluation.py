@@ -14,10 +14,12 @@ from .stats import MetricReport
 from .streams import CHORD_EPSILON
 from .tension import SpiralParams, WindowConfig
 
-__all__ = ["MAX_DURATION", "RunConfig", "checked_duration", "evaluate_performances"]
+__all__ = ["MAX_DURATION", "MIN_STEP", "RunConfig", "checked_duration", "evaluate_performances"]
 
 # Longest performance evaluated, seconds: a full two-hour recital
 MAX_DURATION = 7200.0
+# Finest frame length, grid step and window hop, seconds: arrays grow as the duration over these
+MIN_STEP = 0.001
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,9 @@ class RunConfig:
         self.grid()
         self.window()
         self.spiral()
+        for name in ("frame_length", "grid_step", "hop"):
+            if getattr(self, name) < MIN_STEP:
+                raise ValueError(f"{name} must be at least {MIN_STEP:g} s")
 
     def grid(self) -> GridConfig:
         return GridConfig(self.grid_step, self.min_samples)

@@ -131,19 +131,17 @@ def _candidate_edges(ref: Performance, est: Performance, mode: str) -> tuple[np.
 
     Pairs come ordered by i, then by the est note's (onset, index).
     """
-    ref_onsets, ref_offsets, ref_pitches = ref.onsets, ref.offsets, ref.pitches
-    est_onsets, est_offsets, est_pitches = est.onsets, est.offsets, est.pitches
-    order = np.lexsort((est_onsets, est_pitches))
-    sorted_pitches, sorted_onsets = est_pitches[order], est_onsets[order]
-    lo = np.zeros(len(ref_onsets), dtype=np.int64)
-    hi = np.zeros(len(ref_onsets), dtype=np.int64)
+    ref_onsets, ref_offsets = ref.onsets, ref.offsets
+    est_onsets, est_offsets = est.onsets, est.offsets
+    # complex numbers sort and search by (real, imag): here (pitch, onset), each part an exact float64
+    order = np.lexsort((est_onsets, est.pitches))
+    keys, bounds = est.pitches[order].astype(np.complex128), ref.pitches.astype(np.complex128)
+    keys.imag = est_onsets[order]
     slack = ONSET_TOLERANCE + 1e-6  # wider than the rounding, so no edge is cut here
-    for pitch in np.unique(ref_pitches).tolist():
-        rows = ref_pitches == pitch
-        first, stop = np.searchsorted(sorted_pitches, [pitch, pitch + 1])
-        onsets = sorted_onsets[first:stop]
-        lo[rows] = first + np.searchsorted(onsets, ref_onsets[rows] - slack, "left")
-        hi[rows] = first + np.searchsorted(onsets, ref_onsets[rows] + slack, "right")
+    bounds.imag = ref_onsets - slack
+    lo = np.searchsorted(keys, bounds, "left")
+    bounds.imag = ref_onsets + slack
+    hi = np.searchsorted(keys, bounds, "right")
     i, position = expand_ranges(lo, hi)
     j = order[position]
     # distances are rounded to 7 decimals first, as mir_eval does, so a

@@ -9,6 +9,7 @@ would.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -28,6 +29,7 @@ __all__ = [
 DEFAULT_TEMPO = 500_000  # microseconds per quarter note (120 BPM)
 MIN_NOTE_DURATION = 0.001  # seconds; zero-length notes are widened to this
 SUSTAIN_CONTROLLER = 64
+SUSTAIN_THRESHOLD = 64  # CC64 values at or above this hold the pedal down
 
 
 class MidiParseError(ValueError):
@@ -48,9 +50,10 @@ class Note:
     velocity: int
 
     def __post_init__(self):
-        if not self.offset > self.onset:
+        if not 0 <= self.onset < self.offset < math.inf:
             raise ValueError(
-                f"note duration must be positive: onset={self.onset}, offset={self.offset}"
+                f"note times must be finite and non-negative, the offset after the onset: "
+                f"onset={self.onset}, offset={self.offset}"
             )
         if not 0 <= self.pitch <= 127:
             raise ValueError(f"pitch out of range: {self.pitch}")
@@ -71,7 +74,8 @@ class Performance:
 
     Row k is one note: ``onsets[k]`` and ``offsets[k]`` in seconds
     (float64), ``pitches[k]`` and ``velocities[k]`` (int64). The
-    constructor checks what :class:`Note` checks, row by row.
+    constructor checks what :class:`Note` checks, row by row: times finite
+    and non-negative, offset after onset, pitch 0-127, velocity 1-127.
     :meth:`from_notes`, :func:`parse_midi` and :func:`apply_sustain_pedal`
     sort the rows by (onset, pitch, offset); :meth:`take` keeps the order
     it is given.
@@ -90,6 +94,7 @@ class Performance:
         if self.onsets.ndim != 1 or any(c.shape != self.onsets.shape for c in self._columns()):
             raise ValueError("note columns must be one-dimensional and of equal length")
         for valid, problem in (
+            ((self.onsets >= 0) & (self.offsets < np.inf), "times must be finite and non-negative"),
             (self.offsets > self.onsets, "duration must be positive"),
             ((self.pitches >= 0) & (self.pitches <= 127), "pitch out of range"),
             ((self.velocities >= 1) & (self.velocities <= 127), "velocity out of range"),
@@ -322,22 +327,20 @@ def parse_midi_file(path, pedal_mode: str = "extend") -> Performance:
 # Sustain pedal
 # ---------------------------------------------------------------------------
 
-def apply_sustain_pedal(
-    performance: Performance, times: np.ndarray, values: np.ndarray, threshold: int = 64
-) -> Performance:
+def apply_sustain_pedal(performance: Performance, times: np.ndarray, values: np.ndarray) -> Performance:
     """Extend note offsets over sustain-pedal spans.
 
     ``times`` (seconds, non-decreasing) and ``values`` are the CC64
-    controller changes in order. While CC64 >= ``threshold`` the pedal is
-    down. A note whose nominal offset falls inside a down span keeps
-    sounding until the pedal release, truncated at the next onset of the
-    same pitch. Notes are never shortened. A pedal that is still down at
+    controller changes in order. While CC64 >= ``SUSTAIN_THRESHOLD`` the
+    pedal is down. A note whose nominal offset falls inside a down span
+    keeps sounding until the pedal release, truncated at the next onset of
+    the same pitch. Notes are never shortened. A pedal that is still down at
     the end of the data sustains to the end of the performance.
     """
     times, values = np.asarray(times, dtype=np.float64), np.asarray(values)
     if not len(performance) or not len(times):
         return performance
-    down = values >= threshold
+    down = values >= SUSTAIN_THRESHOLD
     # the pedal goes down, up, down, ... at these times; a span still down at the end ends at inf
     flips = times[np.flatnonzero(np.diff(down, prepend=False))]
     span_starts, span_ends = flips[0::2], np.append(flips[1::2], [np.inf] * (len(flips) % 2))

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import performance_to_smf, random_performance, serialize_smf, sine_audio
 from pianoeval import cli
-from pianoeval.audio import write_wav_file
+from pianoeval.audio import write_wav, write_wav_file
 from pianoeval.cli import main
 from pianoeval.evaluation import RunConfig, evaluate_performances
 from pianoeval.midi import parse_midi
@@ -141,6 +141,9 @@ def test_evaluate_unknown_config_key(midi_pair, tmp_path, capsys):
         ("chord_epsilon = nan", "chord_epsilon must be positive and finite"),
         ("spiral_radius = nan", "radius and rise must be positive and finite"),
         ("grid_step = inf", "step must be positive and finite"),
+        ("frame_length = 1e-9", "frame_length must be at least 0.001 s"),
+        ("grid_step = 1e-9", "grid_step must be at least 0.001 s"),
+        ("hop = 1e-9", "hop must be at least 0.001 s"),
     ],
 )
 def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line, message):
@@ -149,6 +152,11 @@ def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line,
     config.write_text(line + "\n")
     assert main(["evaluate", ref, est, "--config", str(config)]) == 2
     assert f"pianoeval: {config}: {message}" in capsys.readouterr().err
+
+
+def test_run_config_accepts_one_millisecond_steps():
+    config = RunConfig(frame_length=0.001, grid_step=0.001, hop=0.001)
+    assert (config.frame_length, config.grid_step, config.hop) == (0.001, 0.001, 0.001)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -401,15 +409,23 @@ def test_batch_group_by_writes_aggregate(tmp_path, capsys):
     assert all(r["count"] == "2" for r in rows)
 
 
-@pytest.mark.parametrize("key", ["modle", "ref"])
-def test_batch_rejects_bad_group_by_key_before_any_row(tmp_path, capsys, monkeypatch, key):
+@pytest.mark.parametrize(
+    "group_by, message",
+    [
+        pytest.param("model,modle", "--group-by key 'modle' is not a tag column ['id', 'model']", id="modle"),
+        pytest.param("model,ref", "--group-by key 'ref' is not a tag column ['id', 'model']", id="ref"),
+        pytest.param(",", "--group-by ',' names no tag column", id="comma"),
+        pytest.param(" ", "--group-by ' ' names no tag column", id="blank"),
+        pytest.param("", "--group-by '' names no tag column", id="empty"),
+    ],
+)
+def test_batch_rejects_bad_group_by_key_before_any_row(tmp_path, capsys, monkeypatch, group_by, message):
     manifest = _make_batch(tmp_path, n_good=2)
     loaded = []
     monkeypatch.setattr(cli, "_performance", lambda *args: loaded.append(args))
     out = tmp_path / "out"
-    assert main(["batch", manifest, "--output", str(out), "--group-by", f"model,{key}"]) == 2
-    err = capsys.readouterr().err
-    assert f"pianoeval: {manifest}: --group-by key {key!r} is not a tag column ['id', 'model']" in err
+    assert main(["batch", manifest, "--output", str(out), "--group-by", group_by]) == 2
+    assert f"pianoeval: {manifest}: {message}" in capsys.readouterr().err
     assert loaded == [] and not out.exists()
 
 
@@ -535,6 +551,28 @@ def test_perturb_rejects_bad_wav(tmp_path, capsys):
     bad.write_bytes(b"RIFFxxxxNOPE")
     assert main(["perturb", str(bad), "--output", str(tmp_path / "o")]) == 2
     assert "bad.wav" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rt60", ["none", "0.19"])
+def test_perturb_rejects_sample_rate_above_limit_naming_file(tmp_path, capsys, rt60):
+    wav = tmp_path / "fast.wav"
+    data = bytearray(write_wav(sine_audio(seconds=0.0001)))
+    rate_field = data.index(b"fmt ") + 12
+    data[rate_field:rate_field + 4] = struct.pack("<I", 2**31)
+    wav.write_bytes(bytes(data))
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--snr", "none", "--rt60", rt60]) == 2
+    assert f"pianoeval: {wav}: sample rate 2147483648 Hz is above the 768000 Hz limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_perturb_rejects_rt60_above_limit_naming_flag(tmp_path, capsys):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--rt60", "1e6"]) == 2
+    assert "pianoeval: --rt60 '1e6': rt60 must be positive and finite, at most 60 s" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_perturb_missing_input(tmp_path, capsys):

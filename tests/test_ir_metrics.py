@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -378,9 +378,13 @@ _tick_lattice_notes = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(_tick_lattice_notes, _tick_lattice_notes)
-def test_candidate_edges_equal_loop_oracle(ref, est):
-    ref, est = Performance.from_notes(ref), Performance.from_notes(est)
+# at 1e10 s an onset's ulp (1.9e-6) is wider than the search slack (1e-6)
+@given(_tick_lattice_notes, _tick_lattice_notes, st.sampled_from([0.0, 1e6, 1e10]))
+# 0.2 - 0.05 is 0.15000000000000002: only the slack keeps the est onset 0.15 in the search
+@example([Note(0.2, 0.3, 60, 80)], [Note(0.15, 0.25, 60, 80)], 0.0)
+def test_candidate_edges_equal_loop_oracle(ref, est, shift):
+    ref, est = (Performance.from_notes(notes) for notes in (ref, est))
+    ref, est = (Performance(p.onsets + shift, p.offsets + shift, p.pitches, p.velocities) for p in (ref, est))
     for mode in ("onset", "onset_offset"):
         i, j = _candidate_edges(ref, est, mode)
         assert list(zip(i.tolist(), j.tolist())) == oracle_candidate_edges(ref.notes, est.notes, mode), mode

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +42,16 @@ def test_note_field_ranges():
         Note(0.0, 1.0, 60, 0)
     with pytest.raises(ValueError):
         Note(0.0, 1.0, 60, 128)
+
+
+@pytest.mark.parametrize(
+    "onset, offset", [(-0.05, 0.1), (-math.inf, 0.1), (math.nan, 0.1), (0.0, math.inf)]
+)
+def test_note_and_performance_reject_negative_and_non_finite_times(onset, offset):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        Note(onset, offset, 60, 80)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        Performance([onset, 0.0], [offset, 0.1], [60, 62], [80, 80])
 
 
 def test_performance_sorting_and_end_time():
@@ -340,9 +352,10 @@ def test_pedal_release_boundary_is_up():
 
 def test_pedal_threshold():
     perf = _perf((0.0, 1.0, 60, 64))
-    times, values = [0.5, 2.0], [63, 0]  # below default threshold
+    times, values = [0.5, 2.0], [63, 0]  # below the threshold: up
     assert apply_sustain_pedal(perf, times, values).notes[0].offset == 1.0
-    assert apply_sustain_pedal(perf, times, values, threshold=63).notes[0].offset == 2.0
+    times, values = [0.5, 2.0], [64, 0]  # at the threshold: down
+    assert apply_sustain_pedal(perf, times, values).notes[0].offset == 2.0
 
 
 def test_pedal_unreleased_extends_to_data_end():
@@ -427,18 +440,18 @@ _pedal_events = st.lists(st.tuples(st.integers(0, 30), st.sampled_from([0, 63, 6
 
 
 @settings(max_examples=300, deadline=None)
-@given(_lattice_notes, _pedal_events, st.sampled_from([64, 1]))
+@given(_lattice_notes, _pedal_events)
 # same-pitch repeat cut short, pedal still down at the end of the data
-@example([Note(0.0, 0.5, 60, 40), Note(1.0, 1.5, 60, 90)], [(1, 127)], 64)
+@example([Note(0.0, 0.5, 60, 40), Note(1.0, 1.5, 60, 90)], [(1, 127)])
 # released exactly at an offset
-@example([Note(0.0, 0.5, 60, 40)], [(1, 127), (2, 0)], 64)
+@example([Note(0.0, 0.5, 60, 40)], [(1, 127), (2, 0)])
 # offset before the first pedal-down
-@example([Note(0.0, 0.5, 60, 40), Note(0.25, 2.0, 62, 40)], [(3, 127), (6, 0)], 64)
-def test_pedal_equals_per_note_oracle(notes, events, threshold):
+@example([Note(0.0, 0.5, 60, 40), Note(0.25, 2.0, 62, 40)], [(3, 127), (6, 0)])
+def test_pedal_equals_per_note_oracle(notes, events):
     perf = Performance.from_notes(notes)
     pedals = [PedalEvent(k * 0.25, value) for k, value in sorted(events, key=lambda e: e[0])]
-    out = apply_sustain_pedal(perf, [e.time for e in pedals], [e.value for e in pedals], threshold)
-    want_notes, want_end = oracle_apply_sustain_pedal(perf.notes, perf.end_time, pedals, threshold)
+    out = apply_sustain_pedal(perf, [e.time for e in pedals], [e.value for e in pedals])
+    want_notes, want_end = oracle_apply_sustain_pedal(perf.notes, perf.end_time, pedals)
     assert out.notes == tuple(want_notes)
     assert out.end_time == want_end
 
