@@ -20,7 +20,8 @@ from .audio import (
     write_wav,
     write_wav_file,
 )
-from .evaluation import RunConfig, evaluate_performances
+from .config import RunConfig
+from .evaluation import evaluate_performances
 from .ir_metrics import (
     PRF,
     NoteMatching,
@@ -46,7 +47,7 @@ from .musical import (
     kor_series,
     ratio_kor_series,
 )
-from .series import FeatureSeries, GridConfig, pearson, resample_to_grid
+from .series import FeatureSeries, pearson, resample_to_grid
 from .stats import (
     KWResult,
     MetricReport,
@@ -58,9 +59,7 @@ from .stats import (
 )
 from .streams import cluster_onsets, split_streams
 from .tension import (
-    SpiralParams,
     SpiralPoint,
-    WindowConfig,
     cloud_diameter,
     cloud_diameter_series,
     cloud_momentum,

@@ -49,8 +49,11 @@ def _read(path: str, reader, *args):
 
 
 def _config_file(path: str) -> RunConfig:
-    """A flat key=value file over the defaults, each value coerced to its field's type."""
-    raw: dict[str, str] = {}
+    """A flat key=value file over the defaults, each key set at most once and
+    each value coerced to its field's type."""
+    field_types = {f.name: type(f.default) for f in fields(RunConfig)}
+    values: dict = {}
+    set_on: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, 1):
             stripped = line.strip()
@@ -58,17 +61,16 @@ def _config_file(path: str) -> RunConfig:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"line {line_number}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            raw[key.strip()] = value.strip()
-    field_types = {f.name: type(f.default) for f in fields(RunConfig)}
-    values: dict = {}
-    for key, value in raw.items():
-        if key not in field_types:
-            raise ValueError(f"unknown config key {key!r}")
-        try:
-            values[key] = field_types[key](value)
-        except ValueError as err:
-            raise ValueError(f"{key}: {err}") from None
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key not in field_types:
+                raise ValueError(f"line {line_number}: unknown config key {key!r}")
+            if key in set_on:
+                raise ValueError(f"line {line_number}: key {key!r} was already set on line {set_on[key]}")
+            set_on[key] = line_number
+            try:
+                values[key] = field_types[key](value)
+            except ValueError as err:
+                raise ValueError(f"{key}: {err}") from None
     return RunConfig(**values)
 
 

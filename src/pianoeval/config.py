@@ -1,0 +1,51 @@
+"""The parameters of an evaluation run, stated and checked in one place."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+
+__all__ = ["MAX_WINDOW_OVERLAP", "MIN_STEP", "RunConfig"]
+
+# Finest frame length, grid step and window hop, seconds: arrays grow as the duration over these
+MIN_STEP = 0.001
+# Largest window_length / hop: tension's window weights grow as the note count times this ratio
+MAX_WINDOW_OVERLAP = 100
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Every parameter of an evaluation run, serializable as flat key=value.
+
+    The default ``spiral_rise`` sqrt(2/15) makes the helix distance of a
+    major third equal that of a perfect fifth, the published calibration of
+    the spiral array. Every check names the key at fault first.
+    """
+
+    frame_length: float = 0.010  # piano-roll frame, seconds
+    chord_epsilon: float = 0.030  # onsets this close to a cluster's first onset share a chord, seconds
+    grid_step: float = 0.1  # correlation grid step, seconds
+    min_samples: int = 8  # fewest shared grid points for a defined correlation
+    window_length: float = 1.0  # harmonic window [i*hop, i*hop + window_length), seconds
+    hop: float = 0.5
+    pedal_mode: str = "extend"  # 'extend' applies the sustain pedal, 'ignore' drops it
+    spiral_radius: float = 1.0  # pitch-class helix radius
+    spiral_rise: float = math.sqrt(2.0 / 15.0)  # helix rise per fifth
+
+    def __post_init__(self):
+        for f in fields(self):
+            # NaN fails every comparison
+            if isinstance(f.default, float) and not 0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite")
+        for name in ("frame_length", "grid_step", "hop"):
+            if getattr(self, name) < MIN_STEP:
+                raise ValueError(f"{name} must be at least {MIN_STEP:g} s")
+        if self.min_samples < 2:
+            raise ValueError("min_samples must be at least 2")
+        if self.hop > self.window_length:
+            raise ValueError("hop must be in (0, window_length]")
+        overlap = self.window_length / self.hop
+        if overlap > MAX_WINDOW_OVERLAP:
+            raise ValueError(f"window_length / hop must be at most {MAX_WINDOW_OVERLAP}, got {overlap:g}")
+        if self.pedal_mode not in ("ignore", "extend"):
+            raise ValueError(f"pedal_mode must be 'ignore' or 'extend', got {self.pedal_mode!r}")

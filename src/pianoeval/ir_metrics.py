@@ -14,6 +14,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from .config import RunConfig
 from .midi import Performance, expand_ranges
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "note_metrics",
 ]
 
-FRAME_LENGTH = 0.010  # seconds
 ONSET_TOLERANCE = 0.050  # seconds
 OFFSET_TOLERANCE = 0.050  # seconds, lower bound of the offset window
 OFFSET_RATIO = 0.2  # fraction of reference duration for the offset window
@@ -63,7 +63,7 @@ class PianoRoll:
     """Binary pitch x frame activity matrix."""
 
     active: np.ndarray  # bool, shape (128, T)
-    frame_length: float = FRAME_LENGTH
+    frame_length: float = RunConfig.frame_length
 
     def __post_init__(self):
         if self.active.ndim != 2 or self.active.shape[0] != N_PITCHES:
@@ -78,7 +78,7 @@ class PianoRoll:
         return self.active.shape[1]
 
 
-def build_piano_roll(perf: Performance, frame_length: float = FRAME_LENGTH) -> PianoRoll:
+def build_piano_roll(perf: Performance, frame_length: float = RunConfig.frame_length) -> PianoRoll:
     """Rasterize a performance to frames of ``frame_length`` seconds.
 
     A note occupies frames floor(onset/h) through

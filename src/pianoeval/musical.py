@@ -18,10 +18,11 @@ from typing import Optional
 
 import numpy as np
 
+from .config import RunConfig
 from .midi import Performance, expand_ranges
-from .series import FeatureSeries, GridConfig, correlate_series, grid_times, resample_to_grid, shared_extent
-from .streams import CHORD_EPSILON, split_streams
-from .tension import DEFAULT_PARAMS, SpiralParams, WindowConfig, cloud_diameter_series, cloud_momentum
+from .series import FeatureSeries, correlate_series, grid_times, resample_to_grid, shared_extent
+from .streams import split_streams
+from .tension import cloud_diameter_series, cloud_momentum
 
 __all__ = [
     "MIN_IOI",
@@ -70,7 +71,7 @@ class MusicalMetrics:
 METRIC_NAMES = tuple(f.name for f in fields(MusicalMetrics))
 
 
-def ioi_series(stream: Performance, chord_eps: float = CHORD_EPSILON) -> FeatureSeries:
+def ioi_series(stream: Performance, chord_eps: float = RunConfig.chord_epsilon) -> FeatureSeries:
     """Inter-onset intervals of consecutive notes in one stream.
 
     The sample for the pair (i, i+1) is onset(i+1) - onset(i), timestamped
@@ -123,9 +124,7 @@ def _velocity_on_grid(stream: Performance, grid: np.ndarray) -> np.ndarray:
     return np.where(painter >= 0, velocities[order[painter]], silent)
 
 
-def dynamics_series(
-    melody: Performance, bass: Performance, grid: GridConfig = GridConfig()
-) -> FeatureSeries:
+def dynamics_series(melody: Performance, bass: Performance, config: RunConfig = RunConfig()) -> FeatureSeries:
     """Log loudness ratio R(t) = ln(vel_melody(t) / vel_bass(t)) on the grid.
 
     Velocity stands in for loudness; any affine velocity-to-loudness
@@ -135,7 +134,7 @@ def dynamics_series(
     """
     if not len(melody) or not len(bass):
         return FeatureSeries([], [])
-    times = grid_times(0.0, max(melody.end_time, bass.end_time), grid.step)
+    times = grid_times(0.0, max(melody.end_time, bass.end_time), config.grid_step)
     mel = _velocity_on_grid(melody, times)
     bas = _velocity_on_grid(bass, times)
     keep = (mel > 0) & (bas > 0)
@@ -143,7 +142,7 @@ def dynamics_series(
 
 
 def ratio_kor_series(
-    melody_kor: FeatureSeries, bass_kor: FeatureSeries, grid: GridConfig = GridConfig()
+    melody_kor: FeatureSeries, bass_kor: FeatureSeries, config: RunConfig = RunConfig()
 ) -> FeatureSeries:
     """Melody KOR divided by bass KOR on their shared grid.
 
@@ -154,27 +153,23 @@ def ratio_kor_series(
     extent = shared_extent(melody_kor, bass_kor)
     if extent is None:
         return FeatureSeries([], [])
-    mel = resample_to_grid(melody_kor, *extent, grid.step)
-    bas = resample_to_grid(bass_kor, *extent, grid.step)
+    mel = resample_to_grid(melody_kor, *extent, config.grid_step)
+    bas = resample_to_grid(bass_kor, *extent, config.grid_step)
     keep = np.abs(bas) >= RATIO_KOR_GUARD
-    return FeatureSeries(grid_times(*extent, grid.step)[keep], mel[keep] / bas[keep])
+    return FeatureSeries(grid_times(*extent, config.grid_step)[keep], mel[keep] / bas[keep])
 
 
 def compute_musical_metrics(
-    ref: Performance,
-    est: Performance,
-    chord_epsilon: float = CHORD_EPSILON,
-    grid: GridConfig = GridConfig(),
-    window: WindowConfig = WindowConfig(),
-    spiral: SpiralParams = DEFAULT_PARAMS,
+    ref: Performance, est: Performance, config: RunConfig = RunConfig()
 ) -> MusicalMetrics:
     """All eight correlations between a ground truth and an estimate.
 
     Every feature series is built independently on each side, then the two
     sides are held onto a common grid over the intersection of their time
-    extents and Pearson-correlated; fewer than ``grid.min_samples`` shared
+    extents and Pearson-correlated; fewer than ``config.min_samples`` shared
     points or a constant series make that metric undefined (None).
     """
+    chord_epsilon = config.chord_epsilon
     ref_melody, ref_bass, ref_accomp = split_streams(ref, chord_epsilon)
     est_melody, est_bass, est_accomp = split_streams(est, chord_epsilon)
 
@@ -184,7 +179,7 @@ def compute_musical_metrics(
     est_bass_kor = kor_series(est_bass)
 
     def corr(a: FeatureSeries, b: FeatureSeries) -> Optional[float]:
-        return correlate_series(a, b, grid)
+        return correlate_series(a, b, config)
 
     return MusicalMetrics(
         melody_ioi=corr(ioi_series(ref_melody, chord_epsilon), ioi_series(est_melody, chord_epsilon)),
@@ -194,16 +189,12 @@ def compute_musical_metrics(
         melody_kor=corr(ref_melody_kor, est_melody_kor),
         bass_kor=corr(ref_bass_kor, est_bass_kor),
         ratio_kor=corr(
-            ratio_kor_series(ref_melody_kor, ref_bass_kor, grid),
-            ratio_kor_series(est_melody_kor, est_bass_kor, grid),
+            ratio_kor_series(ref_melody_kor, ref_bass_kor, config),
+            ratio_kor_series(est_melody_kor, est_bass_kor, config),
         ),
-        cloud_diameter=corr(
-            cloud_diameter_series(ref, window, spiral), cloud_diameter_series(est, window, spiral)
-        ),
-        cloud_momentum=corr(
-            cloud_momentum(ref, window, spiral), cloud_momentum(est, window, spiral)
-        ),
+        cloud_diameter=corr(cloud_diameter_series(ref, config), cloud_diameter_series(est, config)),
+        cloud_momentum=corr(cloud_momentum(ref, config), cloud_momentum(est, config)),
         dynamics=corr(
-            dynamics_series(ref_melody, ref_bass, grid), dynamics_series(est_melody, est_bass, grid)
+            dynamics_series(ref_melody, ref_bass, config), dynamics_series(est_melody, est_bass, config)
         ),
     )

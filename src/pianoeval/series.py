@@ -14,9 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import RunConfig
+
 __all__ = [
     "FeatureSeries",
-    "GridConfig",
     "shared_extent",
     "resample_to_grid",
     "pearson",
@@ -54,20 +55,6 @@ class FeatureSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Common-grid alignment parameters for correlating two series."""
-
-    step: float = 0.1
-    min_samples: int = 8
-
-    def __post_init__(self):
-        if not 0 < self.step < math.inf:
-            raise ValueError("step must be positive and finite")
-        if self.min_samples < 2:
-            raise ValueError("min_samples must be at least 2")
 
 
 def grid_times(t0: float, t1: float, step: float) -> np.ndarray:
@@ -121,20 +108,20 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
 
 
 def correlate_series(
-    ref: FeatureSeries, est: FeatureSeries, grid: GridConfig
+    ref: FeatureSeries, est: FeatureSeries, config: RunConfig = RunConfig()
 ) -> Optional[float]:
     """Correlate two series on the common grid over their shared extent.
 
     The grid spans the intersection of the two time extents, where both
     series are defined, and both are previous-value-held onto it. Returns
-    None when the grid has fewer than ``grid.min_samples`` points or either
+    None when the grid has fewer than ``config.min_samples`` points or either
     side is constant.
     """
     extent = shared_extent(ref, est)
     if extent is None:
         return None
-    a = resample_to_grid(ref, *extent, grid.step)
-    b = resample_to_grid(est, *extent, grid.step)
-    if len(a) < grid.min_samples:
+    a = resample_to_grid(ref, *extent, config.grid_step)
+    b = resample_to_grid(est, *extent, config.grid_step)
+    if len(a) < config.min_samples:
         return None
     return pearson(a, b)

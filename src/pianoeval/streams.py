@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import RunConfig
 from .midi import Performance
 
 __all__ = [
-    "CHORD_EPSILON",
     "cluster_onsets",
     "split_streams",
 ]
 
-CHORD_EPSILON = 0.030  # seconds; onsets this close to the cluster anchor merge
 
-
-def cluster_onsets(perf: Performance, eps: float = CHORD_EPSILON) -> np.ndarray:
+def cluster_onsets(perf: Performance, eps: float = RunConfig.chord_epsilon) -> np.ndarray:
     """Index of the first note of every onset cluster, from a greedy
     left-to-right sweep.
 
@@ -44,7 +42,7 @@ def cluster_onsets(perf: Performance, eps: float = CHORD_EPSILON) -> np.ndarray:
 
 
 def split_streams(
-    perf: Performance, chord_epsilon: float = CHORD_EPSILON
+    perf: Performance, chord_epsilon: float = RunConfig.chord_epsilon
 ) -> tuple[Performance, Performance, Performance]:
     """(melody, bass, accompaniment) in one clustering pass.
 

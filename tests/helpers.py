@@ -22,11 +22,12 @@ from scipy.signal import fftconvolve
 
 from pianoeval import midi
 from pianoeval.audio import AudioBuffer
+from pianoeval.config import RunConfig
 from pianoeval.ir_metrics import PRF
 from pianoeval.midi import Note, Performance
 from pianoeval.musical import MusicalMetrics
 from pianoeval.stats import MetricReport
-from pianoeval.tension import SpiralParams, SpiralPoint, WindowConfig, pitch_to_spiral
+from pianoeval.tension import SpiralPoint, pitch_to_spiral
 
 # ---------------------------------------------------------------------------
 # Standard MIDI File serializer (test-harness only)
@@ -328,7 +329,7 @@ def oracle_candidate_edges(ref: Sequence[Note], est: Sequence[Note], mode: str) 
     return edges
 
 
-def _oracle_windows(perf: Performance, cfg: WindowConfig):
+def _oracle_windows(perf: Performance, config: RunConfig):
     """Yield (index, start, notes) for every window overlapping the data,
     sweeping the notes once with a min-heap on offset."""
     end_time = max((n.offset for n in perf.notes), default=0.0)
@@ -338,9 +339,9 @@ def _oracle_windows(perf: Performance, cfg: WindowConfig):
     pointer = 0
     active: list[tuple[float, int]] = []  # (offset, note index)
     index = 0
-    while index * cfg.hop < end_time - 1e-12:
-        start = index * cfg.hop
-        end = start + cfg.window_length
+    while index * config.hop < end_time - 1e-12:
+        start = index * config.hop
+        end = start + config.window_length
         while pointer < len(notes) and notes[pointer].onset < end:
             heapq.heappush(active, (notes[pointer].offset, pointer))
             pointer += 1
@@ -350,7 +351,7 @@ def _oracle_windows(perf: Performance, cfg: WindowConfig):
         index += 1
 
 
-def _oracle_center(notes: Sequence[Note], start: float, end: float, params: SpiralParams):
+def _oracle_center(notes: Sequence[Note], start: float, end: float, config: RunConfig):
     weights = [0.0] * 12
     for note in notes:
         overlap = min(note.offset, end) - max(note.onset, start)
@@ -362,23 +363,23 @@ def _oracle_center(notes: Sequence[Note], start: float, end: float, params: Spir
     x = y = z = 0.0
     for pc, w in enumerate(weights):
         if w > 0:
-            p = pitch_to_spiral(pc, params)
+            p = pitch_to_spiral(pc, config)
             x, y, z = x + w * p.x, y + w * p.y, z + w * p.z
     return SpiralPoint(x / total, y / total, z / total)
 
 
-def oracle_tension_series(perf: Performance, cfg: WindowConfig = WindowConfig(), params: SpiralParams = SpiralParams()):
+def oracle_tension_series(perf: Performance, config: RunConfig = RunConfig()):
     """((times, values) of cloud diameter, (times, values) of cloud momentum),
     window by window."""
     diameter: tuple[list, list] = ([], [])
     momentum: tuple[list, list] = ([], [])
     previous_index = previous_ce = None
-    for index, start, notes in _oracle_windows(perf, cfg):
-        points = [pitch_to_spiral(pc, params) for pc in sorted({n.pitch % 12 for n in notes})]
+    for index, start, notes in _oracle_windows(perf, config):
+        points = [pitch_to_spiral(pc, config) for pc in sorted({n.pitch % 12 for n in notes})]
         if points:
             diameter[0].append(start)
             diameter[1].append(max((a.distance(b) for a in points for b in points), default=0.0))
-        ce = _oracle_center(notes, start, start + cfg.window_length, params)
+        ce = _oracle_center(notes, start, start + config.window_length, config)
         if ce is not None and previous_ce is not None and index == previous_index + 1:
             momentum[0].append(start)
             momentum[1].append(ce.distance(previous_ce))

@@ -11,6 +11,7 @@ from helpers import performance_to_smf, random_performance, serialize_smf, sine_
 from pianoeval import cli
 from pianoeval.audio import write_wav, write_wav_file
 from pianoeval.cli import main
+from pianoeval.config import MAX_WINDOW_OVERLAP
 from pianoeval.evaluation import RunConfig, evaluate_performances
 from pianoeval.midi import parse_midi
 from pianoeval.stats import parse_reports_json
@@ -128,7 +129,7 @@ def test_evaluate_unknown_config_key(midi_pair, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("window = 2.0\n")
     assert main(["evaluate", ref, est, "--config", str(config)]) == 2
-    assert "window" in capsys.readouterr().err
+    assert "line 1: unknown config key 'window'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -139,11 +140,18 @@ def test_evaluate_unknown_config_key(midi_pair, tmp_path, capsys):
         ("hop = 5", "hop must be in (0, window_length]"),
         ("frame_length = inf", "frame_length must be positive and finite"),
         ("chord_epsilon = nan", "chord_epsilon must be positive and finite"),
-        ("spiral_radius = nan", "radius and rise must be positive and finite"),
-        ("grid_step = inf", "step must be positive and finite"),
+        ("spiral_radius = nan", "spiral_radius must be positive and finite"),
+        ("spiral_radius = -1", "spiral_radius must be positive and finite"),
+        ("spiral_rise = nan", "spiral_rise must be positive and finite"),
+        ("grid_step = inf", "grid_step must be positive and finite"),
+        ("grid_step = 0", "grid_step must be positive and finite"),
         ("frame_length = 1e-9", "frame_length must be at least 0.001 s"),
         ("grid_step = 1e-9", "grid_step must be at least 0.001 s"),
         ("hop = 1e-9", "hop must be at least 0.001 s"),
+        ("pedal_mode = hold", "pedal_mode must be 'ignore' or 'extend', got 'hold'"),
+        # one window per millisecond, each 1000 s long: every window would hold every note
+        ("window_length = 1000\nhop = 0.001", "window_length / hop must be at most 100, got 1e+06"),
+        ("grid_step = 0.2\n# finer\ngrid_step = 0.3", "line 3: key 'grid_step' was already set on line 1"),
     ],
 )
 def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line, message):
@@ -155,14 +163,20 @@ def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line,
 
 
 def test_run_config_accepts_one_millisecond_steps():
-    config = RunConfig(frame_length=0.001, grid_step=0.001, hop=0.001)
+    # a 1 ms hop needs windows of at most 0.1 s, within MAX_WINDOW_OVERLAP
+    config = RunConfig(frame_length=0.001, grid_step=0.001, window_length=0.1, hop=0.001)
     assert (config.frame_length, config.grid_step, config.hop) == (0.001, 0.001, 0.001)
+
+
+def test_run_config_accepts_window_overlap_at_limit():
+    config = RunConfig(window_length=50.0, hop=0.5)
+    assert config.window_length / config.hop == MAX_WINDOW_OVERLAP
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if isinstance(f.default, float)])
 def test_run_config_rejects_non_finite_floats(name, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
         RunConfig(**{name: value})
 
 

@@ -11,11 +11,17 @@ the package's re-exports.
 Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
 anything, so a cost cannot move unseen from start-up into a first call.
+
+The README's Python examples import only bound names, and its self-contained
+example prints what its comments say.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +99,39 @@ def test_public_names_are_bound(path):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names += [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_config_imports_nothing_from_the_package():
+    tree = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
+    froms = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert [n.module for n in froms if n.level or n.module.startswith("pianoeval")] == []
+
+
+def _readme_python_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_imports_are_bound():
+    package = importlib.import_module("pianoeval")
+    names = [
+        alias.name
+        for block in _readme_python_blocks()
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "pianoeval"
+        for alias in node.names
+    ]
+    assert "RunConfig" in names
+    assert [name for name in names if not hasattr(package, name)] == []
+
+
+def test_readme_note_example_prints_its_comments():
+    block = next(b for b in _readme_python_blocks() if "Performance.from_notes" in b)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(block, {})
+    expected = [line.partition("#")[2].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert expected[0] == "0.5"  # the recall of one matched note out of two
+    assert printed.getvalue().splitlines() == expected
 
 
 # scipy subpackages that cost most of a second and tens of MB to import, and that the package does not need

@@ -18,8 +18,8 @@ from helpers import (
     random_performance,
     serialize_smf,
 )
+from pianoeval.config import RunConfig
 from pianoeval.ir_metrics import (
-    FRAME_LENGTH,
     MATCH_MODES,
     PRF,
     NoteMatching,
@@ -72,7 +72,7 @@ def test_roll_matches_per_note_oracle():
         roll = build_piano_roll(perf)
         expected = np.zeros_like(roll.active)
         for note in perf.notes:
-            for frame in oracle_note_frames(note.onset, note.offset, FRAME_LENGTH):
+            for frame in oracle_note_frames(note.onset, note.offset, RunConfig.frame_length):
                 expected[note.pitch, frame] = True
         assert np.array_equal(roll.active, expected)
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_hold
+from pianoeval.config import RunConfig
 from pianoeval.series import (
     FeatureSeries,
-    GridConfig,
     correlate_series,
     pearson,
     resample_to_grid,
@@ -48,10 +48,10 @@ def test_series_holds_read_only_copies():
 
 
 def test_grid_config_validation():
-    with pytest.raises(ValueError):
-        GridConfig(step=0.0)
-    with pytest.raises(ValueError):
-        GridConfig(min_samples=1)
+    with pytest.raises(ValueError, match="^grid_step "):
+        RunConfig(grid_step=0.0)
+    with pytest.raises(ValueError, match="^min_samples "):
+        RunConfig(min_samples=1)
 
 
 def test_resample_hold_rule():
@@ -133,21 +133,21 @@ def test_pearson_stays_in_bounds():
 
 def test_correlate_series_identical():
     series = _series(*[(0.2 * i, math.sin(i)) for i in range(12)])
-    assert correlate_series(series, series, GridConfig()) == pytest.approx(1.0, abs=1e-12)
+    assert correlate_series(series, series, RunConfig()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_correlate_series_needs_min_samples():
     a = _series((0.0, 1.0), (0.3, 2.0))
-    grid = GridConfig(step=0.1, min_samples=8)
-    assert correlate_series(a, a, grid) is None  # only 4 shared grid points
-    assert correlate_series(a, a, GridConfig(step=0.1, min_samples=4)) == pytest.approx(1.0)
+    config = RunConfig(grid_step=0.1, min_samples=8)
+    assert correlate_series(a, a, config) is None  # only 4 shared grid points
+    assert correlate_series(a, a, RunConfig(grid_step=0.1, min_samples=4)) == pytest.approx(1.0)
 
 
 def test_correlate_series_disjoint_extents():
     a = _series((0.0, 1.0), (1.0, 2.0))
     b = _series((5.0, 1.0), (6.0, 2.0))
-    assert correlate_series(a, b, GridConfig()) is None
+    assert correlate_series(a, b, RunConfig()) is None
 
 
 def test_correlate_series_empty():
-    assert correlate_series(_series(), _series((0.0, 1.0)), GridConfig()) is None
+    assert correlate_series(_series(), _series((0.0, 1.0)), RunConfig()) is None

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_tension_series, random_performance
+from pianoeval.config import RunConfig
 from pianoeval.midi import Note, Performance
 from pianoeval.tension import (
-    SpiralParams,
-    WindowConfig,
     cloud_diameter,
     cloud_diameter_series,
     cloud_momentum,
@@ -67,7 +67,7 @@ def test_octave_invariance():
 
 
 def test_custom_params():
-    p = pitch_to_spiral(67, SpiralParams(radius=2.0, rise=0.5))
+    p = pitch_to_spiral(67, RunConfig(spiral_radius=2.0, spiral_rise=0.5))
     assert (p.x, p.y, p.z) == (2.0, 0.0, 0.5)
 
 
@@ -80,7 +80,7 @@ def test_pitch_range_checked():
 # Center of effect, as cloud_momentum's step from a C-only window
 # ---------------------------------------------------------------------------
 
-_ONE_SECOND = WindowConfig(1.0, 1.0)
+_ONE_SECOND = RunConfig(window_length=1.0, hop=1.0)
 _C_TO_G = pitch_to_spiral(60).distance(pitch_to_spiral(67))
 
 
@@ -144,7 +144,12 @@ def test_diameter_matches_exhaustive_oracle():
         assert cloud_diameter(Performance.from_notes(notes)) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("params", [SpiralParams(), SpiralParams(2.5, 0.3), SpiralParams(0.7, 1.9)])
+_GEOMETRIES = [
+    RunConfig(), RunConfig(spiral_radius=2.5, spiral_rise=0.3), RunConfig(spiral_radius=0.7, spiral_rise=1.9),
+]
+
+
+@pytest.mark.parametrize("params", _GEOMETRIES)
 def test_diameter_of_each_pair_is_its_point_distance_exactly(params):
     for a in range(12):
         for b in range(a + 1, 12):
@@ -176,7 +181,7 @@ def test_momentum_empty_performance():
 
 def test_momentum_c_to_g_hand_value():
     # one C-major second, then one G-major second, windows of exactly 1 s
-    cfg = WindowConfig(window_length=1.0, hop=1.0)
+    config = RunConfig(window_length=1.0, hop=1.0)
     notes = [
         Note(0.0, 1.0, 60, 64),
         Note(0.0, 1.0, 64, 64),
@@ -185,7 +190,7 @@ def test_momentum_c_to_g_hand_value():
         Note(1.0, 2.0, 71, 64),
         Note(1.0, 2.0, 74, 64),
     ]
-    series = cloud_momentum(Performance.from_notes(notes), cfg)
+    series = cloud_momentum(Performance.from_notes(notes), config)
     # hand CE: equal 1 s weights over each triad's points
     def ce(pcs):
         points = [pitch_to_spiral(pc) for pc in pcs]
@@ -204,16 +209,16 @@ def test_momentum_c_to_g_hand_value():
 
 def test_gap_breaks_momentum_chain():
     # notes in windows 0-1 and far later; silent middle windows yield no CE
-    cfg = WindowConfig(window_length=1.0, hop=1.0)
+    config = RunConfig(window_length=1.0, hop=1.0)
     notes = [Note(0.0, 1.0, 60, 64), Note(5.0, 6.0, 67, 64)]
-    series = cloud_momentum(Performance.from_notes(notes), cfg)
+    series = cloud_momentum(Performance.from_notes(notes), config)
     assert len(series) == 0
 
 
 def test_diameter_series_timestamps_and_gaps():
-    cfg = WindowConfig(window_length=1.0, hop=0.5)
+    config = RunConfig(window_length=1.0, hop=0.5)
     notes = [Note(0.0, 1.0, 60, 64), Note(0.0, 1.0, 67, 64), Note(3.0, 4.0, 62, 64)]
-    series = cloud_diameter_series(Performance.from_notes(notes), cfg)
+    series = cloud_diameter_series(Performance.from_notes(notes), config)
     times = series.times.tolist()
     # windows starting at 1.5 and 2.0 are silent and produce no sample
     assert 1.5 not in times and 2.0 not in times
@@ -231,12 +236,12 @@ def test_tension_values_nonnegative():
 
 
 def test_window_config_validation():
-    with pytest.raises(ValueError):
-        WindowConfig(window_length=0.0)
-    with pytest.raises(ValueError):
-        WindowConfig(window_length=1.0, hop=1.5)
-    with pytest.raises(ValueError):
-        WindowConfig(window_length=1.0, hop=0.0)
+    with pytest.raises(ValueError, match="^window_length "):
+        RunConfig(window_length=0.0)
+    with pytest.raises(ValueError, match="^hop "):
+        RunConfig(window_length=1.0, hop=1.5)
+    with pytest.raises(ValueError, match="^hop "):
+        RunConfig(window_length=1.0, hop=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +264,28 @@ def _lattice_performances(draw):
     return Performance.from_notes(Note(k * unit, (k + d) * unit, p, 64) for k, d, p in notes)
 
 
-_window_configs = st.sampled_from([
-    WindowConfig(), WindowConfig(1.0, 1.0), WindowConfig(0.75, 0.25), WindowConfig(0.3, 0.1),
+# four window layouts (length, hop), each on the three helix geometries
+_WINDOWS = [(1.0, 0.5), (1.0, 1.0), (0.75, 0.25), (0.3, 0.1)]
+_configs = st.sampled_from([
+    replace(geometry, window_length=length, hop=hop) for length, hop in _WINDOWS for geometry in _GEOMETRIES
 ])
 
 
 @settings(max_examples=150, deadline=None)
-@given(_lattice_performances(), _window_configs)
-def test_diameter_series_equals_sweep_oracle(perf, cfg):
-    (times, values), _ = oracle_tension_series(perf, cfg)
-    series = cloud_diameter_series(perf, cfg)
+@given(_lattice_performances(), _configs)
+def test_diameter_series_equals_sweep_oracle(perf, config):
+    (times, values), _ = oracle_tension_series(perf, config)
+    series = cloud_diameter_series(perf, config)
     assert series.times.tolist() == times
     assert series.values.tolist() == values
 
 
 @settings(max_examples=150, deadline=None)
-@given(_lattice_performances(), _window_configs)
-def test_momentum_equals_sweep_oracle_within_last_digits(perf, cfg):
+@given(_lattice_performances(), _configs)
+def test_momentum_equals_sweep_oracle_within_last_digits(perf, config):
     # the weights are summed in another order than the sweep's, so values
     # may differ in the last bits; the sample times may not
-    _, (times, values) = oracle_tension_series(perf, cfg)
-    series = cloud_momentum(perf, cfg)
+    _, (times, values) = oracle_tension_series(perf, config)
+    series = cloud_momentum(perf, config)
     assert series.times.tolist() == times
     np.testing.assert_allclose(series.values, values, rtol=0, atol=1e-12)
