@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -25,6 +25,7 @@ __all__ = [
     "read_wav_file",
     "write_wav_file",
     "checked_snr",
+    "checked_ir_length",
     "add_noise_snr",
     "convolve_ir",
     "synth_ir",
@@ -63,7 +64,12 @@ class AudioBuffer:
         return self.samples.shape[1]
 
     def peak(self) -> float:
-        return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0
+        return _peak(self.samples)
+
+
+def _peak(samples: np.ndarray) -> float:
+    """The largest magnitude (0.0 for no samples), without an ``abs`` copy of the samples."""
+    return float(max(samples.max(), -samples.min())) if samples.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -129,32 +135,43 @@ def read_wav(data: bytes) -> AudioBuffer:
     return AudioBuffer(int(sample_rate), np.ascontiguousarray(planar))
 
 
-def write_wav(buffer: AudioBuffer, sample_format: str = "float32") -> bytes:
-    """Encode to RIFF/WAVE. float32 is lossless; pcm16 clamps to [-1, 1]."""
-    interleaved = buffer.samples.T.reshape(-1)
+def _wav_parts(buffer: AudioBuffer, sample_format: str) -> tuple[bytes, np.ndarray]:
+    """The RIFF/WAVE header and the interleaved payload array that follows it."""
+    frames = buffer.samples.T  # (n, channels): a C-order cast of it interleaves the channels
     if sample_format == "float32":
         audio_format, bits = _IEEE_FLOAT, 32
-        payload = interleaved.astype("<f4").tobytes()
+        payload = frames.astype("<f4", order="C")
     elif sample_format == "pcm16":
         audio_format, bits = _PCM16, 16
-        scaled = np.clip(np.round(interleaved * 32768.0), -32768, 32767)
-        payload = scaled.astype("<i2").tobytes()
+        scaled = frames * 32768.0
+        np.clip(np.round(scaled, out=scaled), -32768, 32767, out=scaled)
+        payload = scaled.astype("<i2", order="C")
     else:
         raise ValueError(f"unknown sample_format {sample_format!r}")
     block_align = buffer.channels * bits // 8
-    fmt = struct.pack(
-        "<HHIIHH",
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF",
+        36 + payload.nbytes,
+        b"WAVE",
+        b"fmt ",
+        16,
         audio_format,
         buffer.channels,
         buffer.sample_rate,
         buffer.sample_rate * block_align,
         block_align,
         bits,
+        b"data",
+        payload.nbytes,
     )
-    chunks = b"".join(
-        [b"fmt ", struct.pack("<I", len(fmt)), fmt, b"data", struct.pack("<I", len(payload)), payload]
-    )
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+    return header, payload
+
+
+def write_wav(buffer: AudioBuffer, sample_format: str = "float32") -> bytes:
+    """Encode to RIFF/WAVE. float32 is lossless; pcm16 clamps to [-1, 1]."""
+    header, payload = _wav_parts(buffer, sample_format)
+    return header + payload.tobytes()
 
 
 def read_wav_file(path) -> AudioBuffer:
@@ -163,8 +180,11 @@ def read_wav_file(path) -> AudioBuffer:
 
 
 def write_wav_file(path, buffer: AudioBuffer, sample_format: str = "float32") -> None:
+    """``write_wav``'s bytes, written from the payload array without a copy into ``bytes``."""
+    header, payload = _wav_parts(buffer, sample_format)
     with open(path, "wb") as fh:
-        fh.write(write_wav(buffer, sample_format))
+        fh.write(header)
+        fh.write(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +198,10 @@ def checked_snr(snr_db: float) -> float:
     return snr_db
 
 
+def _power(samples: np.ndarray) -> float:
+    return float(np.mean(samples**2))
+
+
 def add_noise_snr(audio: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
     """Add white Gaussian noise at the requested signal-to-noise ratio.
 
@@ -187,13 +211,23 @@ def add_noise_snr(audio: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
     """
     if checked_snr(snr_db) == math.inf:
         return AudioBuffer(audio.sample_rate, audio.samples.copy())
-    signal_power = float(np.mean(audio.samples**2))
+    signal_power = _power(audio.samples)
     if signal_power == 0.0:
         raise ValueError("SNR is undefined for all-zero audio")
     noise_power = signal_power / (10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, math.sqrt(noise_power), audio.samples.shape)
-    return AudioBuffer(audio.sample_rate, audio.samples + noise)
+    noise += audio.samples  # the same sum as audio + noise, in the noise's memory
+    return AudioBuffer(audio.sample_rate, noise)
+
+
+def _check_ir(audio: AudioBuffer, ir: AudioBuffer) -> None:
+    if audio.sample_rate != ir.sample_rate:
+        raise ValueError(
+            f"sample rate mismatch: audio {audio.sample_rate} Hz vs IR {ir.sample_rate} Hz"
+        )
+    if ir.channels not in (1, audio.channels):
+        raise ValueError(f"cannot apply {ir.channels}-channel IR to {audio.channels}-channel audio")
 
 
 def convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
@@ -204,12 +238,7 @@ def convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
     its peak equals the input's peak, keeping loudness comparable across
     IRs of different energy.
     """
-    if audio.sample_rate != ir.sample_rate:
-        raise ValueError(
-            f"sample rate mismatch: audio {audio.sample_rate} Hz vs IR {ir.sample_rate} Hz"
-        )
-    if ir.channels not in (1, audio.channels):
-        raise ValueError(f"cannot apply {ir.channels}-channel IR to {audio.channels}-channel audio")
+    _check_ir(audio, ir)
     n, m = audio.n_samples, ir.n_samples
     if n == 0 or m == 0:
         out = np.zeros((audio.channels, 0))
@@ -219,20 +248,28 @@ def convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
         # scipy.signal.fftconvolve(mode="full")'s transform, with the IR spectrum taken once
         size = next_fast_len(n + m - 1, True)
         spectra = rfft(ir.samples, size, axis=-1)
-        out = np.stack(
-            [
-                irfft(rfft(audio.samples[c], size) * spectra[c % ir.channels], size)[: n + m - 1]
-                for c in range(audio.channels)
-            ]
-        )
+        for c in range(audio.channels):
+            row = irfft(rfft(audio.samples[c], size) * spectra[c % ir.channels], size)
+            if c == 0:  # the transform's dtype: float32 audio and IR give float32
+                out = np.empty((audio.channels, n + m - 1), row.dtype)
+            out[c] = row[: n + m - 1]
+            del row  # freed before the next channel's transforms
     in_peak = audio.peak()
-    out_peak = float(np.max(np.abs(out))) if out.size else 0.0
+    out_peak = _peak(out)
     if in_peak > 0.0 and out_peak > 0.0:
         out *= in_peak / out_peak
     return AudioBuffer(audio.sample_rate, out)
 
 
 MAX_RT60 = 60.0  # seconds; the longest synthetic reverb, ten times a large concert hall's
+MAX_IR_SAMPLES = int(MAX_RT60 * 96_000)  # the longest reverb at 96 kHz; 5.76 M samples, 46 MB
+
+
+def checked_ir_length(n_samples: int) -> int:
+    """``n_samples`` if an IR that long is within ``MAX_IR_SAMPLES``; ValueError otherwise."""
+    if n_samples > MAX_IR_SAMPLES:
+        raise ValueError(f"an IR of {n_samples} samples is longer than the {MAX_IR_SAMPLES}-sample limit")
+    return n_samples
 
 
 def synth_ir(rt60: float, sample_rate: int, seed: int) -> AudioBuffer:
@@ -241,11 +278,12 @@ def synth_ir(rt60: float, sample_rate: int, seed: int) -> AudioBuffer:
     White Gaussian noise under the envelope exp(-t ln(1000) / rt60) — down
     60 dB at t = rt60, where the IR is truncated. The first sample is
     forced to 1.0 so the direct sound is always present. An RT60 above
-    ``MAX_RT60`` raises ValueError.
+    ``MAX_RT60``, or one whose IR would be longer than ``MAX_IR_SAMPLES``
+    at ``sample_rate``, raises ValueError before anything is allocated.
     """
     if not 0 < rt60 <= MAX_RT60:
         raise ValueError(f"rt60 must be positive and finite, at most {MAX_RT60:g} s, got {rt60}")
-    length = max(1, int(math.floor(rt60 * sample_rate)))
+    length = checked_ir_length(max(1, int(math.floor(rt60 * sample_rate))))
     t = np.arange(length) / sample_rate
     envelope = np.exp(-t * math.log(1000.0) / rt60)
     rng = np.random.default_rng(seed)
@@ -264,20 +302,38 @@ def apply_condition_grid(
     snr_levels: Sequence[Optional[float]],
     ir_levels: Sequence[Optional[AudioBuffer]],
     seed: int,
-) -> list[tuple[PerturbCondition, AudioBuffer]]:
-    """Every (IR, SNR) combination, reverb first, then noise.
+) -> Iterator[tuple[PerturbCondition, AudioBuffer]]:
+    """Every (IR, SNR) combination, reverb first, then noise, yielded one cell at a time.
 
     Reverb precedes noise because the noise models the recording chain
     after the room. Levels of None and an SNR of +inf skip that stage, so
     None in both lists yields the untouched original as one cell. Output
     order is IR-major, then SNR, matching the input level order.
+
+    Every check that can reject the grid runs here, before the iterator is
+    returned: each SNR (NaN and -inf raise ValueError), each IR's sample
+    rate and channel count, and all-zero audio or an all-zero IR when a cell
+    adds noise. A cell is made only when the iterator is advanced, so a
+    caller that drops each cell before asking for the next holds one at a time.
     """
-    results = []
-    for i_ir, ir in enumerate(ir_levels):
-        for i_snr, snr in enumerate(snr_levels):
-            if snr == math.inf:
-                snr = None
-            out = audio
+    snrs = [None if snr is None or snr == math.inf else checked_snr(snr) for snr in snr_levels]
+    irs = list(ir_levels)
+    for ir in irs:
+        if ir is not None:
+            _check_ir(audio, ir)
+    if any(snr is not None for snr in snrs):
+        if _power(audio.samples) == 0.0:
+            raise ValueError("SNR is undefined for all-zero audio")
+        # the output is peak-matched, so only an IR of exact zeros makes an all-zero cell
+        if audio.n_samples and any(ir is not None and ir.n_samples and not ir.samples.any() for ir in irs):
+            raise ValueError("SNR is undefined for all-zero audio: an IR is all zero")
+    return _grid_cells(audio, snrs, irs, seed)
+
+
+def _grid_cells(audio, snrs, irs, seed):
+    for i_ir, ir in enumerate(irs):
+        for i_snr, snr in enumerate(snrs):
+            out = audio  # drops the previous cell before this one is made
             if ir is not None:
                 out = convolve_ir(out, ir)
             derived = derive_seed(seed, 0, i_ir, i_snr)
@@ -285,5 +341,4 @@ def apply_condition_grid(
                 out = add_noise_snr(out, snr, derived)
             if out is audio:  # each stage returns a new buffer, so only a cell without one copies
                 out = AudioBuffer(audio.sample_rate, audio.samples.copy())
-            results.append((PerturbCondition(snr, ir, derived), out))
-    return results
+            yield PerturbCondition(snr, ir, derived), out

@@ -18,7 +18,15 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .audio import apply_condition_grid, checked_snr, derive_seed, read_wav_file, synth_ir, write_wav_file
+from .audio import (
+    apply_condition_grid,
+    checked_ir_length,
+    checked_snr,
+    derive_seed,
+    read_wav_file,
+    synth_ir,
+    write_wav_file,
+)
 from .evaluation import RunConfig, checked_duration, evaluate_performances
 from .midi import Performance, parse_midi_file
 from .stats import ALPHA, REPORT_METRIC_COLUMNS, aggregate, csv_text, emit, kruskal_wallis
@@ -207,7 +215,9 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 
     def room(i: int, token: str):
         if args.ir:
-            return read_wav_file(token)
+            ir = read_wav_file(token)
+            checked_ir_length(ir.n_samples)
+            return ir
         return synth_ir(float(token), audio.sample_rate, derive_seed(args.seed, 1, i))
 
     snr_levels = _parse_levels("--snr", args.snr, lambda i, tok: checked_snr(float(tok)))
@@ -219,8 +229,8 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     names = [f"{Path(args.input).stem}__snr{snr}_rt{ir}.wav" for ir in ir_labels for snr in snr_labels]
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (_, buffer) in zip(names, cells):
-        write_wav_file(out_dir / name, buffer)
+    for name in names:  # no name keeps a written cell alive while the next one is made
+        write_wav_file(out_dir / name, next(cells)[1])
     return EXIT_OK
 
 

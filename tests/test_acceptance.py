@@ -199,8 +199,8 @@ def test_reverb_identity_and_condition_grid():
         for i, rt60 in enumerate((0.19, 1.85, 10.5))
     ]
     snrs = [None, 24.0, 12.0, 6.0]
-    first = apply_condition_grid(audio, snrs, irs, seed=33)
-    second = apply_condition_grid(audio, snrs, irs, seed=33)
+    first = list(apply_condition_grid(audio, snrs, irs, seed=33))
+    second = list(apply_condition_grid(audio, snrs, irs, seed=33))
     assert len(first) == 16 and len(second) == 16
     for (cond_a, out_a), (cond_b, out_b) in zip(first, second):
         assert cond_a.snr_db == cond_b.snr_db

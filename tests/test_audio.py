@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pianoeval.audio
 from helpers import oracle_convolve_ir, sine_audio
 from pianoeval.audio import (
+    MAX_IR_SAMPLES,
     AudioBuffer,
     WavFormatError,
     add_noise_snr,
@@ -17,7 +19,9 @@ from pianoeval.audio import (
     read_wav,
     synth_ir,
     write_wav,
+    write_wav_file,
 )
+from pianoeval.cli import DEFAULT_RT60_LEVELS
 
 
 def _random_buffer(seed, channels=1, n=2000, sample_rate=8000):
@@ -83,6 +87,22 @@ def _wav_with_chunks(chunks, riff_tag=b"RIFF", wave_tag=b"WAVE"):
 def _fmt_chunk(audio_format=3, channels=1, sample_rate=8000, bits=32):
     block = channels * bits // 8
     return struct.pack("<HHIIHH", audio_format, channels, sample_rate, sample_rate * block, block, bits)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("sample_format, audio_format, bits", [("float32", 3, 32), ("pcm16", 1, 16)])
+def test_writers_emit_the_documented_bytes(tmp_path, channels, sample_format, audio_format, bits):
+    buf = AudioBuffer(8000, _random_buffer(8, channels=channels).samples * 4.0)  # some samples clamp in pcm16
+    interleaved = buf.samples.T.reshape(-1)
+    if sample_format == "float32":
+        payload = interleaved.astype("<f4").tobytes()
+    else:
+        payload = np.clip(np.round(interleaved * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    expected = _wav_with_chunks([(b"fmt ", _fmt_chunk(audio_format, channels, 8000, bits)), (b"data", payload)])
+    assert write_wav(buf, sample_format) == expected
+    path = tmp_path / "out.wav"
+    write_wav_file(path, buf, sample_format)
+    assert path.read_bytes() == expected
 
 
 def test_reader_skips_unknown_chunks_with_odd_padding():
@@ -284,6 +304,18 @@ def test_synth_ir_decays_by_sixty_db():
     assert tail < head / 100.0
 
 
+def test_synth_ir_rejects_an_ir_longer_than_the_limit_before_allocating():
+    # 60 s at 768 kHz would be a 46 M-sample IR; the check comes before any array
+    with pytest.raises(ValueError, match=f"an IR of 46080000 samples is longer than the {MAX_IR_SAMPLES}-sample limit"):
+        synth_ir(60.0, 768_000, seed=1)
+
+
+@pytest.mark.parametrize("sample_rate", [44_100, 48_000, 96_000])
+def test_default_rt60_levels_fit_the_ir_limit(sample_rate):
+    longest = max(float(t) for t in DEFAULT_RT60_LEVELS.split(",") if t != "none")
+    assert math.floor(longest * sample_rate) <= MAX_IR_SAMPLES
+
+
 def test_synth_ir_rejects_nonpositive_rt60():
     with pytest.raises(ValueError):
         synth_ir(0.0, 44100, seed=1)
@@ -311,7 +343,7 @@ def test_grid_shape_and_clean_cell():
     irs = [None, synth_ir(0.19, 44100, seed=100), synth_ir(1.85, 44100, seed=101),
            synth_ir(10.5, 44100, seed=102)]
     snrs = [None, 24.0, 12.0, 6.0]
-    cells = apply_condition_grid(audio, snrs, irs, seed=42)
+    cells = list(apply_condition_grid(audio, snrs, irs, seed=42))
     assert len(cells) == 16
     condition, clean = cells[0]
     assert condition.snr_db is None and condition.ir is None
@@ -338,13 +370,13 @@ def test_grid_is_reproducible():
 
 def test_grid_cells_use_distinct_noise():
     audio = sine_audio(seconds=0.1)
-    cells = apply_condition_grid(audio, [12.0, 12.0], [None], seed=7)
+    cells = list(apply_condition_grid(audio, [12.0, 12.0], [None], seed=7))
     assert not np.array_equal(cells[0][1].samples, cells[1][1].samples)
 
 
 def test_grid_treats_infinite_snr_as_none():
     audio = sine_audio(seconds=0.05)
-    cells = apply_condition_grid(audio, [math.inf], [None], seed=1)
+    cells = list(apply_condition_grid(audio, [math.inf], [None], seed=1))
     condition, out = cells[0]
     assert condition.snr_db is None
     assert np.array_equal(out.samples, audio.samples)
@@ -354,6 +386,48 @@ def test_grid_rejects_negative_infinite_snr():
     # -inf dB is infinitely loud noise, not "no noise"
     with pytest.raises(ValueError):
         apply_condition_grid(sine_audio(seconds=0.05), [-math.inf], [None], seed=1)
+
+
+_SILENCE = sine_audio(seconds=0.05, amplitude=0.0)
+_ZERO_IR = AudioBuffer(44100, np.zeros((1, 10)))
+
+
+@pytest.mark.parametrize(
+    "audio, snrs, irs, message",
+    [
+        (sine_audio(seconds=0.05), [None, math.nan], [None], "SNR must be a number"),
+        (sine_audio(seconds=0.05), [None], [None, synth_ir(0.19, 22050, seed=1)], "sample rate mismatch"),
+        (sine_audio(seconds=0.05), [None], [None, AudioBuffer(44100, np.ones((2, 3)))], "2-channel IR"),
+        (_SILENCE, [None, 6.0], [None], "all-zero audio"),
+        (sine_audio(seconds=0.05), [None, 6.0], [None, _ZERO_IR], "an IR is all zero"),
+    ],
+)
+def test_grid_checks_its_inputs_before_returning(audio, snrs, irs, message):
+    # the none/none cell comes first, so a check left to a later cell would let it out
+    with pytest.raises(ValueError, match=message):
+        apply_condition_grid(audio, snrs, irs, seed=1)
+
+
+def test_grid_accepts_silence_and_a_zero_ir_without_noise():
+    cells = list(apply_condition_grid(_SILENCE, [None], [None, _ZERO_IR], seed=1))
+    assert [out.peak() for _, out in cells] == [0.0, 0.0]
+
+
+def test_grid_makes_each_cell_when_asked(monkeypatch):
+    calls = []
+    real = pianoeval.audio.convolve_ir
+
+    def counted(audio, ir):
+        calls.append(ir)
+        return real(audio, ir)
+
+    monkeypatch.setattr(pianoeval.audio, "convolve_ir", counted)
+    ir = synth_ir(0.19, 44100, seed=100)
+    cells = apply_condition_grid(sine_audio(seconds=0.05), [None, 6.0], [None, ir], seed=0)
+    next(cells), next(cells)
+    assert len(calls) == 0
+    next(cells)
+    assert len(calls) == 1
 
 
 def test_buffer_validation():

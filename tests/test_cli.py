@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import struct
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from helpers import performance_to_smf, random_performance, serialize_smf, sine_audio
+import pianoeval.audio
 from pianoeval import cli
-from pianoeval.audio import write_wav, write_wav_file
+from pianoeval.audio import AudioBuffer, write_wav, write_wav_file
 from pianoeval.cli import main
 from pianoeval.config import MAX_WINDOW_OVERLAP
 from pianoeval.evaluation import RunConfig, evaluate_performances
@@ -534,10 +536,12 @@ def test_perturb_missing_ir_file_is_io_error(tmp_path, capsys):
 def test_perturb_silent_input_with_noise_is_input_error(tmp_path, capsys):
     wav = tmp_path / "silence.wav"
     write_wav_file(wav, sine_audio(seconds=0.05, amplitude=0.0))
-    assert main(["perturb", str(wav), "--output", str(tmp_path / "o"), "--snr", "12", "--rt60", "none"]) == 2
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--snr", "none,12", "--rt60", "none"]) == 2
     err = capsys.readouterr().err
     assert "silence.wav" in err
     assert "all-zero" in err
+    assert not out.exists()
 
 
 def test_perturb_ir_at_other_sample_rate_is_input_error(tmp_path, capsys):
@@ -545,10 +549,12 @@ def test_perturb_ir_at_other_sample_rate_is_input_error(tmp_path, capsys):
     write_wav_file(wav, sine_audio(seconds=0.05))
     ir = tmp_path / "hall.wav"
     write_wav_file(ir, sine_audio(seconds=0.01, sample_rate=22050))
-    assert main(["perturb", str(wav), "--output", str(tmp_path / "o"), "--snr", "none", "--ir", str(ir)]) == 2
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--snr", "none", "--ir", f"none,{ir}"]) == 2
     err = capsys.readouterr().err
     assert "take.wav" in err
     assert "sample rate" in err
+    assert not out.exists()
 
 
 def test_perturb_bad_ir_file_names_flag_and_file(tmp_path, capsys):
@@ -586,6 +592,28 @@ def test_perturb_rejects_rt60_above_limit_naming_flag(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["perturb", str(wav), "--output", str(out), "--rt60", "1e6"]) == 2
     assert "pianoeval: --rt60 '1e6': rt60 must be positive and finite, at most 60 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_perturb_rejects_ir_longer_than_limit_naming_flag(tmp_path, capsys):
+    # 60 s at 768 kHz is a 46 M-sample IR; only the rate matters, so the input is short
+    wav = tmp_path / "fast.wav"
+    write_wav_file(wav, sine_audio(seconds=0.001, sample_rate=768_000, channels=2))
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--snr", "none", "--rt60", "60"]) == 2
+    assert "pianoeval: --rt60 '60': an IR of 46080000 samples is longer than the" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_perturb_rejects_ir_file_longer_than_limit_naming_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pianoeval.audio, "MAX_IR_SAMPLES", 100)
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    ir = tmp_path / "hall.wav"
+    write_wav_file(ir, sine_audio(seconds=0.01))  # 441 samples
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--snr", "none", "--ir", f"none,{ir}"]) == 2
+    assert f"pianoeval: --ir '{ir}': an IR of 441 samples is longer than the 100-sample limit" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -633,6 +661,63 @@ def test_perturb_rejects_bad_level(tmp_path, capsys):
     write_wav_file(wav, sine_audio(seconds=0.05))
     assert main(["perturb", str(wav), "--output", str(tmp_path / "o"), "--snr", "loud"]) == 2
     assert "--snr 'loud'" in capsys.readouterr().err
+
+
+# sha256 of each file `perturb --seed 3` writes for the seeded 8 kHz input below. These
+# pin the output bytes on one numpy/scipy build; FFT rounding may differ on another, so
+# they are not meant to be portable. Change a digest only with a recorded spec change.
+PERTURB_DIGESTS = {
+    "take__snr12_rt0.19.wav": "246d2e98a3c6b97a13ca100a529abc2c0b6131a2360bf655da8fdeb0bd4eb72a",
+    "take__snr12_rt1.85.wav": "5cf60bbada59f5abb489d3e47b05e0b67664e72b8bee5b1a4c7c6d097ff1a725",
+    "take__snr12_rt10.5.wav": "efd3c9734f7a900bde67353d08fc9812434559011e9d97a292a018b279d1fc57",
+    "take__snr12_rtnone.wav": "ac9b50073a0f779dc5bb0b5f833c773866896ad8bd0f5556771fb70ae6e4f4ce",
+    "take__snr24_rt0.19.wav": "35a3e05af938aa21de6d4f6459d4c52ada99317ea6a391b40e09f5f3547545f6",
+    "take__snr24_rt1.85.wav": "33ebbce2cd8f215b4b7e7e19a0176676d4ff21e7c57600c7eadd350035d1c3a2",
+    "take__snr24_rt10.5.wav": "f03f10c7928105cdc920e694d15d01f49507b5e0df29de4722e1f69f8c6b64fe",
+    "take__snr24_rtnone.wav": "322e98a70d7f6332e4cbe4d64b60769008fbfefb9fe69131ba338c8d1c605796",
+    "take__snr6_rt0.19.wav": "42fc2b8ad7eb01a55e0252ab25b7456c3f6f956236754bdba47c582751bc0cb5",
+    "take__snr6_rt1.85.wav": "00a180b26ea25424e097f10961e2d253d4c6143b3dfdf7f786093939b5d19164",
+    "take__snr6_rt10.5.wav": "e5cd1b0a52730b6c6ac54885f79aa6f8350789238b025f6260db1ff870ce4080",
+    "take__snr6_rtnone.wav": "0c1c2a4960c14d6292e66012e8af3a333fb347890a96ef2d4d8762aa2017f31f",
+    "take__snrnone_rt0.19.wav": "e8d20272d9f590b48a5ac77bbb2d067597daf5f20895b43cba5e3a47b5231733",
+    "take__snrnone_rt1.85.wav": "2fdebc566eed6398d21b7d111f8f4490316cfcaf7275e8f8e4bf1192e5c2026f",
+    "take__snrnone_rt10.5.wav": "3f89bfb86cc10fb42bbb88f0e0b5a3450591e8711c16437d978a5a3f424ae5f5",
+    "take__snrnone_rtnone.wav": "7c51cad516de37625c4fecb54ea7a3b9624344b7c98160756e1aecd5b197a86a",
+}
+PERTURB_IR_DIGESTS = {
+    "take__snr12_rthall.wav": "dece8bb565ea9f26c0ec3c8be588190f9476a4911451a0a79caf3fe21795ed1a",
+    "take__snr12_rtnone.wav": PERTURB_DIGESTS["take__snr12_rtnone.wav"],
+    "take__snr24_rthall.wav": "b7491af9aefe8c1cfc05707f86890fe98a2755c33fe6edf2d7abf456cb034fb1",
+    "take__snr24_rtnone.wav": PERTURB_DIGESTS["take__snr24_rtnone.wav"],
+    "take__snr6_rthall.wav": "8f444d01a3951a9e751b73975345bb32dcd76cb93b6898d6e7e4b4d75eee0b42",
+    "take__snr6_rtnone.wav": PERTURB_DIGESTS["take__snr6_rtnone.wav"],
+    "take__snrnone_rthall.wav": "fb9401bfbde1dbed43d5c2b7c896d81d1775d5562192346d18c515e9e12471c3",
+    "take__snrnone_rtnone.wav": PERTURB_DIGESTS["take__snrnone_rtnone.wav"],
+}
+
+
+def _seeded_wav(path, seconds, channels, seed):
+    rng = np.random.default_rng(seed)
+    rate = 8000
+    t = np.arange(int(seconds * rate)) / rate
+    tone = 0.5 * np.sin(2 * np.pi * 220.0 * t) * np.exp(-3.0 * t)
+    samples = tone + 0.05 * rng.standard_normal((channels, t.size))
+    path.write_bytes(write_wav(AudioBuffer(rate, samples)))
+
+
+def _digests(folder):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(folder.iterdir())}
+
+
+def test_perturb_output_bytes_are_pinned(tmp_path, capsys):
+    wav, ir = tmp_path / "take.wav", tmp_path / "hall.wav"
+    _seeded_wav(wav, 0.25, channels=2, seed=11)
+    _seeded_wav(ir, 0.05, channels=1, seed=12)
+    grid, with_ir = tmp_path / "grid", tmp_path / "ir"
+    assert main(["perturb", str(wav), "--output", str(grid), "--seed", "3"]) == 0
+    assert main(["perturb", str(wav), "--output", str(with_ir), "--seed", "3", "--ir", f"none,{ir}"]) == 0
+    assert _digests(grid) == PERTURB_DIGESTS
+    assert _digests(with_ir) == PERTURB_IR_DIGESTS
 
 
 @pytest.mark.parametrize("flag, token", [("--rt60", "inf"), ("--rt60", "nan"), ("--snr", "nan"), ("--snr", "-inf")])
