@@ -100,19 +100,18 @@ def read_wav(data: bytes) -> AudioBuffer:
         raise WavFormatError("not a RIFF/WAVE stream")
     pos = 12
     fmt = None
-    payload = None
+    payload = None  # the data chunk's (offset, size) in ``data``: its samples are read in place
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
-        if len(body) < size:
+        if pos + 8 + size > len(data):
             raise WavFormatError(f"truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
             if size < 16:
                 raise WavFormatError("fmt chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = struct.unpack_from("<HHIIHH", data, pos + 8)
         elif chunk_id == b"data":
-            payload = body
+            payload = (pos + 8, size)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -124,15 +123,15 @@ def read_wav(data: bytes) -> AudioBuffer:
         raise WavFormatError(f"unsupported channel count {channels}")
     if sample_rate > MAX_SAMPLE_RATE:
         raise WavFormatError(f"sample rate {sample_rate} Hz is above the {MAX_SAMPLE_RATE} Hz limit")
-    if audio_format == _PCM16 and bits == 16:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % (2 * channels)], dtype="<i2")
-        planar = raw.reshape(-1, channels).T.astype(np.float64) / 32768.0
-    elif audio_format == _IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(payload[: len(payload) - len(payload) % (4 * channels)], dtype="<f4")
-        planar = raw.reshape(-1, channels).T.astype(np.float64)
-    else:
+    dtype = {(_PCM16, 16): "<i2", (_IEEE_FLOAT, 32): "<f4"}.get((audio_format, bits))
+    if dtype is None:
         raise WavFormatError(f"unsupported codec (format {audio_format}, {bits}-bit)")
-    return AudioBuffer(int(sample_rate), np.ascontiguousarray(planar))
+    n = payload[1] // (bits // 8 * channels)  # whole frames; a trailing partial frame is dropped
+    samples = np.empty((channels, n))  # C-order float64, filled by one cast of the interleaved view
+    samples[...] = np.frombuffer(data, dtype, count=n * channels, offset=payload[0]).reshape(n, channels).T
+    if dtype == "<i2":
+        samples /= 32768.0
+    return AudioBuffer(int(sample_rate), samples)
 
 
 def _wav_parts(buffer: AudioBuffer, sample_format: str) -> tuple[bytes, np.ndarray]:
@@ -192,9 +191,9 @@ def write_wav_file(path, buffer: AudioBuffer, sample_format: str = "float32") ->
 # ---------------------------------------------------------------------------
 
 def checked_snr(snr_db: float) -> float:
-    """``snr_db`` if it is a number of dB or +inf (no noise); NaN and -inf raise ValueError."""
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"SNR must be a number of dB or +inf, got {snr_db}")
+    """``snr_db`` if it is within ``MAX_SNR_DB`` dB of 0 or +inf (no noise); else ValueError."""
+    if not (-MAX_SNR_DB <= snr_db <= MAX_SNR_DB or snr_db == math.inf):  # NaN fails both
+        raise ValueError(f"SNR must be a number of dB within ±{MAX_SNR_DB:g} or +inf, got {snr_db}")
     return snr_db
 
 
@@ -261,6 +260,7 @@ def convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(audio.sample_rate, out)
 
 
+MAX_SNR_DB = 300.0  # dB either way; 10 ** (snr / 10) stays a finite, non-zero float well past it
 MAX_RT60 = 60.0  # seconds; the longest synthetic reverb, ten times a large concert hall's
 MAX_IR_SAMPLES = int(MAX_RT60 * 96_000)  # the longest reverb at 96 kHz; 5.76 M samples, 46 MB
 

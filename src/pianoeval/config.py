@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 __all__ = ["MAX_WINDOW_OVERLAP", "MIN_STEP", "RunConfig"]
 
-# Finest frame length, grid step and window hop, seconds: arrays grow as the duration over these
+# Finest frame_length, grid_step and hop, seconds: grids, windows and a read roll grow as the duration over these
 MIN_STEP = 0.001
 # Largest window_length / hop: tension's window weights grow as the note count times this ratio
 MAX_WINDOW_OVERLAP = 100

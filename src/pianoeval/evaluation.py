@@ -18,8 +18,8 @@ MAX_DURATION = 7200.0
 
 def checked_duration(perf: Performance, side: str) -> Performance:
     """``perf`` if it ends within ``MAX_DURATION``; otherwise a ValueError naming
-    ``side``. Frame, grid and window arrays grow with the duration, so a small
-    valid file whose ticks span years would otherwise ask for terabytes."""
+    ``side``. Grid and window arrays grow with the duration, so a small valid
+    file whose ticks span years would otherwise ask for terabytes."""
     if perf.end_time > MAX_DURATION:
         raise ValueError(f"{side} lasts {perf.end_time:.6g} s, longer than the {MAX_DURATION:g} s limit")
     return perf

@@ -1,6 +1,7 @@
 """Frame-level and note-level precision/recall/F1.
 
-Frame metrics compare binary piano rolls cell by cell at 10 ms resolution.
+Frame metrics count the cells of 10 ms piano rolls from each note's frame
+interval, without building the rolls.
 Note metrics match reference and estimated notes one-to-one under pitch,
 onset, offset and velocity tolerances, using a maximum-cardinality
 bipartite matching so no valid pairing is left on the table.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -36,6 +38,7 @@ VELOCITY_TOLERANCE = 0.1  # in normalized velocity units
 MATCH_MODES = ("onset", "onset_offset", "onset_offset_velocity")
 
 N_PITCHES = 128
+FRAME_BITS = 40  # a frame index's share of a sweep key; a roll holds at most 2**40 frames
 
 
 @dataclass(frozen=True)
@@ -58,55 +61,61 @@ class PRF:
         return cls(precision, recall, f1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PianoRoll:
-    """Binary pitch x frame activity matrix."""
+    """A binary pitch x frame roll held as one frame interval [first, stop) per note."""
 
-    active: np.ndarray  # bool, shape (128, T)
+    pitches: np.ndarray  # int64, one entry per note
+    firsts: np.ndarray  # int64, floor(onset / frame_length)
+    stops: np.ndarray  # int64, min(max(first + 1, ceil(offset / frame_length)), n_frames)
+    n_frames: int
     frame_length: float = RunConfig.frame_length
 
-    def __post_init__(self):
-        if self.active.ndim != 2 or self.active.shape[0] != N_PITCHES:
-            raise ValueError(f"roll must have shape (128, T), got {self.active.shape}")
-        if self.active.dtype != np.bool_:
-            raise ValueError("roll entries must be boolean")
-        if self.frame_length <= 0:
-            raise ValueError("frame_length must be positive")
-
-    @property
-    def n_frames(self) -> int:
-        return self.active.shape[1]
+    @cached_property
+    def active(self) -> np.ndarray:
+        """The bool (128, n_frames) roll, built on first access; same-pitch overlaps OR together."""
+        roll = np.zeros((N_PITCHES, self.n_frames), dtype=np.bool_)
+        # one slice per note (faster than a fancy-indexed fill on long notes)
+        for pitch, first, stop in zip(self.pitches.tolist(), self.firsts.tolist(), self.stops.tolist()):
+            roll[pitch, first:stop] = True
+        return roll
 
 
 def build_piano_roll(perf: Performance, frame_length: float = RunConfig.frame_length) -> PianoRoll:
-    """Rasterize a performance to frames of ``frame_length`` seconds.
+    """Each note's frames at ``frame_length`` seconds, with no duration-sized array.
 
     A note occupies frames floor(onset/h) through
-    max(floor(onset/h), ceil(offset/h) - 1), so every note covers at least
-    one frame; same-pitch overlaps simply OR together.
+    max(floor(onset/h), ceil(offset/h) - 1), clipped at the last frame, so
+    every note that starts inside the roll covers at least one frame.
     """
     if not 0 < frame_length < math.inf:
         raise ValueError("frame_length must be positive and finite")
+    if perf.end_time / frame_length > 1 << FRAME_BITS:
+        raise ValueError(f"{perf.end_time:g} s is more than 2**{FRAME_BITS} frames of {frame_length:g} s")
     n_frames = int(math.ceil(perf.end_time / frame_length))
-    roll = np.zeros((N_PITCHES, n_frames), dtype=np.bool_)
     firsts = np.floor(perf.onsets / frame_length).astype(np.int64)
     stops = np.maximum(firsts + 1, np.ceil(perf.offsets / frame_length).astype(np.int64))
-    # one slice per note (faster than a fancy-indexed fill on long notes), clipped at the last frame
-    for pitch, first, stop in zip(perf.pitches.tolist(), firsts.tolist(), stops.tolist()):
-        roll[pitch, first:stop] = True
-    return PianoRoll(roll, frame_length)
+    return PianoRoll(perf.pitches, firsts, np.minimum(stops, n_frames), n_frames, frame_length)
 
 
 def frame_metrics(ref: PianoRoll, est: PianoRoll) -> PRF:
-    """Cellwise precision/recall/F1; frames past the shorter roll are inactive."""
+    """Cellwise precision/recall/F1, counted from the note intervals in one sorted sweep.
+
+    Every start (+1) and stop (-1) is a key ``pitch << FRAME_BITS | frame``;
+    between two consecutive sorted keys a side covers the stretch when its
+    running sum is positive. Frames past a roll's ``n_frames`` are inactive.
+    """
     if ref.frame_length != est.frame_length:
-        raise ValueError(
-            f"frame_length mismatch: {ref.frame_length} vs {est.frame_length}"
-        )
-    t = min(ref.n_frames, est.n_frames)
-    tp = int(np.count_nonzero(ref.active[:, :t] & est.active[:, :t]))
-    fp = int(np.count_nonzero(est.active)) - tp
-    fn = int(np.count_nonzero(ref.active)) - tp
+        raise ValueError(f"frame_length mismatch: {ref.frame_length} vs {est.frame_length}")
+    n, m = len(ref.pitches), len(est.pitches)
+    keys = np.concatenate([r.pitches << FRAME_BITS | f for r in (ref, est) for f in (r.firsts, r.stops)])
+    order = np.argsort(keys)  # ties bound only zero-length stretches, so their order is free
+    lengths = np.diff(keys[order])
+    on_ref = np.cumsum(np.repeat([1, -1, 0, 0], [n, n, m, m])[order])[:-1] > 0
+    on_est = np.cumsum(np.repeat([0, 0, 1, -1], [n, n, m, m])[order])[:-1] > 0
+    tp = int(lengths[on_ref & on_est].sum())
+    fp = int(lengths[on_est].sum()) - tp
+    fn = int(lengths[on_ref].sum()) - tp
     return PRF.from_counts(tp, fp, fn)
 
 

@@ -10,6 +10,7 @@ import pianoeval.audio
 from helpers import oracle_convolve_ir, sine_audio
 from pianoeval.audio import (
     MAX_IR_SAMPLES,
+    MAX_SNR_DB,
     AudioBuffer,
     WavFormatError,
     add_noise_snr,
@@ -171,6 +172,21 @@ def test_infinite_snr_returns_untouched_copy():
 def test_noise_rejects_nan_and_negative_infinite_snr(snr):
     with pytest.raises(ValueError, match=r"\+inf"):
         add_noise_snr(sine_audio(), snr, seed=1)
+
+
+@pytest.mark.parametrize("snr", [4000.0, -4000.0, math.nextafter(MAX_SNR_DB, math.inf)])
+def test_noise_rejects_snr_beyond_the_bound(snr):
+    # 10 ** (4000 / 10) overflows a float and 10 ** (-4000 / 10) is 0.0
+    with pytest.raises(ValueError, match=f"within ±{MAX_SNR_DB:g}"):
+        add_noise_snr(sine_audio(), snr, seed=1)
+
+
+@pytest.mark.parametrize("snr", [MAX_SNR_DB, -MAX_SNR_DB])
+def test_noise_at_the_snr_bound_is_finite(snr):
+    audio = sine_audio(seconds=0.05)
+    noise = add_noise_snr(audio, snr, seed=1).samples - audio.samples
+    measured = 10.0 * math.log10(float(np.mean(audio.samples**2)) / float(np.mean(noise**2)))
+    assert measured == pytest.approx(snr, abs=1.0)
 
 
 def test_noise_is_seed_deterministic():

@@ -656,6 +656,16 @@ def test_perturb_rejects_ir_files_with_one_stem(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("level", ["4000", "-4000"])
+def test_perturb_rejects_snr_beyond_the_bound_before_writing(tmp_path, capsys, level):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--snr", f"none,{level}", "--rt60", "none"]) == 2
+    assert f"--snr '{level}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_perturb_rejects_bad_level(tmp_path, capsys):
     wav = tmp_path / "take.wav"
     write_wav_file(wav, sine_audio(seconds=0.05))

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -82,6 +83,9 @@ def test_roll_custom_frame_length():
     assert roll.active.shape == (128, 2)
     with pytest.raises(ValueError):
         build_piano_roll(_perf((0.0, 1.0, 60, 64)), frame_length=0.0)
+    # more frames than a sweep key's 40-bit frame field holds
+    with pytest.raises(ValueError, match=r"2\*\*40 frames"):
+        build_piano_roll(_perf((0.0, 2.0, 60, 64)), frame_length=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,67 @@ def test_frames_match_pure_python_oracle():
         assert got.precision == pytest.approx(want[0])
         assert got.recall == pytest.approx(want[1])
         assert got.f1 == pytest.approx(want[2])
+
+
+@st.composite
+def _frame_pairs(draw):
+    """Two performances and a frame length h, on a tick-like grid.
+
+    The grid step is h/4, h/2 or 1/960 s (480 ticks per quarter at 120 BPM),
+    so times fall on frame edges and between them. Pitches 60 and 61 make
+    same-pitch overlaps common, either side may be empty, and each side ends
+    where its own last note does.
+    """
+    h = draw(st.sampled_from([0.01, 0.02, 0.001]))
+    step = draw(st.sampled_from([h / 4, h / 2, 1 / 960]))
+    note = st.builds(
+        lambda k, d, pitch: Note(k * step, (k + d) * step, pitch, 64),
+        st.integers(0, 80),
+        st.integers(1, 40),
+        st.sampled_from([0, 60, 61, 127]),
+    )
+    side = st.lists(note, max_size=10).map(Performance.from_notes)
+    return draw(side), draw(side), h
+
+
+# floor(0.03 / h) = 3 = ceil(0.030000000000000002 / h) = n_frames at h = 0.01: the
+# pitch-60 note starts at the end of the roll, so its frame is clipped away
+_PAST_THE_ROLL = _perf((0.0, 0.02, 62, 64), (0.03, 0.030000000000000002, 60, 64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frame_pairs(), st.integers(0, 2**32 - 1))
+@example((_PAST_THE_ROLL, _perf((0.0, 0.1, 60, 64)), 0.01), 0)
+@example((_PAST_THE_ROLL, Performance.from_notes([]), 0.01), 1)
+def test_frame_sweep_equals_per_cell_oracle(pair, seed):
+    a, b, h = pair
+    got = frame_metrics(build_piano_roll(a, h), build_piano_roll(b, h))
+    want = oracle_frame_prf(oracle_piano_roll(a, h), oracle_piano_roll(b, h))
+    assert (got.precision, got.recall, got.f1) == want
+    # row order does not matter
+    rng = np.random.default_rng(seed)
+    shuffled = [side.take(rng.permutation(len(side))) for side in (a, b)]
+    assert frame_metrics(*(build_piano_roll(side, h) for side in shuffled)) == got
+    for side in (a, b):
+        if len(side):
+            assert frame_metrics(build_piano_roll(side, h), build_piano_roll(side, h)).f1 == 1.0
+
+
+def test_frame_counts_of_a_two_hour_pair_need_no_roll():
+    # a rasterized roll of this pair at 10 ms would be 128 x 720000 cells per side
+    ref = _perf((0.0, 1.0, 60, 64), (7199.0, 7200.0, 60, 64))
+    est = _perf((0.5, 1.5, 60, 64), (7199.5, 7200.0, 62, 64))
+    tracemalloc.start()
+    try:
+        rolls = build_piano_roll(ref, 0.01), build_piano_roll(est, 0.01)
+        prf = frame_metrics(*rolls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # ref 200 cells, est 150; pitch 60 shares frames 50-99
+    assert prf == PRF.from_counts(50, 100, 150)
+    assert rolls[0].active.shape == (128, 720000)
 
 
 # ---------------------------------------------------------------------------
