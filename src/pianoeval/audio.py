@@ -272,6 +272,14 @@ def checked_ir_length(n_samples: int) -> int:
     return n_samples
 
 
+def _checked_rt60(rt60: float) -> float:
+    """``rt60`` if it is in (0, ``MAX_RT60``]; else ValueError. The CLI
+    checks its ``--rt60`` levels with it before it reads the input."""
+    if not 0 < rt60 <= MAX_RT60:
+        raise ValueError(f"rt60 must be positive and finite, at most {MAX_RT60:g} s, got {rt60}")
+    return rt60
+
+
 def synth_ir(rt60: float, sample_rate: int, seed: int) -> AudioBuffer:
     """Synthetic exponential-decay impulse response.
 
@@ -281,9 +289,7 @@ def synth_ir(rt60: float, sample_rate: int, seed: int) -> AudioBuffer:
     ``MAX_RT60``, or one whose IR would be longer than ``MAX_IR_SAMPLES``
     at ``sample_rate``, raises ValueError before anything is allocated.
     """
-    if not 0 < rt60 <= MAX_RT60:
-        raise ValueError(f"rt60 must be positive and finite, at most {MAX_RT60:g} s, got {rt60}")
-    length = checked_ir_length(max(1, int(math.floor(rt60 * sample_rate))))
+    length = checked_ir_length(max(1, int(math.floor(_checked_rt60(rt60) * sample_rate))))
     t = np.arange(length) / sample_rate
     envelope = np.exp(-t * math.log(1000.0) / rt60)
     rng = np.random.default_rng(seed)

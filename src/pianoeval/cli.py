@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .audio import (
+    _checked_rt60,
     apply_condition_grid,
     checked_ir_length,
     checked_snr,
@@ -138,6 +140,11 @@ def _manifest_rows(path: str) -> list[dict[str, str]]:
         return rows
 
 
+def _pool_size(jobs: int, rows: int) -> int:
+    """Threads for ``--jobs``: no more than the rows or the host's CPUs, and at least one."""
+    return max(1, min(jobs, rows, os.cpu_count() or 1))
+
+
 def cmd_batch(args: argparse.Namespace) -> int:
     config = _run_config(args)
     rows = _read(args.manifest, _manifest_rows)
@@ -163,7 +170,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         except Exception as err:  # any other fault fails this row, not the batch
             return None, f"{type(err).__name__}: {err}"
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=_pool_size(args.jobs, len(rows))) as pool:
         results = list(pool.map(run_row, enumerate(rows)))  # in row order
     reports = [report for report, _ in results if report is not None]
     failures = [(i, rows[i]["ref"], rows[i]["est"], e) for i, (_, e) in enumerate(results) if e is not None]
@@ -211,6 +218,9 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     ir_flag, ir_spec = ("--ir", args.ir) if args.ir else ("--rt60", args.rt60)
     snr_labels = _labels("--snr", args.snr, str)
     ir_labels = _labels(ir_flag, ir_spec, (lambda tok: Path(tok).stem) if args.ir else str)
+    snr_levels = _parse_levels("--snr", args.snr, lambda i, tok: checked_snr(float(tok)))
+    if not args.ir:  # the IR length check needs the input's sample rate, so it waits for the read
+        _parse_levels("--rt60", args.rt60, lambda i, tok: _checked_rt60(float(tok)))
     audio = _read(args.input, read_wav_file)
 
     def room(i: int, token: str):
@@ -220,7 +230,6 @@ def cmd_perturb(args: argparse.Namespace) -> int:
             return ir
         return synth_ir(float(token), audio.sample_rate, derive_seed(args.seed, 1, i))
 
-    snr_levels = _parse_levels("--snr", args.snr, lambda i, tok: checked_snr(float(tok)))
     ir_levels = _parse_levels(ir_flag, ir_spec, room)
     try:
         cells = apply_condition_grid(audio, snr_levels, ir_levels, args.seed)

@@ -196,10 +196,12 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int]:
 def _parse_track(
     data: bytes,
     pos: int,
-    notes: list[tuple[int, int, int, int]],
+    columns: tuple[list[int], list[int], list[int], list[int]],
     tempos: list[tuple[int, int]],
     pedals: list[tuple[int, int]],
 ) -> int:
+    """Read the MTrk chunk at ``pos`` and return its end. Notes go to the four
+    ``columns`` (onset tick, offset tick, pitch, velocity) in the order they close."""
     if data[pos : pos + 4] != b"MTrk":
         raise MidiParseError("expected MTrk chunk", pos)
     if pos + 8 > len(data):
@@ -210,81 +212,86 @@ def _parse_track(
     if end > len(data):
         raise MidiParseError("track length mismatch: chunk extends past end of data", pos + 4)
 
+    onset_ticks, offset_ticks, pitches, velocities = columns
     p = start
     tick = 0
     running: Optional[int] = None
-    active: dict[tuple[int, int], tuple[int, int]] = {}  # (channel, pitch) -> (onset_tick, vel)
-
-    def close(key: tuple[int, int], off_tick: int) -> None:
-        onset_tick, velocity = active.pop(key)
-        notes.append((onset_tick, off_tick, key[1], velocity))
-
+    active: dict[int, tuple[int, int]] = {}  # channel << 7 | pitch -> (onset_tick, velocity)
     while p < end:
-        delta, p = _read_varint(data, p, end)
-        tick += delta
-        event_start = p
+        byte = data[p]  # deltas of 1 and 2 bytes inline, longer ones through _read_varint
+        if byte < 0x80:
+            tick += byte
+            p += 1
+        elif p + 1 < end and data[p + 1] < 0x80:
+            tick += (byte & 0x7F) << 7 | data[p + 1]
+            p += 2
+        else:
+            delta, p = _read_varint(data, p, end)
+            tick += delta
         if p >= end:
             raise MidiParseError("event truncated at track end", p)
-        first = data[p]
-        if first & 0x80:
-            status = first
+        status = data[p]
+        if status & 0x80:
             p += 1
-            # sysex and meta events cancel running status
-            running = status if status < 0xF0 else None
+            running = status if status < 0xF0 else None  # sysex and meta events cancel running status
+        elif running is None:
+            raise MidiParseError("dangling running status", p)
         else:
-            if running is None:
-                raise MidiParseError("dangling running status", p)
             status = running
 
-        if status == 0xFF:
+        # channel voice; the other system statuses also take two data bytes and are dropped
+        if status < 0xF0 or status not in (0xF0, 0xF7, 0xFF):
+            kind = status & 0xF0
+            n_data = 1 if kind == 0xC0 or kind == 0xD0 else 2
+            if p + n_data > end:
+                raise MidiParseError("channel event truncated", p)
+            d1 = data[p]
+            d2 = data[p + 1] if n_data == 2 else 0
+            if (d1 | d2) & 0x80:
+                raise MidiParseError(f"invalid data byte for status 0x{status:02X}", p)
+            p += n_data
+            if kind == 0x90 or kind == 0x80:
+                key = (status & 0x0F) << 7 | d1
+                opened = active.pop(key, None)
+                if opened is not None:  # a note-off, or a same-pitch note-on that closes the earlier note
+                    onset_ticks.append(opened[0])
+                    offset_ticks.append(tick)
+                    pitches.append(d1)
+                    velocities.append(opened[1])
+                if kind == 0x90 and d2:
+                    active[key] = (tick, d2)
+            elif kind == 0xB0 and d1 == SUSTAIN_CONTROLLER:
+                pedals.append((tick, d2))
+        elif status == 0xFF:
+            event_start = p - 1  # a meta event never runs on running status
             if p >= end:
                 raise MidiParseError("truncated meta event", p)
             meta_type = data[p]
-            p += 1
-            meta_len, p = _read_varint(data, p, end)
+            meta_len, p = _read_varint(data, p + 1, end)
             if p + meta_len > end:
                 raise MidiParseError("meta event overruns track", p)
-            payload = data[p : p + meta_len]
             p += meta_len
             if meta_type == 0x51:
                 if meta_len != 3:
                     raise MidiParseError(f"set-tempo event with length {meta_len}", p)
-                uspq = int.from_bytes(payload, "big")
+                uspq = int.from_bytes(data[p - 3 : p], "big")
                 if uspq == 0:
                     raise MidiParseError("set-tempo event with zero tempo", event_start)
                 tempos.append((tick, uspq))
             elif meta_type == 0x2F:
                 break
-        elif status in (0xF0, 0xF7):
+        else:
             skip, p = _read_varint(data, p, end)
             if p + skip > end:
                 raise MidiParseError("sysex event overruns track", p)
             p += skip
-        else:
-            kind = status & 0xF0
-            channel = status & 0x0F
-            n_data = 1 if kind in (0xC0, 0xD0) else 2
-            if p + n_data > end:
-                raise MidiParseError("channel event truncated", p)
-            d1 = data[p]
-            d2 = data[p + 1] if n_data == 2 else 0
-            if d1 & 0x80 or d2 & 0x80:
-                raise MidiParseError(f"invalid data byte for status 0x{status:02X}", p)
-            p += n_data
-            if kind == 0x90 and d2 > 0:
-                key = (channel, d1)
-                if key in active:  # same-pitch overlap: close the earlier note here
-                    close(key, tick)
-                active[key] = (tick, d2)
-            elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                key = (channel, d1)
-                if key in active:
-                    close(key, tick)
-            elif kind == 0xB0 and d1 == SUSTAIN_CONTROLLER:
-                pedals.append((tick, d2))
 
     for key in sorted(active):  # unterminated notes close at track end
-        close(key, tick)
+        onset_tick, velocity = active[key]
+        onset_ticks.append(onset_tick)
+        offset_ticks.append(tick)
+        pitches.append(key & 0x7F)
+        velocities.append(velocity)
     return end
 
 
@@ -302,14 +309,14 @@ def parse_midi(data: bytes, pedal_mode: str = "extend") -> Performance:
         raise ValueError(f"pedal_mode must be 'ignore' or 'extend', got {pedal_mode!r}")
 
     fmt, ntrks, tpq, pos = _parse_header(data)
-    raw_notes, tempos, raw_pedals = [], [], []  # filled by _parse_track
+    columns, tempos, raw_pedals = ([], [], [], []), [], []  # filled by _parse_track
     for _ in range(ntrks):
-        pos = _parse_track(data, pos, raw_notes, tempos, raw_pedals)
+        pos = _parse_track(data, pos, columns, tempos, raw_pedals)
 
-    ticks = np.array(raw_notes, dtype=np.int64).reshape(-1, 4)
-    onsets, offsets = _tick_seconds(ticks[:, :2], tempos, tpq).T
+    onset_ticks, offset_ticks, pitches, velocities = (np.array(c, dtype=np.int64) for c in columns)
+    onsets, offsets = _tick_seconds(np.stack([onset_ticks, offset_ticks]), tempos, tpq)
     offsets = np.where(offsets <= onsets, onsets + MIN_NOTE_DURATION, offsets)
-    performance = _sorted(onsets, offsets, ticks[:, 2], ticks[:, 3])
+    performance = _sorted(onsets, offsets, pitches, velocities)
 
     if pedal_mode == "extend" and raw_pedals:
         raw_pedals.sort(key=lambda e: e[0])

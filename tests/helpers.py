@@ -15,7 +15,7 @@ import math
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -562,13 +562,112 @@ def oracle_apply_sustain_pedal(notes: Sequence[Note], end_time: float, pedals, t
     return _oracle_sorted(new_notes), max(n.offset for n in new_notes)
 
 
+def oracle_parse_track(
+    data: bytes,
+    pos: int,
+    notes: list[tuple[int, int, int, int]],
+    tempos: list[tuple[int, int]],
+    pedals: list[tuple[int, int]],
+) -> int:
+    """A plain track reader, the reference for ``midi._parse_track``: closed
+    notes as (onset tick, offset tick, pitch, velocity) tuples into ``notes``,
+    set-tempo events into ``tempos``, CC64 events into ``pedals``; returns the
+    chunk's end."""
+    if data[pos : pos + 4] != b"MTrk":
+        raise midi.MidiParseError("expected MTrk chunk", pos)
+    if pos + 8 > len(data):
+        raise midi.MidiParseError("truncated track chunk header", pos)
+    (length,) = struct.unpack_from(">I", data, pos + 4)
+    start = pos + 8
+    end = start + length
+    if end > len(data):
+        raise midi.MidiParseError("track length mismatch: chunk extends past end of data", pos + 4)
+
+    p = start
+    tick = 0
+    running: Optional[int] = None
+    active: dict[tuple[int, int], tuple[int, int]] = {}  # (channel, pitch) -> (onset_tick, vel)
+
+    def close(key: tuple[int, int], off_tick: int) -> None:
+        onset_tick, velocity = active.pop(key)
+        notes.append((onset_tick, off_tick, key[1], velocity))
+
+    while p < end:
+        delta, p = midi._read_varint(data, p, end)
+        tick += delta
+        event_start = p
+        if p >= end:
+            raise midi.MidiParseError("event truncated at track end", p)
+        first = data[p]
+        if first & 0x80:
+            status = first
+            p += 1
+            # sysex and meta events cancel running status
+            running = status if status < 0xF0 else None
+        else:
+            if running is None:
+                raise midi.MidiParseError("dangling running status", p)
+            status = running
+
+        if status == 0xFF:
+            if p >= end:
+                raise midi.MidiParseError("truncated meta event", p)
+            meta_type = data[p]
+            p += 1
+            meta_len, p = midi._read_varint(data, p, end)
+            if p + meta_len > end:
+                raise midi.MidiParseError("meta event overruns track", p)
+            payload = data[p : p + meta_len]
+            p += meta_len
+            if meta_type == 0x51:
+                if meta_len != 3:
+                    raise midi.MidiParseError(f"set-tempo event with length {meta_len}", p)
+                uspq = int.from_bytes(payload, "big")
+                if uspq == 0:
+                    raise midi.MidiParseError("set-tempo event with zero tempo", event_start)
+                tempos.append((tick, uspq))
+            elif meta_type == 0x2F:
+                break
+        elif status in (0xF0, 0xF7):
+            skip, p = midi._read_varint(data, p, end)
+            if p + skip > end:
+                raise midi.MidiParseError("sysex event overruns track", p)
+            p += skip
+        else:
+            kind = status & 0xF0
+            channel = status & 0x0F
+            n_data = 1 if kind in (0xC0, 0xD0) else 2
+            if p + n_data > end:
+                raise midi.MidiParseError("channel event truncated", p)
+            d1 = data[p]
+            d2 = data[p + 1] if n_data == 2 else 0
+            if d1 & 0x80 or d2 & 0x80:
+                raise midi.MidiParseError(f"invalid data byte for status 0x{status:02X}", p)
+            p += n_data
+            if kind == 0x90 and d2 > 0:
+                key = (channel, d1)
+                if key in active:  # same-pitch overlap: close the earlier note here
+                    close(key, tick)
+                active[key] = (tick, d2)
+            elif kind == 0x80 or (kind == 0x90 and d2 == 0):
+                key = (channel, d1)
+                if key in active:
+                    close(key, tick)
+            elif kind == 0xB0 and d1 == midi.SUSTAIN_CONTROLLER:
+                pedals.append((tick, d2))
+
+    for key in sorted(active):  # unterminated notes close at track end
+        close(key, tick)
+    return end
+
+
 def oracle_parse_midi(data: bytes, pedal_mode: str = "extend"):
-    """(notes, end_time) of an SMF: the library's track reader, then one
+    """(notes, end_time) of an SMF: :func:`oracle_parse_track`, then one
     Note per raw (onset tick, offset tick, pitch, velocity) tuple."""
     _, ntrks, tpq, pos = midi._parse_header(data)
     raw_notes, tempo_events, raw_pedals = [], [], []
     for _ in range(ntrks):
-        pos = midi._parse_track(data, pos, raw_notes, tempo_events, raw_pedals)
+        pos = oracle_parse_track(data, pos, raw_notes, tempo_events, raw_pedals)
     tempo_map = TempoMap(tempo_events, tpq)
     notes = []
     for onset_tick, offset_tick, pitch, velocity in raw_notes:

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -454,6 +456,28 @@ def test_batch_jobs_do_not_change_output(tmp_path, capsys):
     assert (out1 / "failures.csv").read_bytes() == (out4 / "failures.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "jobs, rows, cpus, size", [(5000, 10_000, 2, 2), (5000, 3, 64, 3), (2, 16, 2, 2), (0, 5, 2, 1), (-3, 5, None, 1)]
+)
+def test_batch_pool_is_capped_by_rows_and_cpus(monkeypatch, jobs, rows, cpus, size):
+    # the size is computed, never a pool of that many started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._pool_size(jobs, rows) == size
+
+
+def test_batch_starts_the_capped_pool(tmp_path, monkeypatch, capsys):
+    manifest = _make_batch(tmp_path, n_good=2, n_bad=1)
+    sizes = []
+
+    def executor(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", executor)
+    assert main(["batch", manifest, "--output", str(tmp_path / "out"), "--jobs", "5000"]) == 0
+    assert sizes == [min(3, os.cpu_count() or 1)]
+
+
 def test_batch_json_format(tmp_path, capsys):
     manifest = _make_batch(tmp_path, n_good=2)
     out = tmp_path / "out"
@@ -671,6 +695,15 @@ def test_perturb_rejects_bad_level(tmp_path, capsys):
     write_wav_file(wav, sine_audio(seconds=0.05))
     assert main(["perturb", str(wav), "--output", str(tmp_path / "o"), "--snr", "loud"]) == 2
     assert "--snr 'loud'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, level", [("--snr", "loud"), ("--rt60", "-1"), ("--rt60", "none,1e6")])
+def test_perturb_checks_levels_before_reading_the_input(tmp_path, capsys, flag, level):
+    missing = tmp_path / "missing.wav"
+    assert main(["perturb", str(missing), "--output", str(tmp_path / "o"), flag, level]) == 2
+    err = capsys.readouterr().err
+    assert f"pianoeval: {flag} '{level.split(',')[-1]}'" in err
+    assert "missing.wav" not in err
 
 
 # sha256 of each file `perturb --seed 3` writes for the seeded 8 kHz input below. These

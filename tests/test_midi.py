@@ -9,10 +9,13 @@ from helpers import (
     PedalEvent,
     oracle_apply_sustain_pedal,
     oracle_parse_midi,
+    oracle_parse_track,
     performance_to_smf,
     random_performance,
     serialize_smf,
+    vlq,
 )
+from pianoeval import midi
 from pianoeval.evaluation import evaluate_performances
 from pianoeval.midi import (
     MidiParseError,
@@ -478,6 +481,95 @@ def test_parse_equals_per_note_oracle(notes, tempos, pedals, pedal_mode):
     assert perf.end_time == want_end
 
 
+def _read_tracks(data: bytes, read_track, notes) -> tuple:
+    """``read_track`` over every track of ``data``: (tempos, pedals, end), or
+    the message and offset of the MidiParseError it raised; notes go to ``notes``."""
+    try:
+        _, ntrks, _, pos = midi._parse_header(data)
+        tempos, pedals = [], []
+        for _ in range(ntrks):
+            pos = read_track(data, pos, notes, tempos, pedals)
+        return tempos, pedals, pos
+    except MidiParseError as err:
+        return str(err), err.offset
+
+
+def _assert_reader_equals_oracle(data: bytes) -> None:
+    """The track reader's columns, events and errors equal the oracle tokenizer's, closing order included."""
+    columns, rows = ([], [], [], []), []
+    assert _read_tracks(data, midi._parse_track, columns) == _read_tracks(data, oracle_parse_track, rows)
+    assert list(zip(*columns)) == rows
+
+
+_deltas = st.one_of(
+    st.just(0), st.integers(1, 127), st.integers(2**7, 2**14 - 1), st.integers(2**14, 2**21 - 1),
+    st.integers(2**21, 2**28 - 1),
+)
+
+
+@st.composite
+def _event_tracks(draw) -> bytes:
+    """One MTrk chunk of raw events: notes on two channels (one pitch often on
+    both at one tick), note-on velocity 0, running status, 1-4-byte deltas,
+    one-data-byte program change and channel pressure, other channel events,
+    a system status, sysex F0/F7, tempo and other meta events. Notes left
+    open close at the track end, and bytes may follow the end-of-track event."""
+    body = bytearray()
+    running = None
+    for _ in range(draw(st.integers(0, 24))):
+        body += vlq(draw(_deltas))
+        kind = draw(st.sampled_from([0x90, 0x90, 0x80, "off0", 0xB0, 0xC0, 0xD0, 0xA0, 0xE0, 0xF2, "sysex", "meta"]))
+        if kind == 0xF2:  # song position: a system status with two data bytes, which cancels running status
+            body += bytes([0xF2, draw(st.integers(0, 127)), draw(st.integers(0, 127))])
+            running = None
+        elif kind == "sysex":
+            payload = draw(st.binary(max_size=4))
+            body += bytes([draw(st.sampled_from([0xF0, 0xF7]))]) + vlq(len(payload)) + payload
+            running = None
+        elif kind == "meta":
+            meta_type = draw(st.sampled_from([0x01, 0x03, 0x51, 0x58, 0x7F]))
+            if meta_type == 0x51:
+                payload = draw(st.integers(1, 2**24 - 1)).to_bytes(3, "big")
+            else:
+                payload = draw(st.binary(max_size=4))
+            body += bytes([0xFF, meta_type]) + vlq(len(payload)) + payload
+            running = None
+        else:
+            status = (0x90 if kind == "off0" else kind) | draw(st.sampled_from([0, 1]))
+            if kind == 0xB0:
+                data = [draw(st.sampled_from([7, 64])), draw(st.sampled_from([0, 63, 64, 127]))]
+            else:
+                data = [draw(st.sampled_from([60, 62])), 0 if kind == "off0" else draw(st.integers(0, 127))]
+            if kind in (0xC0, 0xD0):
+                data = data[:1]
+            if status != running or not draw(st.booleans()):
+                body.append(status)
+            body += bytes(data)
+            running = status
+    if draw(st.booleans()):
+        body += b"\x00\xff\x2f\x00" + draw(st.binary(max_size=6))
+    return b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)
+
+
+_event_smfs = st.builds(
+    lambda tpq, tracks: b"MThd" + (6).to_bytes(4, "big") + (1).to_bytes(2, "big")
+    + len(tracks).to_bytes(2, "big") + tpq.to_bytes(2, "big") + b"".join(tracks),
+    st.sampled_from([96, 480]),
+    st.lists(_event_tracks(), min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_event_smfs)
+def test_event_kinds_parse_as_the_oracle_does(data):
+    _assert_reader_equals_oracle(data)
+    for pedal_mode in ("extend", "ignore"):
+        perf = parse_midi(data, pedal_mode)
+        want_notes, want_end = oracle_parse_midi(data, pedal_mode)
+        assert perf.notes == tuple(want_notes)
+        assert perf.end_time == want_end
+
+
 # ---------------------------------------------------------------------------
 # Robustness: malformed bytes fail as MidiParseError and nothing else
 # ---------------------------------------------------------------------------
@@ -499,7 +591,7 @@ _valid_smfs = st.builds(
 @st.composite
 def _damaged_smfs(draw):
     """A valid SMF with 1-5 bytes overwritten, deleted, or cut off at the end."""
-    data = bytearray(draw(_valid_smfs))
+    data = bytearray(draw(st.one_of(_valid_smfs, _event_smfs)))
     for _ in range(draw(st.integers(1, 5))):
         if not data:
             break
@@ -523,3 +615,4 @@ def test_parse_raises_only_midi_parse_error(data, pedal_mode):
         parse_midi(data, pedal_mode)
     except MidiParseError:
         pass
+    _assert_reader_equals_oracle(data)
