@@ -6,7 +6,10 @@ The inputs (``inputs/``) are small seeded SMF pairs: references with a tempo
 map, CC64 pedal and chords, a quantized metronomic estimate, a jittered
 estimate with dropped and spurious notes, and one file with a status byte
 where a data byte belongs, which fails its row. The expected outputs
-(``expected/<config>/``) are what ``pianoeval batch`` writes for them. An
+(``expected/<config>/``) are what ``pianoeval batch`` writes for them.
+``expected/dense_pair/`` holds the emitted CSV and JSON report of one
+denser pair, ~2000 seeded notes with chords against a jittered estimate,
+built in memory by the test helpers. An
 expected file changes only with a recorded spec change that lists the old
 and new values; rewriting it to turn a failing ``tests/test_golden.py``
 green hides a drift.
@@ -20,8 +23,17 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import TempoMap, serialize_smf, ticks_to_seconds
+from helpers import (
+    TempoMap,
+    jitter_onsets,
+    jitter_velocities,
+    random_performance,
+    serialize_smf,
+    ticks_to_seconds,
+)
 from pianoeval import cli
+from pianoeval.evaluation import evaluate_performances
+from pianoeval.stats import MetricReport, emit
 
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
@@ -134,6 +146,15 @@ def run_batch(out: Path, config_file, jobs: int) -> None:
         assert cli.main(argv) == 0
 
 
+def dense_pair_report() -> MetricReport:
+    """The report of a seeded ~2000-note reference (a chord on ~35 % of its onsets)
+    against itself with 25 ms onset and 4-step velocity jitter."""
+    rng = np.random.default_rng(20243)
+    ref = random_performance(rng, 2000, chord_probability=0.35)
+    est = jitter_velocities(jitter_onsets(ref, 0.025, rng), 4.0, rng)
+    return evaluate_performances(ref, est, pair_id="dense_pair")
+
+
 def main() -> None:
     write_inputs()
     cwd = os.getcwd()
@@ -145,6 +166,10 @@ def main() -> None:
             run_batch(out, config_file, jobs=1)
     finally:
         os.chdir(cwd)
+    report = dense_pair_report()
+    (EXPECTED / "dense_pair").mkdir(exist_ok=True)
+    for fmt in ("csv", "json"):
+        (EXPECTED / "dense_pair" / f"report.{fmt}").write_bytes(emit([report], fmt))
 
 
 if __name__ == "__main__":
