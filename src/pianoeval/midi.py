@@ -59,6 +59,8 @@ class Note:
             raise ValueError(f"pitch out of range: {self.pitch}")
         if not 1 <= self.velocity <= 127:
             raise ValueError(f"velocity out of range: {self.velocity}")
+        if self.pitch % 1 or self.velocity % 1:
+            raise ValueError(f"pitch and velocity must be whole numbers: {self.pitch}, {self.velocity}")
 
     @property
     def duration(self) -> float:
@@ -75,7 +77,8 @@ class Performance:
     Row k is one note: ``onsets[k]`` and ``offsets[k]`` in seconds
     (float64), ``pitches[k]`` and ``velocities[k]`` (int64). The
     constructor checks what :class:`Note` checks, row by row: times finite
-    and non-negative, offset after onset, pitch 0-127, velocity 1-127.
+    and non-negative, offset after onset, pitch 0-127, velocity 1-127,
+    pitch and velocity whole numbers.
     :meth:`from_notes`, :func:`parse_midi` and :func:`apply_sustain_pedal`
     sort the rows by (onset, pitch, offset); :meth:`take` keeps the order
     it is given.
@@ -87,21 +90,30 @@ class Performance:
     velocities: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in _COLUMNS:
-            column = np.array(getattr(self, name), dtype=dtype)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        if self.onsets.ndim != 1 or any(c.shape != self.onsets.shape for c in self._columns()):
+        # pitches and velocities not given as integers stay float until checked:
+        # the int64 cast would truncate 60.7 and overflow at 1e30
+        columns = [np.asarray(getattr(self, name)) for name, _ in _COLUMNS]
+        columns = [
+            np.array(c, dtype=t if c.dtype.kind in "iu" else np.float64) for c, (_, t) in zip(columns, _COLUMNS)
+        ]
+        onsets, offsets, pitches, velocities = columns
+        if onsets.ndim != 1 or any(c.shape != onsets.shape for c in columns):
             raise ValueError("note columns must be one-dimensional and of equal length")
         for valid, problem in (
-            ((self.onsets >= 0) & (self.offsets < np.inf), "times must be finite and non-negative"),
-            (self.offsets > self.onsets, "duration must be positive"),
-            ((self.pitches >= 0) & (self.pitches <= 127), "pitch out of range"),
-            ((self.velocities >= 1) & (self.velocities <= 127), "velocity out of range"),
+            ((onsets >= 0) & (offsets < np.inf), "times must be finite and non-negative"),
+            (offsets > onsets, "duration must be positive"),
+            ((pitches >= 0) & (pitches <= 127), "pitch out of range"),
+            ((velocities >= 1) & (velocities <= 127), "velocity out of range"),
+            *((c == np.trunc(c), f"{what} must be a whole number")
+              for c, what in ((pitches, "pitch"), (velocities, "velocity")) if c.dtype.kind == "f"),
         ):
             if not valid.all():
                 k = int(np.argmin(valid))
-                raise ValueError(f"note {k} {tuple(c[k].item() for c in self._columns())}: {problem}")
+                raise ValueError(f"note {k} {tuple(c[k].item() for c in columns)}: {problem}")
+        for (name, dtype), column in zip(_COLUMNS, columns):
+            column = column.astype(dtype, copy=False)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @classmethod
     def from_notes(cls, notes: Iterable[Note]) -> "Performance":

@@ -101,6 +101,21 @@ def kor_series(stream: Performance) -> FeatureSeries:
     return FeatureSeries(onsets[keep + 1], (offsets[keep] - onsets[keep + 1]) / ioi[keep])
 
 
+def _lexsort_ties(keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``np.lexsort(keys)`` (last key primary) for keys without NaN: a stable
+    argsort on the primary key, then a lexsort over only the rows it ties,
+    which orders each tied run in the positions the run already holds."""
+    order = np.argsort(keys[-1], kind="stable")
+    primary = keys[-1][order]
+    same = primary[1:] == primary[:-1]
+    if same.any():
+        tied = np.append(same, False)
+        tied[1:] |= same
+        rows = order[tied]
+        order[tied] = rows[np.lexsort(tuple(key[rows] for key in keys))]
+    return order
+
+
 def _velocity_on_grid(stream: Performance, grid: np.ndarray) -> np.ndarray:
     """Velocity of the stream at each grid time, with a hold after it ends.
 
@@ -111,13 +126,13 @@ def _velocity_on_grid(stream: Performance, grid: np.ndarray) -> np.ndarray:
     """
     onsets, offsets, velocities = stream.onsets, stream.offsets, stream.velocities
     # notes paint their [onset, offset) grid spans in this order; the last to paint a point wins
-    order = np.lexsort((-velocities, -offsets, onsets))
+    order = _lexsort_ties((-velocities, -offsets, onsets))
     rank, point = expand_ranges(
         np.searchsorted(grid, onsets[order], "left"), np.searchsorted(grid, offsets[order], "left")
     )
     painter = np.full(len(grid), -1)
     np.maximum.at(painter, point, rank)
-    ended = np.lexsort((velocities, onsets, offsets))
+    ended = _lexsort_ties((velocities, onsets, offsets))
     last = np.searchsorted(offsets[ended], grid, "right") - 1
     held = (last >= 0) & (grid - offsets[ended[last]] <= DYNAMICS_HOLD)
     silent = np.where(held, velocities[ended[last]], 0)

@@ -21,24 +21,37 @@ __all__ = [
 
 
 def cluster_onsets(perf: Performance, eps: float = RunConfig.chord_epsilon) -> np.ndarray:
-    """Index of the first note of every onset cluster, from a greedy
-    left-to-right sweep.
+    """Index of the first note of every onset cluster, from a greedy sweep
+    over the rows in their given order.
 
-    Walking the notes in onset order, a note joins the current cluster iff
-    its onset is within ``eps`` of the cluster's *first* onset (the anchor);
-    otherwise it starts a new cluster. Anchoring at the first onset keeps a
+    Row 0 starts the first cluster and its onset is the anchor. A later row
+    joins the current cluster iff its onset is at most ``eps`` past the
+    anchor (an earlier onset always joins); otherwise it starts a new
+    cluster and becomes the anchor. Anchoring at the first onset keeps a
     slow arpeggio from chaining into one giant cluster. A cluster runs from
-    its first note up to the next cluster's first note.
+    its first row up to the next cluster's first row. ``eps`` must be
+    non-negative (``inf`` makes one cluster); NaN raises ValueError.
     """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    firsts = []
-    anchor = None
-    for index, onset in enumerate(perf.onsets.tolist()):
-        if anchor is None or onset - anchor > eps:
-            firsts.append(index)
-            anchor = onset
-    return np.array(firsts, dtype=np.int64)
+    if not eps >= 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
+    onsets = perf.onsets
+    # row 0, if any, and every row more than eps past all earlier onsets start a cluster
+    # whatever the anchor; a run up to the next such row with no onset over eps past its
+    # first is one cluster
+    starts = np.flatnonzero(np.r_[len(onsets) > 0, onsets[1:] - np.maximum.accumulate(onsets)[:-1] > eps])
+    wide = np.flatnonzero(np.maximum.reduceat(onsets, starts) - onsets[starts] > eps)
+    if not len(wide):
+        return starts
+    ends = np.append(starts[1:], len(onsets))
+    inner = []
+    for first, end in zip(starts[wide].tolist(), ends[wide].tolist()):
+        run = onsets[first:end].tolist()
+        anchor = run[0]
+        for index, onset in enumerate(run, first):
+            if onset - anchor > eps:
+                inner.append(index)
+                anchor = onset
+    return np.sort(np.append(starts, np.array(inner, dtype=np.int64)))
 
 
 def split_streams(
@@ -50,14 +63,18 @@ def split_streams(
     bass the lowest, ties going to the longer note, then to the first in
     note order; the accompaniment is every note but the melody notes (bass
     notes included), in original order. Notes keep their offsets and
-    velocities as played, and melody and bass onsets are strictly
-    increasing (one note per cluster).
+    velocities as played; on rows in onset order, melody and bass onsets
+    are strictly increasing (one note per cluster).
     """
     firsts = cluster_onsets(perf, chord_epsilon)
+    rows = np.arange(len(perf))
     cluster = np.repeat(np.arange(len(firsts)), np.diff(firsts, append=len(perf)))
     duration = perf.offsets - perf.onsets
-    # lexsort is stable and cluster c keeps positions firsts[c]..., so each
-    # cluster's pick lands on its first position
-    top = np.lexsort((-duration, -perf.pitches, cluster))[firsts]
-    bottom = np.lexsort((-duration, perf.pitches, cluster))[firsts]
-    return perf.take(top), perf.take(bottom), perf.take(np.delete(np.arange(len(perf)), top))
+    picks = []
+    for extreme in (np.maximum, np.minimum):
+        pitched = perf.pitches == extreme.reduceat(perf.pitches, firsts)[cluster]
+        held = np.where(pitched, duration, -np.inf)
+        longest = held == np.maximum.reduceat(held, firsts)[cluster]
+        picks.append(np.minimum.reduceat(np.where(longest, rows, len(perf)), firsts))
+    top, bottom = picks
+    return perf.take(top), perf.take(bottom), perf.take(np.delete(rows, top))

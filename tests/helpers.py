@@ -711,6 +711,30 @@ def oracle_split_streams(notes: Sequence[Note], eps: float = 0.030):
     return clusters, melody, bass, rest
 
 
+def oracle_cluster_onsets(perf: Performance, eps: float = 0.030) -> np.ndarray:
+    """The first row of every cluster, from the anchored sweep one row at a time."""
+    firsts = []
+    anchor = None
+    for index, onset in enumerate(perf.onsets.tolist()):
+        if anchor is None or onset - anchor > eps:
+            firsts.append(index)
+            anchor = onset
+    return np.array(firsts, dtype=np.int64)
+
+
+def oracle_split_columns(perf: Performance, eps: float = 0.030) -> tuple[Performance, Performance, Performance]:
+    """(melody, bass, accompaniment) from :func:`oracle_cluster_onsets` and two
+    full (cluster, pitch, duration) lexsorts over the columns."""
+    firsts = oracle_cluster_onsets(perf, eps)
+    cluster = np.repeat(np.arange(len(firsts)), np.diff(firsts, append=len(perf)))
+    duration = perf.offsets - perf.onsets
+    # lexsort is stable and cluster c keeps positions firsts[c]..., so each
+    # cluster's pick lands on its first position
+    top = np.lexsort((-duration, -perf.pitches, cluster))[firsts]
+    bottom = np.lexsort((-duration, perf.pitches, cluster))[firsts]
+    return perf.take(top), perf.take(bottom), perf.take(np.delete(np.arange(len(perf)), top))
+
+
 def oracle_piano_roll(perf: Performance, frame_length: float = 0.010) -> np.ndarray:
     """The (128, T) roll filled one note at a time."""
     n_frames = int(math.ceil(perf.end_time / frame_length))

@@ -45,6 +45,8 @@ def test_note_field_ranges():
         Note(0.0, 1.0, 60, 0)
     with pytest.raises(ValueError):
         Note(0.0, 1.0, 60, 128)
+    with pytest.raises(ValueError, match="whole numbers"):
+        Note(0, 1, 60.7, 80)
 
 
 @pytest.mark.parametrize(
@@ -84,6 +86,17 @@ def test_performance_columns_are_coerced_read_only_and_checked():
     ):
         with pytest.raises(ValueError):
             Performance(*bad)
+
+
+@pytest.mark.parametrize(
+    "pitch, velocity, problem",
+    [(60.7, 80.9, "pitch must be a whole number"), (60.0, 80.5, "velocity must be a whole number"),
+     (1e30, 80, "pitch out of range")],
+)
+def test_performance_rejects_fractional_and_huge_pitch_or_velocity(pitch, velocity, problem):
+    # not truncated to 60 and 80, and no OverflowError from the int64 cast
+    with pytest.raises(ValueError, match=rf"^note 0 \(0\.0, 1\.0, .*\): {problem}$"):
+        Performance([0.0], [1.0], [pitch], [velocity])
 
 
 def test_take_keeps_given_order_and_end_time():

@@ -20,6 +20,7 @@ from pianoeval.musical import (
     dynamics_series,
     ioi_series,
     kor_series,
+    _lexsort_ties,
     ratio_kor_series,
 )
 from pianoeval.series import FeatureSeries
@@ -170,12 +171,34 @@ _lattice_stream = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_lattice_stream, _lattice_stream)
-def test_dynamics_series_equals_tracker_oracle(melody, bass):
+@given(_lattice_stream, _lattice_stream, st.data())
+def test_dynamics_series_equals_tracker_oracle(melody, bass, data):
     times, values = oracle_dynamics_series(melody, bass)
-    series = dynamics_series(Performance.from_notes(melody), Performance.from_notes(bass))
-    assert series.times.tolist() == times
-    assert series.values.tolist() == values
+    melody, bass = Performance.from_notes(melody), Performance.from_notes(bass)
+    shuffled = [s.take(data.draw(st.permutations(range(len(s))))) for s in (melody, bass)]
+    for series in (dynamics_series(melody, bass), dynamics_series(*shuffled)):
+        assert series.times.tolist() == times
+        assert series.values.tolist() == values
+
+
+@st.composite
+def _tied_keys(draw):
+    """One to three equal-length sort keys of 0 to 12 rows, mostly ties: small
+    ints, or floats that include both zeros."""
+    n = draw(st.integers(0, 12))
+    ints = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+    floats = st.lists(st.sampled_from([-0.0, 0.0, 0.1, -2.5]), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.float64)
+    )
+    return tuple(draw(st.lists(st.one_of(ints, floats), min_size=1, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_keys())
+def test_tie_only_lexsort_equals_np_lexsort(keys):
+    order = _lexsort_ties(keys)
+    expected = np.lexsort(keys)
+    assert order.dtype == expected.dtype and order.tolist() == expected.tolist()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_split_streams, random_performance
+from helpers import oracle_cluster_onsets, oracle_split_columns, oracle_split_streams, random_performance
 from pianoeval.midi import Note, Performance
 from pianoeval.streams import cluster_onsets, split_streams
 
@@ -43,6 +46,17 @@ def test_cluster_anchored_not_chained():
     perf = _perf((0.00, 1.0, 60, 64), (0.02, 1.0, 64, 64), (0.04, 1.0, 67, 64))
     clusters = _clusters(perf, 0.03)
     assert [[n.onset for n in c] for c in clusters] == [[0.00, 0.02], [0.04]]
+
+
+def test_cluster_eps_domain():
+    perf = _perf((0.0, 1.0, C4, 64), (0.5, 1.0, E4, 64), (9.0, 9.5, G4, 64))
+    for bad in (-0.01, math.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            cluster_onsets(perf, bad)
+        with pytest.raises(ValueError, match="non-negative"):
+            split_streams(perf, bad)
+    assert cluster_onsets(perf, math.inf).tolist() == [0]
+    assert len(split_streams(perf, math.inf)[0]) == 1
 
 
 def test_melody_picks_chord_top():
@@ -152,9 +166,18 @@ _chord_notes = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_chord_notes, st.sampled_from([0.0, 0.02, 0.03]))
-def test_split_streams_equal_per_note_oracle(notes, eps):
+@given(_chord_notes, st.sampled_from([0.0, 0.02, 0.03, math.inf]), st.data())
+def test_split_streams_equal_per_note_oracle(notes, eps, data):
+    # rows in any order: take() keeps the order it is given, so onsets may fall back
     perf = Performance.from_notes(notes)
+    perf = perf.take(data.draw(st.permutations(range(len(perf)))))
     clusters, melody, bass, rest = oracle_split_streams(perf.notes, eps)
     assert _clusters(perf, eps) == clusters
-    assert [s.notes for s in split_streams(perf, eps)] == [tuple(melody), tuple(bass), tuple(rest)]
+    streams = split_streams(perf, eps)
+    assert [s.notes for s in streams] == [tuple(melody), tuple(bass), tuple(rest)]
+    # and bit for bit the columns of the lexsort implementation
+    firsts = cluster_onsets(perf, eps)
+    assert firsts.dtype == np.int64 and firsts.tobytes() == oracle_cluster_onsets(perf, eps).tobytes()
+    for stream, oracle in zip(streams, oracle_split_columns(perf, eps), strict=True):
+        for column, expected in zip(stream._columns(), oracle._columns(), strict=True):
+            assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes()
