@@ -60,14 +60,14 @@ def _read(path: str, reader, *args):
 
 def _config_file(path: str) -> RunConfig:
     """A flat key=value file over the defaults, each key set at most once and
-    each value coerced to its field's type."""
+    each value coerced to its field's type; ``#`` starts a comment anywhere on a line."""
     field_types = {f.name: type(f.default) for f in fields(RunConfig)}
     values: dict = {}
     set_on: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_number, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"line {line_number}: expected key=value, got {stripped!r}")
@@ -121,7 +121,7 @@ _RESERVED_TAGS = {"pair_id", "count"} | {f"{c}{s}" for c in REPORT_METRIC_COLUMN
 
 
 def _manifest_rows(path: str) -> list[dict[str, str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
         if header is None or not {"ref", "est"} <= set(header):
@@ -221,6 +221,8 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     snr_levels = _parse_levels("--snr", args.snr, lambda i, tok: checked_snr(float(tok)))
     if not args.ir:  # the IR length check needs the input's sample rate, so it waits for the read
         _parse_levels("--rt60", args.rt60, lambda i, tok: _checked_rt60(float(tok)))
+    if args.seed < 0:
+        raise ValueError(f"--seed {args.seed}: must be a non-negative integer")
     audio = _read(args.input, read_wav_file)
 
     def room(i: int, token: str):
@@ -249,7 +251,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 
 def _metric_groups(path: str, metric: str, group_by: str) -> list[list[float]]:
     """The defined ``metric`` values of a reports CSV, one list per ``group_by`` value, in sorted order."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         columns = reader.fieldnames or []
         if metric not in columns:

@@ -183,33 +183,30 @@ def compute_musical_metrics(
     sides are held onto a common grid over the intersection of their time
     extents and Pearson-correlated; fewer than ``config.min_samples`` shared
     points or a constant series make that metric undefined (None).
+
+    Each side's rows must be in onset order (as parsed input is); a row whose
+    onset is before the previous row's raises ValueError naming the side.
     """
-    chord_epsilon = config.chord_epsilon
-    ref_melody, ref_bass, ref_accomp = split_streams(ref, chord_epsilon)
-    est_melody, est_bass, est_accomp = split_streams(est, chord_epsilon)
+    for side, perf in (("ref", ref), ("est", est)):
+        early = np.flatnonzero(perf.onsets[1:] < perf.onsets[:-1]) + 1
+        if early.size:
+            row = int(early[0])
+            raise ValueError(f"{side} row {row}: onset {perf.onsets[row]:g} s is before the previous row's")
 
-    ref_melody_kor = kor_series(ref_melody)
-    ref_bass_kor = kor_series(ref_bass)
-    est_melody_kor = kor_series(est_melody)
-    est_bass_kor = kor_series(est_bass)
+    def features(perf: Performance) -> dict[str, FeatureSeries]:  # nested: it reads its caller's globals
+        """One side's eight series, keyed by ``MusicalMetrics`` field."""
+        melody, bass, accompaniment = split_streams(perf, config.chord_epsilon)
+        melody_kor, bass_kor = kor_series(melody), kor_series(bass)
+        return {
+            "melody_ioi": ioi_series(melody, config.chord_epsilon),
+            "accompaniment_ioi": ioi_series(accompaniment, config.chord_epsilon),
+            "melody_kor": melody_kor,
+            "bass_kor": bass_kor,
+            "ratio_kor": ratio_kor_series(melody_kor, bass_kor, config),
+            "cloud_diameter": cloud_diameter_series(perf, config),
+            "cloud_momentum": cloud_momentum(perf, config),
+            "dynamics": dynamics_series(melody, bass, config),
+        }
 
-    def corr(a: FeatureSeries, b: FeatureSeries) -> Optional[float]:
-        return correlate_series(a, b, config)
-
-    return MusicalMetrics(
-        melody_ioi=corr(ioi_series(ref_melody, chord_epsilon), ioi_series(est_melody, chord_epsilon)),
-        accompaniment_ioi=corr(
-            ioi_series(ref_accomp, chord_epsilon), ioi_series(est_accomp, chord_epsilon)
-        ),
-        melody_kor=corr(ref_melody_kor, est_melody_kor),
-        bass_kor=corr(ref_bass_kor, est_bass_kor),
-        ratio_kor=corr(
-            ratio_kor_series(ref_melody_kor, ref_bass_kor, config),
-            ratio_kor_series(est_melody_kor, est_bass_kor, config),
-        ),
-        cloud_diameter=corr(cloud_diameter_series(ref, config), cloud_diameter_series(est, config)),
-        cloud_momentum=corr(cloud_momentum(ref, config), cloud_momentum(est, config)),
-        dynamics=corr(
-            dynamics_series(ref_melody, ref_bass, config), dynamics_series(est_melody, est_bass, config)
-        ),
-    )
+    a, b = features(ref), features(est)
+    return MusicalMetrics(**{name: correlate_series(a[name], b[name], config) for name in METRIC_NAMES})

@@ -3,9 +3,11 @@ import hashlib
 import io
 import math
 import os
+import re
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +96,8 @@ def test_evaluate_zero_tempo_is_parse_error(midi_pair, tmp_path, capsys):
 def test_evaluate_config_file(midi_pair, tmp_path, capsys):
     ref, est = midi_pair
     config = tmp_path / "run.cfg"
-    config.write_text("# run parameters\ngrid_step = 0.2\nmin_samples = 4\n")
+    config.write_text("# run parameters\ngrid_step = 0.2  # coarser\nmin_samples=4#fewer\n  # end\n")
+    assert cli._config_file(str(config)) == RunConfig(grid_step=0.2, min_samples=4)
     assert main(["evaluate", ref, est, "--config", str(config)]) == 0
     assert _read_csv(capsys.readouterr().out)[0]["frame_f1"] == "1.000000"
 
@@ -164,6 +167,25 @@ def test_evaluate_bad_config_value_names_file(midi_pair, tmp_path, capsys, line,
     config.write_text(line + "\n")
     assert main(["evaluate", ref, est, "--config", str(config)]) == 2
     assert f"pianoeval: {config}: {message}" in capsys.readouterr().err
+
+
+def test_readme_config_block_parses_to_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    config = tmp_path / "run.cfg"
+    config.write_text(blocks[0])
+    assert "#" in blocks[0]  # the block carries comments after its values
+    assert cli._config_file(str(config)) == RunConfig()
+
+
+def test_config_file_with_byte_order_mark(midi_pair, tmp_path, capsys):
+    ref, est = midi_pair
+    config = tmp_path / "run.cfg"
+    config.write_text("grid_step = 0.2\nmin_samples = 4\n", encoding="utf-8-sig")
+    assert config.read_bytes().startswith(b"\xef\xbb\xbfgrid_step")
+    assert cli._config_file(str(config)) == RunConfig(grid_step=0.2, min_samples=4)
+    assert main(["evaluate", ref, est, "--config", str(config)]) == 0
 
 
 def test_run_config_accepts_one_millisecond_steps():
@@ -375,6 +397,16 @@ def test_batch_missing_columns(tmp_path, capsys):
     manifest.write_text("a,b\nx,y\n")
     assert main(["batch", str(manifest), "--output", str(tmp_path / "out")]) == 2
     assert "ref" in capsys.readouterr().err
+
+
+def test_batch_manifest_with_byte_order_mark(tmp_path, capsys):
+    manifest = Path(_make_batch(tmp_path, n_good=2))
+    manifest.write_text(manifest.read_text(), encoding="utf-8-sig")  # as Excel's "CSV UTF-8" saves it
+    assert manifest.read_bytes().startswith(b"\xef\xbb\xbfref,")
+    out = tmp_path / "out"
+    assert main(["batch", str(manifest), "--output", str(out), "--group-by", "model"]) == 0
+    rows = _read_csv((out / "reports.csv").read_text())
+    assert [(r["pair_id"], r["model"]) for r in rows] == [("pair-0", "modelA"), ("pair-1", "modelB")]
 
 
 def test_batch_missing_manifest(tmp_path, capsys):
@@ -706,6 +738,18 @@ def test_perturb_checks_levels_before_reading_the_input(tmp_path, capsys, flag, 
     assert "missing.wav" not in err
 
 
+@pytest.mark.parametrize("grid", [[], ["--rt60", "none"]])
+def test_perturb_rejects_negative_seed_before_writing(tmp_path, capsys, grid):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--seed", "-1", *grid]) == 2
+    err = capsys.readouterr().err
+    assert "pianoeval: --seed -1: must be a non-negative integer" in err
+    assert "take.wav" not in err  # the input is not to blame
+    assert not out.exists()
+
+
 # sha256 of each file `perturb --seed 3` writes for the seeded 8 kHz input below. These
 # pin the output bytes on one numpy/scipy build; FFT rounding may differ on another, so
 # they are not meant to be portable. Change a digest only with a recorded spec change.
@@ -803,6 +847,14 @@ def test_stats_hand_example(tmp_path, capsys):
     assert f"p = {math.exp(-3.6):.6f}" in out
     assert "significant at alpha = 0.05" in out
     assert "not significant" not in out
+
+
+def test_stats_reports_csv_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "reports.csv"
+    # a BOM that is not stripped becomes part of the first column's name
+    path.write_text("model,frame_f1\na,1\na,2\nb,3\nb,4\n", encoding="utf-8-sig")
+    assert main(["stats", str(path), "--metric", "frame_f1", "--group-by", "model"]) == 0
+    assert "df = 1" in capsys.readouterr().out
 
 
 def test_stats_not_significant(tmp_path, capsys):

@@ -464,6 +464,25 @@ def test_note_metrics_invariant_to_estimate_order(ref, est, random):
         assert note_metrics(ref, shuffled, mode) == note_metrics(ref, est, mode), mode
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(0, 60), st.sampled_from([0.0, 0.01, 0.04]), st.sampled_from([0, 1])
+)
+def test_frame_and_note_offset_scores_do_not_depend_on_row_order(seed, n_notes, sigma, shuffled):
+    # onset_offset_velocity is left out: its least-squares fit runs over the edges in row order
+    rng = np.random.default_rng(seed)
+    ref = random_performance(rng, n_notes)
+    sides = [ref, jitter_onsets(ref, sigma, rng)]
+    permuted = list(sides)
+    permuted[shuffled] = sides[shuffled].take(rng.permutation(n_notes))
+    h = RunConfig.frame_length
+    frame, shuffled_frame = (
+        frame_metrics(*(build_piano_roll(perf, h) for perf in pair)) for pair in (sides, permuted)
+    )
+    assert shuffled_frame == frame
+    assert note_metrics(*permuted, "onset_offset") == note_metrics(*sides, "onset_offset")
+
+
 def test_matching_pairs_are_valid_and_disjoint():
     rng = np.random.default_rng(59)
     for _ in range(30):

@@ -12,6 +12,7 @@ from helpers import (
     oracle_ioi_series,
     oracle_kor_series,
 )
+from pianoeval.evaluation import evaluate_performances
 from pianoeval.midi import Note, Performance
 from pianoeval.musical import (
     METRIC_NAMES,
@@ -312,6 +313,27 @@ def test_velocity_scaling_leaves_dynamics_metric_unchanged():
     scaled = compute_musical_metrics(ref, scale(est, 6, 5)).dynamics
     assert base is not None and scaled is not None
     assert scaled == pytest.approx(base, abs=1e-9)
+
+
+@pytest.mark.parametrize("side", ["ref", "est"])
+def test_rows_out_of_onset_order_name_the_side_and_row(side):
+    perf = expressive_performance(np.random.default_rng(79))
+    row = int(np.flatnonzero(np.diff(perf.onsets) > 0)[20]) + 1  # a row that starts after the one before
+    order = np.arange(len(perf))
+    order[[row - 1, row]] = order[[row, row - 1]]
+    swapped = perf.take(order)
+    pair = (swapped, perf) if side == "ref" else (perf, swapped)
+    message = rf"^{side} row {row}: onset {perf.onsets[row - 1]:g} s is before the previous row's$"
+    with pytest.raises(ValueError, match=message):
+        compute_musical_metrics(*pair)
+    with pytest.raises(ValueError, match=message):
+        evaluate_performances(*pair)
+
+
+def test_equal_onsets_in_any_row_order_are_accepted():
+    chord = Performance.from_notes([Note(0.0, 0.5, p, 64) for p in (60, 64, 67)] + [Note(1.0, 1.5, 60, 64)])
+    reordered = chord.take([2, 0, 1, 3])
+    assert compute_musical_metrics(reordered, reordered) == compute_musical_metrics(chord, chord)
 
 
 def test_sparse_performance_yields_undefined_metrics():
