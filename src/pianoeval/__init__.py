@@ -9,7 +9,6 @@ group statistics round out the degradation-study workflow.
 
 from .audio import (
     AudioBuffer,
-    PerturbCondition,
     WavFormatError,
     add_noise_snr,
     apply_condition_grid,

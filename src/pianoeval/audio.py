@@ -18,7 +18,6 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = [
     "AudioBuffer",
-    "PerturbCondition",
     "WavFormatError",
     "read_wav",
     "write_wav",
@@ -26,6 +25,7 @@ __all__ = [
     "write_wav_file",
     "checked_snr",
     "checked_ir_length",
+    "checked_rt60",
     "add_noise_snr",
     "convolve_ir",
     "synth_ir",
@@ -70,19 +70,6 @@ class AudioBuffer:
 def _peak(samples: np.ndarray) -> float:
     """The largest magnitude (0.0 for no samples), without an ``abs`` copy of the samples."""
     return float(max(samples.max(), -samples.min())) if samples.size else 0.0
-
-
-@dataclass(frozen=True)
-class PerturbCondition:
-    """One cell of the degradation grid; None fields mean 'leave alone'."""
-
-    snr_db: Optional[float]
-    ir: Optional[AudioBuffer]
-    seed: int
-
-    def __post_init__(self):
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite when present")
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +259,8 @@ def checked_ir_length(n_samples: int) -> int:
     return n_samples
 
 
-def _checked_rt60(rt60: float) -> float:
-    """``rt60`` if it is in (0, ``MAX_RT60``]; else ValueError. The CLI
-    checks its ``--rt60`` levels with it before it reads the input."""
+def checked_rt60(rt60: float) -> float:
+    """``rt60`` if it is in (0, ``MAX_RT60``]; else ValueError."""
     if not 0 < rt60 <= MAX_RT60:
         raise ValueError(f"rt60 must be positive and finite, at most {MAX_RT60:g} s, got {rt60}")
     return rt60
@@ -289,7 +275,7 @@ def synth_ir(rt60: float, sample_rate: int, seed: int) -> AudioBuffer:
     ``MAX_RT60``, or one whose IR would be longer than ``MAX_IR_SAMPLES``
     at ``sample_rate``, raises ValueError before anything is allocated.
     """
-    length = checked_ir_length(max(1, int(math.floor(_checked_rt60(rt60) * sample_rate))))
+    length = checked_ir_length(max(1, int(math.floor(checked_rt60(rt60) * sample_rate))))
     t = np.arange(length) / sample_rate
     envelope = np.exp(-t * math.log(1000.0) / rt60)
     rng = np.random.default_rng(seed)
@@ -308,8 +294,8 @@ def apply_condition_grid(
     snr_levels: Sequence[Optional[float]],
     ir_levels: Sequence[Optional[AudioBuffer]],
     seed: int,
-) -> Iterator[tuple[PerturbCondition, AudioBuffer]]:
-    """Every (IR, SNR) combination, reverb first, then noise, yielded one cell at a time.
+) -> Iterator[AudioBuffer]:
+    """One ``AudioBuffer`` per (IR, SNR) pair, reverb first, then noise, yielded one at a time.
 
     Reverb precedes noise because the noise models the recording chain
     after the room. Levels of None and an SNR of +inf skip that stage, so
@@ -342,9 +328,8 @@ def _grid_cells(audio, snrs, irs, seed):
             out = audio  # drops the previous cell before this one is made
             if ir is not None:
                 out = convolve_ir(out, ir)
-            derived = derive_seed(seed, 0, i_ir, i_snr)
             if snr is not None:
-                out = add_noise_snr(out, snr, derived)
+                out = add_noise_snr(out, snr, derive_seed(seed, 0, i_ir, i_snr))
             if out is audio:  # each stage returns a new buffer, so only a cell without one copies
                 out = AudioBuffer(audio.sample_rate, audio.samples.copy())
-            yield PerturbCondition(snr, ir, derived), out
+            yield out

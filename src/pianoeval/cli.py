@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Optional
 
 from .audio import (
-    _checked_rt60,
     apply_condition_grid,
     checked_ir_length,
+    checked_rt60,
     checked_snr,
     derive_seed,
     read_wav_file,
@@ -120,7 +120,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 _RESERVED_TAGS = {"pair_id", "count"} | {f"{c}{s}" for c in REPORT_METRIC_COLUMNS for s in ("", "_excluded")}
 
 
-def _manifest_rows(path: str) -> list[dict[str, str]]:
+def _manifest_rows(path: str) -> list[tuple[str, dict[str, str]]]:
+    """Each row's pair id (its ``id`` cell, or else ``pair<index>``) and its cells."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
@@ -132,11 +133,16 @@ def _manifest_rows(path: str) -> list[dict[str, str]]:
             if name in _RESERVED_TAGS:
                 raise ValueError(f"tag column {name!r} has the name of a report column")
         rows = []
+        seen: dict[str, int] = {}  # pair id -> its line
         for row in reader:
             if None in row:  # DictReader files a row's surplus cells under None
                 n = len(reader.fieldnames)
                 raise ValueError(f"line {reader.line_num}: {n + len(row[None])} cells for {n} columns")
-            rows.append({k: (v or "") for k, v in row.items()})
+            pair_id = row.get("id") or f"pair{len(rows):04d}"
+            if pair_id in seen:
+                raise ValueError(f"line {reader.line_num}: pair id {pair_id!r} is also on line {seen[pair_id]}")
+            seen[pair_id] = reader.line_num
+            rows.append((pair_id, {k: (v or "") for k, v in row.items()}))
         return rows
 
 
@@ -153,15 +159,14 @@ def cmd_batch(args: argparse.Namespace) -> int:
     group_by = [k.strip() for k in (args.group_by or "").split(",") if k.strip()]
     if args.group_by is not None and not group_by:
         raise ValueError(f"{args.manifest}: --group-by {args.group_by!r} names no tag column")
-    tag_columns = [k for k in rows[0] if k not in ("ref", "est")]  # every row holds every header column
+    tag_columns = [k for k in rows[0][1] if k not in ("ref", "est")]  # every row holds every header column
     for key in group_by:
         if key not in tag_columns:
             raise ValueError(f"{args.manifest}: --group-by key {key!r} is not a tag column {tag_columns}")
 
-    def run_row(indexed_row):
-        index, row = indexed_row
+    def run_row(pair_id_row):
+        pair_id, row = pair_id_row
         tags = {k: v for k, v in row.items() if k not in ("ref", "est")}
-        pair_id = tags.get("id") or f"pair{index:04d}"
         try:
             ref, est = (_read(row[side], _performance, config, side) for side in ("ref", "est"))
             return evaluate_performances(ref, est, config, pair_id, tags), None
@@ -171,9 +176,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
             return None, f"{type(err).__name__}: {err}"
 
     with ThreadPoolExecutor(max_workers=_pool_size(args.jobs, len(rows))) as pool:
-        results = list(pool.map(run_row, enumerate(rows)))  # in row order
+        results = list(pool.map(run_row, rows))  # in row order
     reports = [report for report, _ in results if report is not None]
-    failures = [(i, rows[i]["ref"], rows[i]["est"], e) for i, (_, e) in enumerate(results) if e is not None]
+    failures = [(i, rows[i][1]["ref"], rows[i][1]["est"], e) for i, (_, e) in enumerate(results) if e is not None]
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,55 +198,54 @@ def cmd_batch(args: argparse.Namespace) -> int:
 # perturb
 # ---------------------------------------------------------------------------
 
-def _labels(flag: str, spec: str, label) -> list[str]:
-    """Each level's part of the output names, 'none' or ``label(token)``; a repeat would overwrite a file."""
-    labels = ["none" if t.strip().lower() == "none" else label(t.strip()) for t in spec.split(",")]
-    repeated = [name for i, name in enumerate(labels) if name in labels[:i]]
-    if repeated:
-        raise ValueError(f"{flag}: level {repeated[0]!r} is given twice, so two cells would write one file")
-    return labels
-
-
-def _parse_levels(flag: str, spec: str, make) -> list:
-    """``make(index, token)`` for each comma-separated token (None for
-    'none'); a ValueError names the flag and the token."""
-    levels = []
-    for i, token in enumerate(t.strip() for t in spec.split(",")):
+def _levels(flag: str, spec: str, make) -> list[tuple[str, object]]:
+    """A (file-name part, level) pair per comma-separated token: ('none', None) for
+    'none', else ``make(token)``. A ValueError names the flag and the token, and a
+    repeated name is refused, since its two cells would write one file."""
+    levels: list[tuple[str, object]] = []
+    for token in (t.strip() for t in spec.split(",")):
         try:
-            levels.append(None if token.lower() == "none" else make(i, token))
+            if not token:
+                raise ValueError("empty level")
+            name, level = ("none", None) if token.lower() == "none" else make(token)
         except ValueError as err:
             raise ValueError(f"{flag} {token!r}: {err}") from None
+        if name in (seen for seen, _ in levels):
+            raise ValueError(f"{flag}: level {name!r} is given twice, so two cells would write one file")
+        levels.append((name, level))
     return levels
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
-    ir_flag, ir_spec = ("--ir", args.ir) if args.ir else ("--rt60", args.rt60)
-    snr_labels = _labels("--snr", args.snr, str)
-    ir_labels = _labels(ir_flag, ir_spec, (lambda tok: Path(tok).stem) if args.ir else str)
-    snr_levels = _parse_levels("--snr", args.snr, lambda i, tok: checked_snr(float(tok)))
-    if not args.ir:  # the IR length check needs the input's sample rate, so it waits for the read
-        _parse_levels("--rt60", args.rt60, lambda i, tok: _checked_rt60(float(tok)))
+    snrs = _levels("--snr", args.snr, lambda t: (t, checked_snr(float(t))))
+    if args.ir is not None:  # an IR's level is its file, read after the input
+        ir_flag, rooms = "--ir", _levels("--ir", args.ir, lambda t: (Path(t).stem, t))
+    else:  # an RT60's IR length check needs the input's sample rate, so it waits for the read
+        ir_flag, rooms = "--rt60", _levels("--rt60", args.rt60, lambda t: (t, checked_rt60(float(t))))
     if args.seed < 0:
         raise ValueError(f"--seed {args.seed}: must be a non-negative integer")
     audio = _read(args.input, read_wav_file)
-
-    def room(i: int, token: str):
-        if args.ir:
-            ir = read_wav_file(token)
-            checked_ir_length(ir.n_samples)
-            return ir
-        return synth_ir(float(token), audio.sample_rate, derive_seed(args.seed, 1, i))
-
-    ir_levels = _parse_levels(ir_flag, ir_spec, room)
+    irs = []
+    for i, (name, level) in enumerate(rooms):
+        try:
+            if level is None:
+                irs.append(None)
+            elif args.ir is None:
+                irs.append(synth_ir(level, audio.sample_rate, derive_seed(args.seed, 1, i)))
+            else:
+                irs.append(read_wav_file(level))
+                checked_ir_length(irs[-1].n_samples)
+        except ValueError as err:  # named as in _levels; an RT60's token is its name
+            raise ValueError(f"{ir_flag} {(name if args.ir is None else level)!r}: {err}") from None
     try:
-        cells = apply_condition_grid(audio, snr_levels, ir_levels, args.seed)
+        cells = apply_condition_grid(audio, [snr for _, snr in snrs], irs, args.seed)
     except ValueError as err:  # all-zero audio under noise, an IR of another rate or width
         raise ValueError(f"{args.input}: {err}") from None
-    names = [f"{Path(args.input).stem}__snr{snr}_rt{ir}.wav" for ir in ir_labels for snr in snr_labels]
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in names:  # no name keeps a written cell alive while the next one is made
-        write_wav_file(out_dir / name, next(cells)[1])
+    for ir_name, _ in rooms:  # no name keeps a written cell alive while the next one is made
+        for snr_name, _ in snrs:
+            write_wav_file(out_dir / f"{Path(args.input).stem}__snr{snr_name}_rt{ir_name}.wav", next(cells))
     return EXIT_OK
 
 

@@ -361,8 +361,7 @@ def test_grid_shape_and_clean_cell():
     snrs = [None, 24.0, 12.0, 6.0]
     cells = list(apply_condition_grid(audio, snrs, irs, seed=42))
     assert len(cells) == 16
-    condition, clean = cells[0]
-    assert condition.snr_db is None and condition.ir is None
+    clean = cells[0]
     assert clean.samples is not audio.samples
     assert np.array_equal(clean.samples, audio.samples)
 
@@ -370,9 +369,30 @@ def test_grid_shape_and_clean_cell():
 def test_grid_order_is_ir_major():
     audio = sine_audio(seconds=0.05)
     ir = synth_ir(0.19, 44100, seed=100)
-    cells = apply_condition_grid(audio, [None, 6.0], [None, ir], seed=0)
-    keys = [(c.ir is not None, c.snr_db) for c, _ in cells]
-    assert keys == [(False, None), (False, 6.0), (True, None), (True, 6.0)]
+    cells = list(apply_condition_grid(audio, [None, 6.0], [None, ir], seed=0))
+    reverbed = audio.n_samples + ir.n_samples - 1
+    assert [cell.n_samples for cell in cells] == [audio.n_samples, audio.n_samples, reverbed, reverbed]
+    assert np.array_equal(cells[0].samples, audio.samples)
+    assert not np.array_equal(cells[1].samples, audio.samples)
+
+
+def test_grid_cells_equal_their_direct_composition():
+    # cell k, in IR-major order, is noise over reverb with the noise seeded by the cell's
+    # (i_ir, i_snr) key; a None level skips its stage, so the first cell is a copy of the input
+    audio = _random_buffer(5, channels=2)
+    irs = [None, synth_ir(0.05, 8000, seed=1), _random_buffer(6, channels=2, n=40)]
+    snrs = [None, 24.0, 6.0]
+    cells = list(apply_condition_grid(audio, snrs, irs, seed=9))
+    assert len(cells) == 9
+    for k, cell in enumerate(cells):
+        i_ir, i_snr = divmod(k, len(snrs))
+        expected = audio if irs[i_ir] is None else convolve_ir(audio, irs[i_ir])
+        if snrs[i_snr] is not None:
+            expected = add_noise_snr(expected, snrs[i_snr], derive_seed(9, 0, i_ir, i_snr))
+        assert cell.sample_rate == expected.sample_rate
+        assert cell.samples.dtype == expected.samples.dtype
+        assert np.array_equal(cell.samples, expected.samples)
+        assert not np.shares_memory(cell.samples, audio.samples)
 
 
 def test_grid_is_reproducible():
@@ -380,21 +400,19 @@ def test_grid_is_reproducible():
     irs = [None, synth_ir(0.19, 44100, seed=100)]
     a = apply_condition_grid(audio, [None, 12.0], irs, seed=7)
     b = apply_condition_grid(audio, [None, 12.0], irs, seed=7)
-    for (_, out_a), (_, out_b) in zip(a, b):
+    for out_a, out_b in zip(a, b):
         assert np.array_equal(out_a.samples, out_b.samples)
 
 
 def test_grid_cells_use_distinct_noise():
     audio = sine_audio(seconds=0.1)
     cells = list(apply_condition_grid(audio, [12.0, 12.0], [None], seed=7))
-    assert not np.array_equal(cells[0][1].samples, cells[1][1].samples)
+    assert not np.array_equal(cells[0].samples, cells[1].samples)
 
 
 def test_grid_treats_infinite_snr_as_none():
     audio = sine_audio(seconds=0.05)
-    cells = list(apply_condition_grid(audio, [math.inf], [None], seed=1))
-    condition, out = cells[0]
-    assert condition.snr_db is None
+    [out] = apply_condition_grid(audio, [math.inf], [None], seed=1)
     assert np.array_equal(out.samples, audio.samples)
 
 
@@ -426,7 +444,7 @@ def test_grid_checks_its_inputs_before_returning(audio, snrs, irs, message):
 
 def test_grid_accepts_silence_and_a_zero_ir_without_noise():
     cells = list(apply_condition_grid(_SILENCE, [None], [None, _ZERO_IR], seed=1))
-    assert [out.peak() for _, out in cells] == [0.0, 0.0]
+    assert [out.peak() for out in cells] == [0.0, 0.0]
 
 
 def test_grid_makes_each_cell_when_asked(monkeypatch):

@@ -450,6 +450,25 @@ def test_batch_rejects_tag_named_like_a_report_column(tmp_path, capsys, tag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        pytest.param(["x", "y", "x"], "line 4: pair id 'x' is also on line 2", id="explicit"),
+        pytest.param(["a", "", "pair0001"], "line 4: pair id 'pair0001' is also on line 3", id="default"),
+    ],
+)
+def test_batch_rejects_repeated_pair_id_before_any_row(tmp_path, capsys, monkeypatch, ids, message):
+    _make_batch(tmp_path, n_good=1)
+    manifest = tmp_path / "ids.csv"
+    manifest.write_text("ref,est,id\n" + "".join(f"{tmp_path / 'ref0.mid'},{tmp_path / 'est0.mid'},{i}\n" for i in ids))
+    loaded = []
+    monkeypatch.setattr(cli, "_performance", lambda *args: loaded.append(args))
+    out = tmp_path / "out"
+    assert main(["batch", str(manifest), "--output", str(out)]) == 2
+    assert f"pianoeval: {manifest}: {message}" in capsys.readouterr().err
+    assert loaded == [] and not out.exists()
+
+
 def test_batch_group_by_writes_aggregate(tmp_path, capsys):
     manifest = _make_batch(tmp_path, n_good=4)
     out = tmp_path / "out"
@@ -736,6 +755,18 @@ def test_perturb_checks_levels_before_reading_the_input(tmp_path, capsys, flag, 
     err = capsys.readouterr().err
     assert f"pianoeval: {flag} '{level.split(',')[-1]}'" in err
     assert "missing.wav" not in err
+
+
+@pytest.mark.parametrize("spec", ["", "none,", " "])
+def test_perturb_rejects_an_empty_ir_level_before_reading_the_input(tmp_path, capsys, monkeypatch, spec):
+    wav = tmp_path / "take.wav"
+    write_wav_file(wav, sine_audio(seconds=0.05))
+    read = []
+    monkeypatch.setattr(cli, "read_wav_file", lambda path: read.append(path))
+    out = tmp_path / "o"
+    assert main(["perturb", str(wav), "--output", str(out), "--snr", "none", "--ir", spec]) == 2
+    assert "pianoeval: --ir '': empty level" in capsys.readouterr().err
+    assert read == [] and not out.exists()
 
 
 @pytest.mark.parametrize("grid", [[], ["--rt60", "none"]])

@@ -101,6 +101,33 @@ def test_public_names_are_bound(path):
     assert [name for name in names if not hasattr(module, name)] == []
 
 
+def private_imports(source: str) -> list[tuple[str, int]]:
+    """The ``_``-prefixed (not dunder) names a module takes from a package module by ``from`` import."""
+    tree = ast.parse(source)
+    froms = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and (n.level or n.module.split(".")[0] == "pianoeval")
+    ]
+    return sorted(
+        (a.name, n.lineno) for n in froms for a in n.names if a.name.startswith("_") and not a.name.startswith("__")
+    )
+
+
+def test_private_import_scan():
+    source = (
+        "from .audio import _peak, read_wav\nfrom pianoeval.midi import _read_varint\n"
+        "from os.path import _joinrealpath\nfrom . import __version__\nfrom pianoevalx import _y\n"
+    )
+    assert private_imports(source) == [("_peak", 1), ("_read_varint", 2)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_imports_across_package_modules(path):
+    # a private name stays inside its module; tests may still import one
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
 def test_config_imports_nothing_from_the_package():
     tree = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
     froms = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
