@@ -5,64 +5,18 @@ musically informed metrics correlate timing, articulation, harmony and
 dynamics features between the two performances. An audio-perturbation
 toolkit (convolution reverb, SNR-calibrated noise) and Kruskal-Wallis
 group statistics round out the degradation-study workflow.
+
+The package root re-exports only the names the README's examples import.
+Every other public name is imported from its module: ``pianoeval.audio``,
+``.midi``, ``.ir_metrics``, ``.series``, ``.musical``, ``.tension``,
+``.streams``, ``.stats`` or ``.config``.
 """
 
-from .audio import (
-    AudioBuffer,
-    WavFormatError,
-    add_noise_snr,
-    apply_condition_grid,
-    convolve_ir,
-    read_wav,
-    read_wav_file,
-    synth_ir,
-    write_wav,
-    write_wav_file,
-)
 from .config import RunConfig
 from .evaluation import evaluate_performances
-from .ir_metrics import (
-    PRF,
-    NoteMatching,
-    PianoRoll,
-    build_piano_roll,
-    frame_metrics,
-    match_notes,
-    note_metrics,
-)
-from .midi import (
-    MidiParseError,
-    Note,
-    Performance,
-    apply_sustain_pedal,
-    parse_midi,
-    parse_midi_file,
-)
-from .musical import (
-    MusicalMetrics,
-    compute_musical_metrics,
-    dynamics_series,
-    ioi_series,
-    kor_series,
-    ratio_kor_series,
-)
-from .series import FeatureSeries, pearson, resample_to_grid
-from .stats import (
-    KWResult,
-    MetricReport,
-    aggregate,
-    chi_square_sf,
-    emit,
-    kruskal_wallis,
-    parse_reports_json,
-)
-from .streams import cluster_onsets, split_streams
-from .tension import (
-    SpiralPoint,
-    cloud_diameter,
-    cloud_diameter_series,
-    cloud_momentum,
-    pitch_to_spiral,
-)
+from .ir_metrics import build_piano_roll, frame_metrics, note_metrics
+from .midi import Note, Performance, parse_midi_file
+from .musical import compute_musical_metrics
+from .stats import emit, kruskal_wallis
 
 __version__ = "0.1.0"

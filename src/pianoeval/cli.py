@@ -29,7 +29,8 @@ from .audio import (
     synth_ir,
     write_wav_file,
 )
-from .evaluation import RunConfig, checked_duration, evaluate_performances
+from .config import RunConfig
+from .evaluation import checked_duration, evaluate_performances
 from .midi import Performance, parse_midi_file
 from .stats import ALPHA, REPORT_METRIC_COLUMNS, aggregate, csv_text, emit, kruskal_wallis
 

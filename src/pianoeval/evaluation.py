@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .config import MIN_STEP, RunConfig
+from .config import RunConfig
 from .ir_metrics import build_piano_roll, frame_metrics, note_metrics
 from .midi import Performance
 from .musical import compute_musical_metrics
 from .stats import MetricReport
 
-__all__ = ["MAX_DURATION", "MIN_STEP", "RunConfig", "checked_duration", "evaluate_performances"]
+__all__ = ["MAX_DURATION", "checked_duration", "evaluate_performances"]
 
 # Longest performance evaluated, seconds: a full two-hour recital
 MAX_DURATION = 7200.0

@@ -39,6 +39,7 @@ __all__ = [
 MIN_IOI = 0.001  # seconds; KOR is unstable below this inter-onset interval
 DYNAMICS_HOLD = 2.0  # seconds a stream's last velocity stays valid after its offset
 RATIO_KOR_GUARD = 1e-6  # |bass KOR| below this drops the ratio sample
+PAINT_PASS = 1 << 22  # grid points the dynamics painter expands per pass; bounds its memory
 
 # ln(m / b) per velocity pair; math.log, not np.log: the two differ in the last ulp for some ratios
 _LOG_RATIO = np.array([[math.log(m / b) if m and b else 0.0 for b in range(128)] for m in range(128)])
@@ -127,11 +128,15 @@ def _velocity_on_grid(stream: Performance, grid: np.ndarray) -> np.ndarray:
     onsets, offsets, velocities = stream.onsets, stream.offsets, stream.velocities
     # notes paint their [onset, offset) grid spans in this order; the last to paint a point wins
     order = _lexsort_ties((-velocities, -offsets, onsets))
-    rank, point = expand_ranges(
-        np.searchsorted(grid, onsets[order], "left"), np.searchsorted(grid, offsets[order], "left")
-    )
+    lo, hi = np.searchsorted(grid, onsets[order], "left"), np.searchsorted(grid, offsets[order], "left")
+    before = np.append(0, np.cumsum(hi - lo))  # points painted before each note; hi >= lo
     painter = np.full(len(grid), -1)
-    np.maximum.at(painter, point, rank)
+    first = 0
+    while first < len(order):  # passes of at most PAINT_PASS points, or one note; a maximum ignores order
+        stop = max(int(np.searchsorted(before, before[first] + PAINT_PASS, "right")) - 1, first + 1)
+        rank, point = expand_ranges(lo[first:stop], hi[first:stop])
+        np.maximum.at(painter, point, rank + first)
+        first = stop
     ended = _lexsort_ties((velocities, onsets, offsets))
     last = np.searchsorted(offsets[ended], grid, "right") - 1
     held = (last >= 0) & (grid - offsets[ended[last]] <= DYNAMICS_HOLD)

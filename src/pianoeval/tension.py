@@ -94,11 +94,15 @@ def _window_weights(perf: Performance, config: RunConfig) -> tuple[np.ndarray, n
 
 
 def _diameters(present: np.ndarray, config: RunConfig) -> np.ndarray:
-    """Cloud diameter of each row of a W x 12 pitch-class presence mask."""
+    """Cloud diameter of each row of a W x 12 pitch-class presence mask.
+
+    Each distinct mask (at most 4096) is measured once, so memory does not
+    grow as W x 144."""
     points = _spiral_points(config)
     table = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
-    pairs = present[:, :, None] & present[:, None, :]
-    return np.where(pairs, table, 0.0).max(axis=(1, 2), initial=0.0)
+    _, first, inverse = np.unique(present @ (1 << np.arange(12)), return_index=True, return_inverse=True)
+    pairs = present[first, :, None] & present[first, None, :]
+    return np.where(pairs, table, 0.0).max(axis=(1, 2), initial=0.0)[inverse]
 
 
 def cloud_diameter(perf: Performance, config: RunConfig = RunConfig()) -> Optional[float]:

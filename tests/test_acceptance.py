@@ -28,7 +28,8 @@ from pianoeval.audio import (
     synth_ir,
 )
 from pianoeval.cli import main
-from pianoeval.evaluation import RunConfig, evaluate_performances
+from pianoeval.config import RunConfig
+from pianoeval.evaluation import evaluate_performances
 from pianoeval.ir_metrics import (
     MATCH_MODES,
     build_piano_roll,

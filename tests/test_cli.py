@@ -17,8 +17,8 @@ import pianoeval.audio
 from pianoeval import cli
 from pianoeval.audio import AudioBuffer, write_wav, write_wav_file
 from pianoeval.cli import main
-from pianoeval.config import MAX_WINDOW_OVERLAP
-from pianoeval.evaluation import RunConfig, evaluate_performances
+from pianoeval.config import MAX_WINDOW_OVERLAP, RunConfig
+from pianoeval.evaluation import evaluate_performances
 from pianoeval.midi import parse_midi
 from pianoeval.stats import parse_reports_json
 

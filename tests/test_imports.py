@@ -12,18 +12,22 @@ Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
 anything, so a cost cannot move unseen from start-up into a first call.
 
-The README's Python examples import only bound names, and its self-contained
-example prints what its comments say.
+Every public name has one home: the package root binds exactly the names the
+README's examples import from it, no name is in two modules' ``__all__``, and
+every dotted ``pianoeval.<module>.<name>`` the README mentions resolves. The
+README's self-contained example prints what its comments say.
 """
 
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -138,6 +142,21 @@ def _readme_python_blocks() -> list[str]:
     return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
 
 
+def _package_modules() -> dict[str, types.ModuleType]:
+    """Every module of the package, imported, by name."""
+    stems = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    return {stem: importlib.import_module(f"pianoeval.{stem}") for stem in stems}
+
+
+def _resolves(dotted: str) -> bool:
+    target = importlib.import_module("pianoeval")
+    for part in dotted.split(".")[1:]:
+        if not hasattr(target, part):
+            return False
+        target = getattr(target, part)
+    return True
+
+
 def test_readme_imports_are_bound():
     package = importlib.import_module("pianoeval")
     names = [
@@ -149,6 +168,21 @@ def test_readme_imports_are_bound():
     ]
     assert "RunConfig" in names
     assert [name for name in names if not hasattr(package, name)] == []
+    # the root re-exports what the README imports from it, and nothing more
+    bound = {name for name, value in vars(package).items() if not (name.startswith("__") or inspect.ismodule(value))}
+    assert bound == set(names)
+    _package_modules()  # binds every module on the package, as ``import pianoeval.<module>`` would
+    dotted = re.findall(r"\bpianoeval(?:\.[A-Za-z_]\w*)+", (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert "pianoeval.config.MIN_STEP" in dotted
+    assert [reference for reference in dotted if not _resolves(reference)] == []
+
+
+def test_no_name_is_exported_by_two_modules():
+    homes = {}
+    for stem, module in _package_modules().items():
+        for name in getattr(module, "__all__", ()):
+            homes.setdefault(name, []).append(stem)
+    assert {name: stems for name, stems in homes.items() if len(stems) > 1} == {}
 
 
 def test_readme_note_example_prints_its_comments():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from helpers import (
     oracle_dynamics_series,
     oracle_ioi_series,
     oracle_kor_series,
+    random_performance,
 )
+from pianoeval import musical
+from pianoeval.config import RunConfig
 from pianoeval.evaluation import evaluate_performances
 from pianoeval.midi import Note, Performance
 from pianoeval.musical import (
@@ -177,9 +181,31 @@ def test_dynamics_series_equals_tracker_oracle(melody, bass, data):
     times, values = oracle_dynamics_series(melody, bass)
     melody, bass = Performance.from_notes(melody), Performance.from_notes(bass)
     shuffled = [s.take(data.draw(st.permutations(range(len(s))))) for s in (melody, bass)]
-    for series in (dynamics_series(melody, bass), dynamics_series(*shuffled)):
-        assert series.times.tolist() == times
-        assert series.values.tolist() == values
+    # a pass of a few grid points paints each stream in many passes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(musical, "PAINT_PASS", data.draw(st.sampled_from([musical.PAINT_PASS, 1, 5])))
+        for series in (dynamics_series(melody, bass), dynamics_series(*shuffled)):
+            assert series.times.tolist() == times
+            assert series.values.tolist() == values
+
+
+def test_dynamics_painter_memory_is_bounded_by_its_pass(monkeypatch):
+    # notes whose offsets were lost, held to the end: 451,500 painted grid points in all, about
+    # 11 MB of index arrays if expanded at once, against 3001 grid points
+    onsets = np.arange(300) * 1.0
+    melody = Performance(onsets, np.full(300, 300.0), np.full(300, 72), 1 + np.arange(300) % 127)
+    bass = Performance(onsets, np.full(300, 300.0), np.full(300, 40), 1 + np.arange(300) * 7 % 127)
+    expected = dynamics_series(melody, bass)
+    monkeypatch.setattr(musical, "PAINT_PASS", 4096)
+    tracemalloc.start()
+    try:
+        series = dynamics_series(melody, bass)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert series.times.tolist() == expected.times.tolist()
+    assert series.values.tolist() == expected.values.tolist()
 
 
 @st.composite
@@ -278,6 +304,16 @@ def test_self_comparison_scores_one_everywhere():
     metrics = compute_musical_metrics(perf, perf)
     for name, value in metrics.as_dict().items():
         assert value == pytest.approx(1.0), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 199))
+def test_self_evaluation_scores_exactly_one(seed, n_notes):
+    perf = random_performance(np.random.default_rng(seed), n_notes)
+    for config in (RunConfig(), RunConfig(frame_length=0.001, grid_step=0.01, window_length=0.1, hop=0.01)):
+        report = evaluate_performances(perf, perf, config)
+        assert [prf.f1 for prf in (report.frame, report.note_offset, report.note_offset_velocity)] == [1.0] * 3
+        assert {name: v for name, v in report.musical.as_dict().items() if v not in (None, 1.0)} == {}
 
 
 def test_heavy_jitter_scores_below_self():

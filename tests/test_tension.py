@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -225,6 +226,21 @@ def test_diameter_series_timestamps_and_gaps():
     assert times[0] == 0.0
     first = series.values[0]
     assert first == pytest.approx(math.sqrt(2 + 2 / 15))
+
+
+def test_diameter_series_memory_does_not_grow_as_windows_times_144():
+    # one 2.5 s note every 2 s, cycling the pitch classes: 72,500 windows of 100 ms at a 1 ms hop. The
+    # weights they come from take about 100 bytes a window; a W x 144 float array would take 1152.
+    onsets = np.arange(36) * 2.0
+    perf = Performance(onsets, onsets + 2.5, 60 + np.arange(36) % 12, np.full(36, 64))
+    tracemalloc.start()
+    try:
+        series = cloud_diameter_series(perf, RunConfig(hop=0.001, window_length=0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 72_500
+    assert peak < 400 * 72_500
 
 
 def test_tension_values_nonnegative():
