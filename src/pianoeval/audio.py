@@ -2,8 +2,8 @@
 
 Recordings are perturbed over a factorial grid of reverb and noise levels
 so a transcription's robustness can be measured per condition. WAV I/O is
-deliberately strict: 16-bit PCM or 32-bit IEEE float, mono or stereo,
-nothing else.
+deliberately strict: it reads 16-bit PCM or 32-bit IEEE float, mono or
+stereo, nothing else, and writes 32-bit IEEE float.
 """
 
 from __future__ import annotations
@@ -121,20 +121,10 @@ def read_wav(data: bytes) -> AudioBuffer:
     return AudioBuffer(int(sample_rate), samples)
 
 
-def _wav_parts(buffer: AudioBuffer, sample_format: str) -> tuple[bytes, np.ndarray]:
-    """The RIFF/WAVE header and the interleaved payload array that follows it."""
-    frames = buffer.samples.T  # (n, channels): a C-order cast of it interleaves the channels
-    if sample_format == "float32":
-        audio_format, bits = _IEEE_FLOAT, 32
-        payload = frames.astype("<f4", order="C")
-    elif sample_format == "pcm16":
-        audio_format, bits = _PCM16, 16
-        scaled = frames * 32768.0
-        np.clip(np.round(scaled, out=scaled), -32768, 32767, out=scaled)
-        payload = scaled.astype("<i2", order="C")
-    else:
-        raise ValueError(f"unknown sample_format {sample_format!r}")
-    block_align = buffer.channels * bits // 8
+def _wav_parts(buffer: AudioBuffer) -> tuple[bytes, np.ndarray]:
+    """The float32 RIFF/WAVE header and the interleaved payload array that follows it."""
+    payload = buffer.samples.T.astype("<f4", order="C")  # a C-order cast of (n, channels) interleaves
+    block_align = buffer.channels * 4
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
@@ -142,21 +132,21 @@ def _wav_parts(buffer: AudioBuffer, sample_format: str) -> tuple[bytes, np.ndarr
         b"WAVE",
         b"fmt ",
         16,
-        audio_format,
+        _IEEE_FLOAT,
         buffer.channels,
         buffer.sample_rate,
         buffer.sample_rate * block_align,
         block_align,
-        bits,
+        32,
         b"data",
         payload.nbytes,
     )
     return header, payload
 
 
-def write_wav(buffer: AudioBuffer, sample_format: str = "float32") -> bytes:
-    """Encode to RIFF/WAVE. float32 is lossless; pcm16 clamps to [-1, 1]."""
-    header, payload = _wav_parts(buffer, sample_format)
+def write_wav(buffer: AudioBuffer) -> bytes:
+    """Encode to 32-bit IEEE float RIFF/WAVE, lossless for float32-representable samples."""
+    header, payload = _wav_parts(buffer)
     return header + payload.tobytes()
 
 
@@ -165,9 +155,9 @@ def read_wav_file(path) -> AudioBuffer:
         return read_wav(fh.read())
 
 
-def write_wav_file(path, buffer: AudioBuffer, sample_format: str = "float32") -> None:
-    """``write_wav``'s bytes, written from the payload array without a copy into ``bytes``."""
-    header, payload = _wav_parts(buffer, sample_format)
+def write_wav_file(path, buffer: AudioBuffer) -> None:
+    """``write_wav``'s float32 bytes, written from the payload array without a copy into ``bytes``."""
+    header, payload = _wav_parts(buffer)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

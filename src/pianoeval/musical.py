@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig
 from .midi import Performance, expand_ranges
-from .series import FeatureSeries, correlate_series, grid_times, resample_to_grid, shared_extent
+from .series import FeatureSeries, common_grid, correlate_series, grid_times, resample_to_grid
 from .streams import split_streams
 from .tension import cloud_diameter_series, cloud_momentum
 
@@ -167,16 +167,14 @@ def ratio_kor_series(
     """Melody KOR divided by bass KOR on their shared grid.
 
     Values above 1 mean the melody is played more legato than the bass.
-    The grid spans the two series' shared extent; samples where the bass
+    The grid is their ``common_grid``; samples where the bass
     KOR is within ``RATIO_KOR_GUARD`` of zero are dropped.
     """
-    extent = shared_extent(melody_kor, bass_kor)
-    if extent is None:
-        return FeatureSeries([], [])
-    mel = resample_to_grid(melody_kor, *extent, config.grid_step)
-    bas = resample_to_grid(bass_kor, *extent, config.grid_step)
+    grid = common_grid(melody_kor, bass_kor, config.grid_step)
+    mel = resample_to_grid(melody_kor, grid)
+    bas = resample_to_grid(bass_kor, grid)
     keep = np.abs(bas) >= RATIO_KOR_GUARD
-    return FeatureSeries(grid_times(*extent, config.grid_step)[keep], mel[keep] / bas[keep])
+    return FeatureSeries(grid[keep], mel[keep] / bas[keep])
 
 
 def compute_musical_metrics(

@@ -17,14 +17,17 @@ import numpy as np
 from .config import RunConfig
 
 __all__ = [
+    "CONSTANT_SPREAD",
     "FeatureSeries",
-    "shared_extent",
+    "grid_times",
+    "common_grid",
     "resample_to_grid",
     "pearson",
     "correlate_series",
 ]
 
 _GRID_EPS = 1e-9  # guards float error when counting grid points
+CONSTANT_SPREAD = 1e-9  # max - min at or below this is constant: above tick-time noise, far below 1 ms
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,61 +70,54 @@ def grid_times(t0: float, t1: float, step: float) -> np.ndarray:
     return t0 + np.arange(count) * step
 
 
-def shared_extent(a: FeatureSeries, b: FeatureSeries) -> Optional[tuple[float, float]]:
-    """Latest first time and earliest last time of two series; None if empty or disjoint."""
+def common_grid(a: FeatureSeries, b: FeatureSeries, step: float) -> np.ndarray:
+    """``grid_times`` from the later first time to the earlier last time of
+    two series; empty if either is empty or the two are disjoint."""
     if len(a) == 0 or len(b) == 0:
-        return None
-    t0 = float(max(a.times[0], b.times[0]))
-    t1 = float(min(a.times[-1], b.times[-1]))
-    return (t0, t1) if t0 <= t1 else None
+        return np.empty(0)
+    return grid_times(max(a.times[0], b.times[0]), min(a.times[-1], b.times[-1]), step)
 
 
-def resample_to_grid(series: FeatureSeries, t0: float, t1: float, step: float) -> np.ndarray:
-    """Previous-value-hold resampling onto the grid t0, t0+step, ..., <= t1.
+def resample_to_grid(series: FeatureSeries, grid: np.ndarray) -> np.ndarray:
+    """Previous-value-hold resampling onto ``grid`` (non-decreasing times).
 
     Each grid point takes the value of the latest sample at or before it,
-    as a float64 array. The grid must not start before the first sample.
+    as a float64 array; an empty grid gives an empty array. A non-empty grid
+    must not start before the series' first sample.
     """
-    if t1 < t0:
-        raise ValueError("t0 must not exceed t1")
-    if not len(series) or t0 < series.times[0]:
-        raise ValueError(f"grid start {t0} precedes the series' first sample")
-    return series.values[np.searchsorted(series.times, grid_times(t0, t1, step), side="right") - 1]
+    if len(grid) and (not len(series) or grid[0] < series.times[0]):
+        raise ValueError(f"grid start {grid[0]} precedes the series' first sample")
+    return series.values[np.searchsorted(series.times, grid, side="right") - 1]
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
-    """Sample Pearson correlation; None when either side has zero variance."""
+    """Sample Pearson correlation; None when either side is constant, its
+    max - min at or below ``CONSTANT_SPREAD``."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValueError("need at least 2 samples")
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
+    if np.ptp(x) <= CONSTANT_SPREAD or np.ptp(y) <= CONSTANT_SPREAD:
+        return None
     dx = x - x.mean()
     dy = y - y.mean()
-    sx = float(np.dot(dx, dx))
-    sy = float(np.dot(dy, dy))
-    if sx == 0.0 or sy == 0.0:
-        return None
-    r = float(np.dot(dx, dy)) / math.sqrt(sx * sy)
+    r = float(np.dot(dx, dy)) / math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
     return min(1.0, max(-1.0, r))
 
 
 def correlate_series(
     ref: FeatureSeries, est: FeatureSeries, config: RunConfig = RunConfig()
 ) -> Optional[float]:
-    """Correlate two series on the common grid over their shared extent.
+    """Correlate two series on their ``common_grid``.
 
     The grid spans the intersection of the two time extents, where both
     series are defined, and both are previous-value-held onto it. Returns
     None when the grid has fewer than ``config.min_samples`` points or either
     side is constant.
     """
-    extent = shared_extent(ref, est)
-    if extent is None:
+    grid = common_grid(ref, est, config.grid_step)
+    if len(grid) < config.min_samples:
         return None
-    a = resample_to_grid(ref, *extent, config.grid_step)
-    b = resample_to_grid(est, *extent, config.grid_step)
-    if len(a) < config.min_samples:
-        return None
-    return pearson(a, b)
+    return pearson(resample_to_grid(ref, grid), resample_to_grid(est, grid))

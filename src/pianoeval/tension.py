@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .midi import Performance, expand_ranges
-from .series import FeatureSeries
+from .series import FeatureSeries, grid_times
 
 __all__ = [
     "SpiralPoint",
@@ -88,7 +88,7 @@ def _pc_weights(perf: Performance, starts: np.ndarray, ends: np.ndarray) -> np.n
 def _window_weights(perf: Performance, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """Start times i*hop of every window overlapping the data, and the
     windows' pitch-class weights."""
-    starts = np.arange(math.ceil(max(perf.end_time, 0.0) / config.hop) + 1) * config.hop
+    starts = grid_times(0.0, perf.end_time, config.hop)
     starts = starts[starts < perf.end_time - 1e-12]
     return starts, _pc_weights(perf, starts, starts + config.window_length)
 

@@ -351,6 +351,12 @@ def _oracle_windows(perf: Performance, config: RunConfig):
         index += 1
 
 
+def oracle_window_starts(end_time: float, hop: float) -> np.ndarray:
+    """Window starts i*hop before end_time - 1e-12, for i up to ceil(end_time / hop)."""
+    starts = np.arange(math.ceil(max(end_time, 0.0) / hop) + 1) * hop
+    return starts[starts < end_time - 1e-12]
+
+
 def _oracle_center(notes: Sequence[Note], start: float, end: float, config: RunConfig):
     weights = [0.0] * 12
     for note in notes:

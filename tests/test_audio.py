@@ -38,34 +38,9 @@ def _random_buffer(seed, channels=1, n=2000, sample_rate=8000):
 
 def test_float32_round_trip_is_exact():
     buf = _random_buffer(3, channels=2)
-    back = read_wav(write_wav(buf, "float32"))
+    back = read_wav(write_wav(buf))
     assert back.sample_rate == buf.sample_rate
     assert np.array_equal(back.samples, buf.samples)
-
-
-def test_pcm16_round_trip_of_grid_values_is_exact():
-    values = np.array([[-32768, -1, 0, 1, 32767]], dtype=np.float64) / 32768.0
-    buf = AudioBuffer(44100, values)
-    back = read_wav(write_wav(buf, "pcm16"))
-    assert np.array_equal(back.samples, values)
-
-
-def test_pcm16_clamps_overrange():
-    buf = AudioBuffer(44100, np.array([[1.5, -1.5]]))
-    back = read_wav(write_wav(buf, "pcm16"))
-    assert back.samples[0, 0] == pytest.approx(32767 / 32768)
-    assert back.samples[0, 1] == -1.0
-
-
-def test_pcm16_quantization_error_bounded():
-    buf = _random_buffer(5)
-    back = read_wav(write_wav(buf, "pcm16"))
-    assert np.max(np.abs(back.samples - buf.samples)) <= 0.5 / 32768 + 1e-12
-
-
-def test_unknown_sample_format_rejected():
-    with pytest.raises(ValueError):
-        write_wav(_random_buffer(1), "pcm24")
 
 
 def test_stereo_interleave_round_trip():
@@ -90,19 +65,23 @@ def _fmt_chunk(audio_format=3, channels=1, sample_rate=8000, bits=32):
     return struct.pack("<HHIIHH", audio_format, channels, sample_rate, sample_rate * block, block, bits)
 
 
+def test_pcm16_reads_full_scale_and_interleaves():
+    codes = np.array([[-32768, -1, 0, 1, 32767], [32767, 1, 0, -1, -32768]])
+    payload = codes.T.astype("<i2").tobytes()
+    back = read_wav(_wav_with_chunks([(b"fmt ", _fmt_chunk(1, 2, 44100, 16)), (b"data", payload)]))
+    assert back.sample_rate == 44100
+    assert np.array_equal(back.samples, codes / 32768.0)
+
+
 @pytest.mark.parametrize("channels", [1, 2])
-@pytest.mark.parametrize("sample_format, audio_format, bits", [("float32", 3, 32), ("pcm16", 1, 16)])
-def test_writers_emit_the_documented_bytes(tmp_path, channels, sample_format, audio_format, bits):
-    buf = AudioBuffer(8000, _random_buffer(8, channels=channels).samples * 4.0)  # some samples clamp in pcm16
-    interleaved = buf.samples.T.reshape(-1)
-    if sample_format == "float32":
-        payload = interleaved.astype("<f4").tobytes()
-    else:
-        payload = np.clip(np.round(interleaved * 32768.0), -32768, 32767).astype("<i2").tobytes()
+@pytest.mark.parametrize("dtype, audio_format, bits", [(np.float32, 3, 32)])
+def test_writers_emit_the_documented_bytes(tmp_path, channels, dtype, audio_format, bits):
+    buf = AudioBuffer(8000, _random_buffer(8, channels=channels).samples * 4.0)
+    payload = buf.samples.T.reshape(-1).astype(np.dtype(dtype).newbyteorder("<")).tobytes()
     expected = _wav_with_chunks([(b"fmt ", _fmt_chunk(audio_format, channels, 8000, bits)), (b"data", payload)])
-    assert write_wav(buf, sample_format) == expected
+    assert write_wav(buf) == expected
     path = tmp_path / "out.wav"
-    write_wav_file(path, buf, sample_format)
+    write_wav_file(path, buf)
     assert path.read_bytes() == expected
 
 

@@ -6,7 +6,8 @@ unused-import check: a name bound by ``import`` or ``from ... import`` must
 be referenced somewhere in its module. ``__init__.py`` files are exempt
 (their imports are re-exports), and so is ``from __future__``. The other
 way round, a name deleted from a module must also leave its ``__all__`` and
-the package's re-exports.
+the package's re-exports, and a ``_``-prefixed top-level name in ``src/``
+must be read somewhere there, so a helper does not outlive its callers.
 
 Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
@@ -56,7 +57,7 @@ def _referenced(tree: ast.Module) -> set[str]:
     used = set()
     by_string = []  # quoted annotations and __all__ entries name things by string
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
             by_string.append(node.annotation)
@@ -93,6 +94,54 @@ def test_scan_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).with_suffix("").as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_bindings(tree: ast.Module) -> dict[str, int]:
+    """The ``_``-prefixed (not dunder) names a module binds at its top level, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names_in = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            bound = [n.id for n in names_in if isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def dead_privates(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(source, name, line) of each private top-level name that no source reads."""
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    read = set().union(*map(_referenced, trees.values()))
+    return sorted(
+        (label, name, line)
+        for label, tree in trees.items()
+        for name, line in _private_bindings(tree).items()
+        if name not in read
+    )
+
+
+def test_dead_private_scan():
+    sources = {
+        "a": (
+            "_USED = 1\n_STORED = 2\n_STORED = 3\n__version__ = '1'\nx: '_Shape'\n"
+            "def _helper():\n    return _USED\n"
+            "def _dead():\n    _dead_local = 1\n"
+            "class _Shape:\n    pass\n"
+        ),
+        "b": "_helper()\n",
+    }
+    assert dead_privates(sources) == [("a", "_STORED", 2), ("a", "_dead", 8)]
+
+
+def test_every_private_name_in_the_package_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_privates(sources) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

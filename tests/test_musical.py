@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -13,11 +13,12 @@ from helpers import (
     oracle_ioi_series,
     oracle_kor_series,
     random_performance,
+    serialize_smf,
 )
 from pianoeval import musical
 from pianoeval.config import RunConfig
 from pianoeval.evaluation import evaluate_performances
-from pianoeval.midi import Note, Performance
+from pianoeval.midi import Note, Performance, parse_midi
 from pianoeval.musical import (
     METRIC_NAMES,
     MusicalMetrics,
@@ -28,7 +29,7 @@ from pianoeval.musical import (
     _lexsort_ties,
     ratio_kor_series,
 )
-from pianoeval.series import FeatureSeries
+from pianoeval.series import FeatureSeries, common_grid
 
 
 def _notes(onsets, duration=0.2, pitch=72, velocity=64):
@@ -377,3 +378,30 @@ def test_sparse_performance_yields_undefined_metrics():
     metrics = compute_musical_metrics(perf, perf)
     assert metrics.melody_ioi is None
     assert metrics.cloud_momentum is None
+
+
+def test_metronomic_estimate_has_undefined_ioi_correlation():
+    est = _notes([k / 6 for k in range(48)])
+    ref = jitter_onsets(est, 0.01, np.random.default_rng(5))
+    assert np.ptp(ioi_series(est).values) > 0  # the intervals differ in their last bits
+    assert compute_musical_metrics(ref, est).melody_ioi is None
+
+
+@st.composite
+def _metronomes(draw):
+    """(tpq, microseconds per quarter, tick step) of a steady pulse whose
+    interval is above the chord spacing."""
+    tpq = draw(st.integers(1, 960))
+    return tpq, draw(st.integers(250_000, 1_500_000)), draw(st.integers(max(1, tpq // 4), 4 * tpq))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_metronomes(), st.integers(0, 2**32 - 1))
+@example((480, 500_000, 160), 0)
+def test_metronomic_smf_has_undefined_melody_ioi(metronome, seed):
+    tpq, uspq, step = metronome
+    est = parse_midi(serialize_smf([(k * step, (k + 1) * step, 72, 64) for k in range(48)], tpq, ((0, uspq),)))
+    ref = jitter_onsets(est, 0.005, np.random.default_rng(seed))
+    config = RunConfig()
+    assert len(common_grid(ioi_series(ref), ioi_series(est), config.grid_step)) >= config.min_samples
+    assert compute_musical_metrics(ref, est, config).melody_ioi is None

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from helpers import oracle_hold
 from pianoeval.config import RunConfig
 from pianoeval.series import (
+    CONSTANT_SPREAD,
     FeatureSeries,
+    common_grid,
     correlate_series,
+    grid_times,
     pearson,
     resample_to_grid,
 )
@@ -56,22 +59,44 @@ def test_grid_config_validation():
 
 def test_resample_hold_rule():
     series = _series((0.0, 1.0), (1.0, 2.0))
-    assert resample_to_grid(series, 0.0, 1.0, 0.5).tolist() == [1.0, 1.0, 2.0]
+    assert resample_to_grid(series, grid_times(0.0, 1.0, 0.5)).tolist() == [1.0, 1.0, 2.0]
 
 
 def test_resample_empty_series_rejected():
     with pytest.raises(ValueError):
-        resample_to_grid(_series(), 0.0, 1.0, 0.5)
+        resample_to_grid(_series(), grid_times(0.0, 1.0, 0.5))
 
 
 def test_resample_grid_before_first_sample_rejected():
     with pytest.raises(ValueError):
-        resample_to_grid(_series((0.3, 5.0)), 0.0, 0.5, 0.25)
-    assert resample_to_grid(_series((0.3, 5.0)), 0.3, 0.5, 0.1).tolist() == [5.0, 5.0, 5.0]
+        resample_to_grid(_series((0.3, 5.0)), grid_times(0.0, 0.5, 0.25))
+    assert resample_to_grid(_series((0.3, 5.0)), grid_times(0.3, 0.5, 0.1)).tolist() == [5.0, 5.0, 5.0]
 
 
 def test_resample_holds_past_last_sample():
-    assert resample_to_grid(_series((0.0, 7.0)), 0.0, 2.0, 1.0).tolist() == [7.0, 7.0, 7.0]
+    assert resample_to_grid(_series((0.0, 7.0)), grid_times(0.0, 2.0, 1.0)).tolist() == [7.0, 7.0, 7.0]
+
+
+def test_resample_onto_an_empty_grid_is_empty():
+    for series in (_series(), _series((0.3, 5.0))):
+        held = resample_to_grid(series, grid_times(1.0, 0.0, 0.5))
+        assert held.dtype == np.float64 and held.shape == (0,)
+
+
+def test_common_grid_runs_from_the_later_first_to_the_earlier_last_time():
+    a = _series((0.0, 1.0), (1.05, 2.0), (3.0, 1.0))
+    b = _series((0.25, 4.0), (2.5, 3.0))
+    assert np.array_equal(common_grid(a, b, 0.5), grid_times(0.25, 2.5, 0.5))
+    assert common_grid(a, b, 0.5).tolist() == [0.25, 0.75, 1.25, 1.75, 2.25]
+    assert np.array_equal(common_grid(b, a, 0.1), grid_times(0.25, 2.5, 0.1))
+    assert common_grid(a, _series((3.0, 1.0)), 0.5).tolist() == [3.0]  # extents touch at one point
+
+
+def test_common_grid_is_empty_for_empty_or_disjoint_series():
+    a = _series((0.0, 1.0), (1.0, 2.0))
+    for b in (_series(), _series((1.5, 1.0), (2.0, 2.0))):
+        assert common_grid(a, b, 0.1).shape == (0,)
+        assert common_grid(b, a, 0.1).shape == (0,)
 
 
 @st.composite
@@ -96,9 +121,9 @@ def test_resample_equals_per_point_bisect(case):
     series = FeatureSeries(times, values)
     if not times or t0 < times[0]:
         with pytest.raises(ValueError):
-            resample_to_grid(series, t0, t1, step)
+            resample_to_grid(series, grid_times(t0, t1, step))
     else:
-        assert resample_to_grid(series, t0, t1, step).tolist() == oracle_hold(times, values, t0, t1, step)
+        assert resample_to_grid(series, grid_times(t0, t1, step)).tolist() == oracle_hold(times, values, t0, t1, step)
 
 
 def test_pearson_perfect():
@@ -113,6 +138,21 @@ def test_pearson_hand_value():
 def test_pearson_zero_variance_undefined():
     assert pearson([1.0, 1.0, 1.0], [1, 2, 3]) is None
     assert pearson([1, 2, 3], [5.0, 5.0, 5.0]) is None
+    # the mean of ten 0.3s rounds to 0.29999999999999993, so the deviations are not all 0
+    assert pearson([0.3] * 10, np.linspace(0, 1, 10)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-7200.0, 7200.0),
+    st.lists(st.integers(-4, 4), min_size=2, max_size=40),
+)
+def test_pearson_of_a_constant_with_ulp_noise_is_undefined(level, ulps):
+    noisy = level + np.array(ulps) * np.spacing(max(abs(level), 1.0))
+    assert np.ptp(noisy) <= CONSTANT_SPREAD
+    ramp = np.arange(len(ulps), dtype=np.float64)
+    assert pearson(noisy, ramp) is None
+    assert pearson(ramp, noisy) is None
 
 
 def test_pearson_contract_errors():

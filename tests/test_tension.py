@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_tension_series, random_performance
-from pianoeval.config import RunConfig
+from helpers import oracle_tension_series, oracle_window_starts, random_performance
+from pianoeval.config import MIN_STEP, RunConfig
 from pianoeval.midi import Note, Performance
 from pianoeval.tension import (
+    _window_weights,
     cloud_diameter,
     cloud_diameter_series,
     cloud_momentum,
@@ -305,3 +306,30 @@ def test_momentum_equals_sweep_oracle_within_last_digits(perf, config):
     series = cloud_momentum(perf, config)
     assert series.times.tolist() == times
     np.testing.assert_allclose(series.values, values, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _window_ends(draw):
+    """(end time, hop): ends on a grid point k*hop, one ulp either side of it,
+    between two points, or 0."""
+    hop = draw(st.sampled_from([0.5, 0.1, 1 / 3, 0.001]) | st.floats(MIN_STEP, 2.0))
+    point = draw(st.integers(0, 3000)) * hop
+    end = draw(st.sampled_from([
+        point,
+        np.nextafter(point, -math.inf),
+        np.nextafter(point, math.inf),
+        point + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * hop,
+        0.0,
+    ]))
+    return max(float(end), 0.0), hop
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_ends())
+def test_window_starts_equal_the_ceil_count_oracle(case):
+    end, hop = case
+    perf = _perf((0.0, end, 60, 64)) if end > 0 else _perf()
+    starts, weights = _window_weights(perf, RunConfig(window_length=hop, hop=hop))
+    expected = oracle_window_starts(end, hop)
+    assert starts.tolist() == expected.tolist()
+    assert weights.shape == (len(expected), 12)
