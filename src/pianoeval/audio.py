@@ -20,7 +20,6 @@ __all__ = [
     "AudioBuffer",
     "WavFormatError",
     "read_wav",
-    "write_wav",
     "read_wav_file",
     "write_wav_file",
     "checked_snr",
@@ -121,8 +120,13 @@ def read_wav(data: bytes) -> AudioBuffer:
     return AudioBuffer(int(sample_rate), samples)
 
 
-def _wav_parts(buffer: AudioBuffer) -> tuple[bytes, np.ndarray]:
-    """The float32 RIFF/WAVE header and the interleaved payload array that follows it."""
+def read_wav_file(path) -> AudioBuffer:
+    with open(path, "rb") as fh:
+        return read_wav(fh.read())
+
+
+def write_wav_file(path, buffer: AudioBuffer) -> None:
+    """32-bit IEEE float RIFF/WAVE, lossless for float32 values: the header, then the payload array."""
     payload = buffer.samples.T.astype("<f4", order="C")  # a C-order cast of (n, channels) interleaves
     block_align = buffer.channels * 4
     header = struct.pack(
@@ -141,23 +145,6 @@ def _wav_parts(buffer: AudioBuffer) -> tuple[bytes, np.ndarray]:
         b"data",
         payload.nbytes,
     )
-    return header, payload
-
-
-def write_wav(buffer: AudioBuffer) -> bytes:
-    """Encode to 32-bit IEEE float RIFF/WAVE, lossless for float32-representable samples."""
-    header, payload = _wav_parts(buffer)
-    return header + payload.tobytes()
-
-
-def read_wav_file(path) -> AudioBuffer:
-    with open(path, "rb") as fh:
-        return read_wav(fh.read())
-
-
-def write_wav_file(path, buffer: AudioBuffer) -> None:
-    """``write_wav``'s float32 bytes, written from the payload array without a copy into ``bytes``."""
-    header, payload = _wav_parts(buffer)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

@@ -32,7 +32,7 @@ from .audio import (
 from .config import RunConfig
 from .evaluation import checked_duration, evaluate_performances
 from .midi import Performance, parse_midi_file
-from .stats import ALPHA, REPORT_METRIC_COLUMNS, aggregate, csv_text, emit, kruskal_wallis
+from .stats import ALPHA, aggregate, check_tags, csv_text, emit, kruskal_wallis
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -117,10 +117,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # batch
 # ---------------------------------------------------------------------------
 
-# tag names that would give a report or aggregate column a second meaning
-_RESERVED_TAGS = {"pair_id", "count"} | {f"{c}{s}" for c in REPORT_METRIC_COLUMNS for s in ("", "_excluded")}
-
-
 def _manifest_rows(path: str) -> list[tuple[str, dict[str, str]]]:
     """Each row's pair id (its ``id`` cell, or else ``pair<index>``) and its cells."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -131,8 +127,7 @@ def _manifest_rows(path: str) -> list[tuple[str, dict[str, str]]]:
         for i, name in enumerate(header):
             if name in header[:i]:
                 raise ValueError(f"column {name!r} is repeated in the header")
-            if name in _RESERVED_TAGS:
-                raise ValueError(f"tag column {name!r} has the name of a report column")
+        check_tags(header)
         rows = []
         seen: dict[str, int] = {}  # pair id -> its line
         for row in reader:

@@ -350,13 +350,19 @@ def apply_sustain_pedal(performance: Performance, times: np.ndarray, values: np.
     """Extend note offsets over sustain-pedal spans.
 
     ``times`` (seconds, non-decreasing) and ``values`` are the CC64
-    controller changes in order. While CC64 >= ``SUSTAIN_THRESHOLD`` the
-    pedal is down. A note whose nominal offset falls inside a down span
+    controller changes in order; unequal lengths or a decreasing time raise
+    ValueError. While CC64 >= ``SUSTAIN_THRESHOLD`` the pedal is down. A
+    note whose nominal offset falls inside a down span
     keeps sounding until the pedal release, truncated at the next onset of
     the same pitch. Notes are never shortened. A pedal that is still down at
     the end of the data sustains to the end of the performance.
     """
     times, values = np.asarray(times, dtype=np.float64), np.asarray(values)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ValueError(f"pedal times {times.shape} and values {values.shape} must be 1-D, equal length")
+    bad = np.flatnonzero(~(np.diff(times) >= 0))  # NaN fails >= too
+    if bad.size:
+        raise ValueError(f"pedal times must be non-decreasing (at t={times[bad[0] + 1]})")
     if not len(performance) or not len(times):
         return performance
     down = values >= SUSTAIN_THRESHOLD

@@ -18,6 +18,7 @@ from .config import RunConfig
 
 __all__ = [
     "CONSTANT_SPREAD",
+    "HOLD_SLACK",
     "FeatureSeries",
     "grid_times",
     "common_grid",
@@ -28,6 +29,7 @@ __all__ = [
 
 _GRID_EPS = 1e-9  # guards float error when counting grid points
 CONSTANT_SPREAD = 1e-9  # max - min at or below this is constant: above tick-time noise, far below 1 ms
+HOLD_SLACK = 1e-9  # a sample this far after a grid point is at it: over float error (~1e-12 s), under a tick (1 us)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,24 +83,31 @@ def common_grid(a: FeatureSeries, b: FeatureSeries, step: float) -> np.ndarray:
 def resample_to_grid(series: FeatureSeries, grid: np.ndarray) -> np.ndarray:
     """Previous-value-hold resampling onto ``grid`` (non-decreasing times).
 
-    Each grid point takes the value of the latest sample at or before it,
-    as a float64 array; an empty grid gives an empty array. A non-empty grid
-    must not start before the series' first sample.
+    Each grid point takes the value of the latest sample at or before it, as
+    a float64 array; a sample at most ``HOLD_SLACK`` after a point counts as
+    at it, since a tick or lattice time and a grid point that are one instant
+    can differ in the last ulp. An empty grid gives an empty array. A
+    non-empty grid must not start before the series' first sample.
     """
-    if len(grid) and (not len(series) or grid[0] < series.times[0]):
-        raise ValueError(f"grid start {grid[0]} precedes the series' first sample")
-    return series.values[np.searchsorted(series.times, grid, side="right") - 1]
+    if len(grid) and not len(series):
+        raise ValueError(f"the series is empty, so grid start {grid[0]} has no sample to hold")
+    if len(grid) and grid[0] + HOLD_SLACK < series.times[0]:
+        raise ValueError(f"grid start {grid[0]} precedes the series' first sample {series.times[0]}")
+    return series.values[np.searchsorted(series.times, grid + HOLD_SLACK, side="right") - 1]
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
     """Sample Pearson correlation; None when either side is constant, its
-    max - min at or below ``CONSTANT_SPREAD``."""
+    max - min at or below ``CONSTANT_SPREAD``. A non-finite value raises ValueError."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ValueError("need at least 2 samples")
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
+    for side in (x, y):
+        if not np.isfinite(side).all():
+            raise ValueError(f"non-finite sample value {side[~np.isfinite(side)][0]}")
     if np.ptp(x) <= CONSTANT_SPREAD or np.ptp(y) <= CONSTANT_SPREAD:
         return None
     dx = x - x.mean()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
@@ -26,6 +27,8 @@ __all__ = [
     "KWResult",
     "MetricReport",
     "REPORT_METRIC_COLUMNS",
+    "RESERVED_TAGS",
+    "check_tags",
     "kruskal_wallis",
     "chi_square_sf",
     "aggregate",
@@ -49,9 +52,9 @@ class KWResult:
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Upper tail P(X >= x) of the chi-square distribution."""
-    if x < 0:
-        raise ValueError("x must be non-negative")
+    """Upper tail P(X >= x) of the chi-square distribution; 0.0 at x = +inf."""
+    if not x >= 0:  # NaN fails it too
+        raise ValueError(f"x must be non-negative, got {x}")
     if df < 1:
         raise ValueError("df must be at least 1")
     return float(gammaincc(df / 2.0, x / 2.0))
@@ -78,7 +81,8 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> KWResult:
     H = 12/(n(n+1)) * sum(R_g^2 / n_g) - 3(n+1) over pooled mid-ranks,
     then H' = H / (1 - sum(t^3 - t)/(n^3 - n)). All-identical data has a
     zero correction denominator and scores H' = 0, p = 1 by convention.
-    The p-value is the chi-square upper tail at df = groups - 1.
+    The p-value is the chi-square upper tail at df = groups - 1. A
+    non-finite value raises ValueError.
     """
     if len(groups) < 2:
         raise ValueError("need at least 2 groups")
@@ -86,6 +90,9 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> KWResult:
         if len(g) == 0:
             raise ValueError("groups must be nonempty")
     pooled = [float(v) for g in groups for v in g]
+    for v in pooled:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value {v}")
     n = len(pooled)
     ranks, ties = _midranks(pooled)
     df = len(groups) - 1
@@ -107,7 +114,7 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> KWResult:
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Full evaluation record for one ground-truth/estimate pair."""
+    """Full evaluation record for one ground-truth/estimate pair; its tags must pass ``check_tags``."""
 
     pair_id: str
     frame: PRF
@@ -116,10 +123,23 @@ class MetricReport:
     musical: MusicalMetrics
     tags: dict[str, str]
 
+    def __post_init__(self):
+        check_tags(self.tags)
+
 
 _PRF_FIELDS = ("frame", "note_offset", "note_offset_velocity")
 
 REPORT_METRIC_COLUMNS = [f"{name}_{f.name}" for name in _PRF_FIELDS for f in fields(PRF)] + list(METRIC_NAMES)
+_EXCLUDED = {name: f"{name}_excluded" for name in METRIC_NAMES}  # an aggregate's count of undefined values
+RESERVED_TAGS = frozenset(["pair_id", "count", *REPORT_METRIC_COLUMNS, *_EXCLUDED.values()])
+
+
+def check_tags(names: Iterable[str]) -> None:
+    """A ValueError naming the first of ``names`` in ``RESERVED_TAGS``: every column a report
+    or aggregate row writes besides its tags, which a tag of that name would give two meanings."""
+    for name in names:
+        if name in RESERVED_TAGS:
+            raise ValueError(f"tag column {name!r} has the name of a report column")
 
 
 def _report_values(report: MetricReport) -> dict[str, Optional[float]]:
@@ -150,8 +170,8 @@ def aggregate(reports: Sequence[MetricReport], group_by: Sequence[str]) -> list[
         for column in REPORT_METRIC_COLUMNS:
             defined = [values[column] for values in members if values[column] is not None]
             row[column] = sum(defined) / len(defined) if defined else None
-            if column in METRIC_NAMES:
-                row[f"{column}_excluded"] = len(members) - len(defined)
+            if column in _EXCLUDED:
+                row[_EXCLUDED[column]] = len(members) - len(defined)
         rows.append(row)
     return rows
 

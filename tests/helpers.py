@@ -758,12 +758,12 @@ def oracle_piano_roll(perf: Performance, frame_length: float = 0.010) -> np.ndar
 
 def oracle_hold(times: Sequence[float], values: Sequence[float], t0: float, t1: float, step: float):
     """Grid t0 + k*step up to t1 (1e-9 slack on the count), each point
-    holding the value of the latest sample at or before it, None before
-    the first sample."""
+    holding the value of the latest sample at or before it, a sample at most
+    1e-9 s after the point counting as at it; None before the first sample."""
     count = int(math.floor((t1 - t0) / step + 1e-9)) + 1
     out = []
     for k in range(count):
-        i = bisect_right(times, t0 + k * step) - 1
+        i = bisect_right(times, t0 + k * step + 1e-9) - 1
         out.append(values[i] if i >= 0 else None)
     return out
 

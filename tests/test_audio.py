@@ -18,8 +18,8 @@ from pianoeval.audio import (
     convolve_ir,
     derive_seed,
     read_wav,
+    read_wav_file,
     synth_ir,
-    write_wav,
     write_wav_file,
 )
 from pianoeval.cli import DEFAULT_RT60_LEVELS
@@ -36,18 +36,19 @@ def _random_buffer(seed, channels=1, n=2000, sample_rate=8000):
 # WAV container
 # ---------------------------------------------------------------------------
 
-def test_float32_round_trip_is_exact():
+def test_float32_round_trip_is_exact(tmp_path):
     buf = _random_buffer(3, channels=2)
-    back = read_wav(write_wav(buf))
+    write_wav_file(tmp_path / "out.wav", buf)
+    back = read_wav_file(tmp_path / "out.wav")
     assert back.sample_rate == buf.sample_rate
     assert np.array_equal(back.samples, buf.samples)
 
 
-def test_stereo_interleave_round_trip():
+def test_stereo_interleave_round_trip(tmp_path):
     left = np.arange(4, dtype=np.float64) / 8
     right = -left
-    buf = AudioBuffer(8000, np.stack([left, right]))
-    back = read_wav(write_wav(buf))
+    write_wav_file(tmp_path / "out.wav", AudioBuffer(8000, np.stack([left, right])))
+    back = read_wav_file(tmp_path / "out.wav")
     assert np.array_equal(back.samples[0], left)
     assert np.array_equal(back.samples[1], right)
 
@@ -79,7 +80,6 @@ def test_writers_emit_the_documented_bytes(tmp_path, channels, dtype, audio_form
     buf = AudioBuffer(8000, _random_buffer(8, channels=channels).samples * 4.0)
     payload = buf.samples.T.reshape(-1).astype(np.dtype(dtype).newbyteorder("<")).tobytes()
     expected = _wav_with_chunks([(b"fmt ", _fmt_chunk(audio_format, channels, 8000, bits)), (b"data", payload)])
-    assert write_wav(buf) == expected
     path = tmp_path / "out.wav"
     write_wav_file(path, buf)
     assert path.read_bytes() == expected
@@ -114,6 +114,8 @@ def test_reader_requires_fmt_and_data():
         read_wav(_wav_with_chunks([(b"data", b"\x00" * 8)]))
     with pytest.raises(WavFormatError):
         read_wav(_wav_with_chunks([(b"fmt ", _fmt_chunk())]))
+    with pytest.raises(WavFormatError, match="^fmt chunk too short$"):
+        read_wav(_wav_with_chunks([(b"fmt ", _fmt_chunk()[:14]), (b"data", b"\x00" * 8)]))
 
 
 def test_reader_rejects_exotic_formats():

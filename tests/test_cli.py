@@ -15,7 +15,7 @@ import pytest
 from helpers import performance_to_smf, random_performance, serialize_smf, sine_audio
 import pianoeval.audio
 from pianoeval import cli
-from pianoeval.audio import AudioBuffer, write_wav, write_wav_file
+from pianoeval.audio import AudioBuffer, write_wav_file
 from pianoeval.cli import main
 from pianoeval.config import MAX_WINDOW_OVERLAP, RunConfig
 from pianoeval.evaluation import evaluate_performances
@@ -651,7 +651,8 @@ def test_perturb_rejects_bad_wav(tmp_path, capsys):
 @pytest.mark.parametrize("rt60", ["none", "0.19"])
 def test_perturb_rejects_sample_rate_above_limit_naming_file(tmp_path, capsys, rt60):
     wav = tmp_path / "fast.wav"
-    data = bytearray(write_wav(sine_audio(seconds=0.0001)))
+    write_wav_file(wav, sine_audio(seconds=0.0001))
+    data = bytearray(wav.read_bytes())
     rate_field = data.index(b"fmt ") + 12
     data[rate_field:rate_field + 4] = struct.pack("<I", 2**31)
     wav.write_bytes(bytes(data))
@@ -820,7 +821,7 @@ def _seeded_wav(path, seconds, channels, seed):
     t = np.arange(int(seconds * rate)) / rate
     tone = 0.5 * np.sin(2 * np.pi * 220.0 * t) * np.exp(-3.0 * t)
     samples = tone + 0.05 * rng.standard_normal((channels, t.size))
-    path.write_bytes(write_wav(AudioBuffer(rate, samples)))
+    write_wav_file(path, AudioBuffer(rate, samples))
 
 
 def _digests(folder):

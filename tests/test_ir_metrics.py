@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -91,6 +92,16 @@ def test_roll_custom_frame_length():
 # ---------------------------------------------------------------------------
 # Frame-level scores
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "values, message",
+    [((1.5, 0.5, 0.5), r"precision out of \[0, 1\]: 1.5"), ((0.5, -0.1, 0.5), r"recall out of \[0, 1\]: -0.1"),
+     ((0.5, 0.5, math.nan), r"f1 out of \[0, 1\]: nan")],
+)
+def test_prf_rejects_a_value_outside_the_unit_interval(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PRF(*values)
+
 
 def test_frames_identical_rolls_score_one():
     perf = _perf((0.0, 0.5, 60, 64), (0.25, 0.75, 64, 80))

@@ -305,6 +305,31 @@ def test_zero_tempo_rejected_at_event_offset():
     assert data[info.value.offset : info.value.offset + 3] == b"\xff\x51\x03"
 
 
+def _one_track_smf(track: bytes, fmt: int = 0) -> bytes:
+    """An SMF of format ``fmt``, 480 ticks per quarter, whose one MTrk chunk holds ``track`` from byte 22."""
+    header = b"MThd" + (6).to_bytes(4, "big") + b"".join(v.to_bytes(2, "big") for v in (fmt, 1, 480))
+    return header + b"MTrk" + len(track).to_bytes(4, "big") + track
+
+
+@pytest.mark.parametrize(
+    "data, message, offset",
+    [
+        (_one_track_smf(b"\x80\x80"), "truncated variable-length quantity", 24),
+        (_one_track_smf(b"\x00\xff\x2f\x00", fmt=3), "unknown SMF format 3", 8),
+        (_one_track_smf(b"\x00"), "event truncated at track end", 23),
+        (_one_track_smf(b"\x00\x90\x3c"), "channel event truncated", 24),
+        (_one_track_smf(b"\x00\xff"), "truncated meta event", 24),
+        (_one_track_smf(b"\x00\xff\x51\x02\x07\xa1"), "set-tempo event with length 2", 28),
+        (_one_track_smf(b"\x00\xf0\x05\x01"), "sysex event overruns track", 25),
+    ],
+)
+def test_each_truncation_and_length_error_names_its_byte_offset(data, message, offset):
+    with pytest.raises(MidiParseError) as info:
+        parse_midi(data)
+    assert (str(info.value), info.value.offset) == (f"{message} (byte offset {offset})", offset)
+    _assert_reader_equals_oracle(data)
+
+
 def test_parse_requires_known_pedal_mode():
     data = serialize_smf([(0, 480, 60, 64)])
     with pytest.raises(ValueError):
@@ -394,6 +419,20 @@ def test_pedal_never_shortens():
         for (o1, p1, f1), (o2, p2, f2) in zip(before, after):
             assert (o1, p1) == (o2, p2)
             assert f2 >= f1 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "times, values, message",
+    [
+        ([0.5, 2.0, 3.0], [100, 0], r"^pedal times \(3,\) and values \(2,\) must be 1-D, equal length$"),
+        ([0.5], [100, 0], r"^pedal times \(1,\) and values \(2,\) must be 1-D, equal length$"),
+        ([2.0, 0.5], [100, 0], r"^pedal times must be non-decreasing \(at t=0.5\)$"),
+        ([0.5, math.nan], [100, 0], r"^pedal times must be non-decreasing \(at t=nan\)$"),
+    ],
+)
+def test_pedal_rejects_unequal_lengths_and_decreasing_times(times, values, message):
+    with pytest.raises(ValueError, match=message):
+        apply_sustain_pedal(_perf((0.0, 1.0, 60, 64)), times, values)
 
 
 def test_pedal_applied_during_parse():

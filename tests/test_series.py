@@ -9,6 +9,7 @@ from helpers import oracle_hold
 from pianoeval.config import RunConfig
 from pianoeval.series import (
     CONSTANT_SPREAD,
+    HOLD_SLACK,
     FeatureSeries,
     common_grid,
     correlate_series,
@@ -63,14 +64,39 @@ def test_resample_hold_rule():
 
 
 def test_resample_empty_series_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the series is empty, so grid start 0.0 has no sample to hold$"):
         resample_to_grid(_series(), grid_times(0.0, 1.0, 0.5))
 
 
+def test_grid_times_rejects_a_step_that_is_not_positive():
+    for step in (0.0, -0.1):
+        with pytest.raises(ValueError, match="^step must be positive$"):
+            grid_times(0.0, 1.0, step)
+
+
 def test_resample_grid_before_first_sample_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid start 0.0 precedes the series' first sample 0.3$"):
         resample_to_grid(_series((0.3, 5.0)), grid_times(0.0, 0.5, 0.25))
     assert resample_to_grid(_series((0.3, 5.0)), grid_times(0.3, 0.5, 0.1)).tolist() == [5.0, 5.0, 5.0]
+
+
+def test_resample_holds_a_sample_within_hold_slack_after_a_grid_point():
+    series = _series((1.0 + HOLD_SLACK / 2, 1.0), (2.0 + HOLD_SLACK / 2, 2.0), (3.0 + 2 * HOLD_SLACK, 3.0))
+    assert resample_to_grid(series, grid_times(1.0, 3.0, 1.0)).tolist() == [1.0, 2.0, 2.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0.001, 0.01, 0.1, 1 / 3, 0.25, 0.5]),
+    st.integers(2, 20_000),
+    st.data(),
+)
+def test_a_lattice_series_holds_its_own_samples_onto_a_grid_from_any_of_them(step, n, data):
+    times = grid_times(0.0, (n - 1) * step, step)
+    values = np.arange(len(times), dtype=np.float64)
+    k0 = data.draw(st.integers(0, len(times) - 1))
+    held = resample_to_grid(FeatureSeries(times, values), grid_times(times[k0], times[-1], step))
+    assert held.tolist() == values[k0:].tolist()
 
 
 def test_resample_holds_past_last_sample():
@@ -119,11 +145,12 @@ def _hold_cases(draw):
 def test_resample_equals_per_point_bisect(case):
     times, values, t0, t1, step = case
     series = FeatureSeries(times, values)
-    if not times or t0 < times[0]:
+    expected = oracle_hold(times, values, t0, t1, step)
+    if expected[0] is None:  # no sample at or before the grid start
         with pytest.raises(ValueError):
             resample_to_grid(series, grid_times(t0, t1, step))
     else:
-        assert resample_to_grid(series, grid_times(t0, t1, step)).tolist() == oracle_hold(times, values, t0, t1, step)
+        assert resample_to_grid(series, grid_times(t0, t1, step)).tolist() == expected
 
 
 def test_pearson_perfect():
@@ -160,6 +187,13 @@ def test_pearson_contract_errors():
         pearson([1, 2], [1, 2, 3])
     with pytest.raises(ValueError):
         pearson([1], [1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pearson_rejects_a_non_finite_value_naming_it(bad):
+    for a, b in (([bad, 1, 2], [1, 2, 3]), ([1, 2, 3], [1, bad, 2])):
+        with pytest.raises(ValueError, match=f"^non-finite sample value {bad}$"):
+            pearson(a, b)
 
 
 def test_pearson_stays_in_bounds():

@@ -13,6 +13,7 @@ from pianoeval.ir_metrics import PRF
 from pianoeval.musical import METRIC_NAMES, MusicalMetrics
 from pianoeval.stats import (
     REPORT_METRIC_COLUMNS,
+    RESERVED_TAGS,
     MetricReport,
     aggregate,
     chi_square_sf,
@@ -52,6 +53,12 @@ def test_kw_input_validation():
         kruskal_wallis([[1.0, 2.0]])
     with pytest.raises(ValueError):
         kruskal_wallis([[1.0], []])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kw_rejects_a_non_finite_value_naming_it(bad):
+    with pytest.raises(ValueError, match=f"^non-finite value {bad}$"):
+        kruskal_wallis([[bad, 1.0, 2.0], [3.0, 4.0]])
 
 
 def test_kw_tied_midranks_hand_example():
@@ -107,6 +114,9 @@ def test_chi_square_sf_validation():
         chi_square_sf(-1.0, 2)
     with pytest.raises(ValueError):
         chi_square_sf(1.0, 0)
+    with pytest.raises(ValueError, match="^x must be non-negative, got nan$"):
+        chi_square_sf(math.nan, 2)
+    assert chi_square_sf(math.inf, 2) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +231,26 @@ def test_emit_aggregate_rows_csv():
     assert y_row[header.index("melody_ioi_excluded")] == "1"
 
 
+def _csv_header(payload) -> list[str]:
+    return next(csv.reader(io.StringIO(emit(payload, "csv").decode())))
+
+
+def test_reserved_tags_are_the_columns_emit_writes_besides_tags():
+    report = _report("a", 1.0, {"melody_ioi": 0.5}, {"model": "x"})
+    columns = set(_csv_header([report])) | set(_csv_header(aggregate([report], ["model"])))
+    assert RESERVED_TAGS == columns - {"model"}
+
+
+def test_report_rejects_a_tag_named_like_a_column():
+    for tag in sorted(RESERVED_TAGS):
+        with pytest.raises(ValueError, match=f"^tag column '{tag}' has the name of a report column$"):
+            _report("a", 1.0, None, {"model": "x", tag: "y"})
+    # only a musical metric has an _excluded column, so frame_f1_excluded is a plain tag
+    report = _report("a", 1.0, None, {"frame_f1_excluded": "y"})
+    assert _csv_header([report]).count("frame_f1_excluded") == 1
+    assert aggregate([report], ["frame_f1_excluded"])[0]["frame_f1_excluded"] == "y"
+
+
 def test_emit_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit([], "xml")
@@ -239,7 +269,7 @@ def test_emit_is_deterministic():
 # Parity with the hand-written report serializers
 # ---------------------------------------------------------------------------
 
-# tag names a manifest may use (report column names are rejected by the CLI)
+# tag names a report may use (``MetricReport`` rejects report column names)
 _TAG_KEYS = ["model", "cond", "split", "id", "a,b", 'say "x"', ""]
 _cells = st.text(alphabet=["a", "b", ",", '"', " ", "\n", "é"], max_size=4)
 _prf = st.builds(PRF, *[st.floats(0.0, 1.0)] * 3)
