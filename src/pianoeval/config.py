@@ -23,10 +23,10 @@ class RunConfig:
     """
 
     frame_length: float = 0.010  # piano-roll frame, seconds
-    chord_epsilon: float = 0.030  # onsets this close to a cluster's first onset share a chord, seconds
+    chord_epsilon: float = 0.030  # onsets up to this + TIME_SLACK past a cluster's first join its chord, seconds
     grid_step: float = 0.1  # correlation grid step, seconds
     min_samples: int = 8  # fewest shared grid points for a defined correlation
-    window_length: float = 1.0  # harmonic window [i*hop, i*hop + window_length), seconds
+    window_length: float = 1.0  # harmonic window [i*hop, i*hop + window_length), seconds, to within TIME_SLACK
     hop: float = 0.5
     pedal_mode: str = "extend"  # 'extend' applies the sustain pedal, 'ignore' drops it
     spiral_radius: float = 1.0  # pitch-class helix radius

@@ -153,8 +153,8 @@ def _candidate_edges(ref: Performance, est: Performance, mode: str) -> tuple[np.
     hi = np.searchsorted(keys, bounds, "right")
     i, position = expand_ranges(lo, hi)
     j = order[position]
-    # distances are rounded to 7 decimals first, as mir_eval does, so a
-    # tick-derived time exactly on the tolerance counts as inside it
+    # distances are rounded to 7 decimals (this repository's choice; mir_eval also rounds
+    # before it compares), so a tick-derived time exactly on the tolerance is inside it
     keep = np.round(np.abs(est_onsets[j] - ref_onsets[i]), 7) <= ONSET_TOLERANCE
     if mode != "onset":
         window = offset_window(ref_offsets[i] - ref_onsets[i])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig
 from .midi import Performance, expand_ranges
-from .series import FeatureSeries, common_grid, correlate_series, grid_times, resample_to_grid
+from .series import TIME_SLACK, FeatureSeries, common_grid, correlate_series, grid_times, resample_to_grid
 from .streams import split_streams
 from .tension import cloud_diameter_series, cloud_momentum
 
@@ -76,16 +76,16 @@ def ioi_series(stream: Performance, chord_eps: float = RunConfig.chord_epsilon) 
     """Inter-onset intervals of consecutive notes in one stream.
 
     The sample for the pair (i, i+1) is onset(i+1) - onset(i), timestamped
-    at onset(i+1); intervals below ``chord_eps`` count as chords and are
-    clamped to 0. When several pairs land on one timestamp (chord tones),
-    the last pair's value — the chord's 0 — wins, keeping times strictly
-    increasing.
+    at onset(i+1); intervals more than ``TIME_SLACK`` below ``chord_eps``
+    count as chords and are clamped to 0. When several pairs land on one
+    timestamp (chord tones), the last pair's value — the chord's 0 — wins,
+    keeping times strictly increasing.
     """
     onsets = stream.onsets
     ioi = np.diff(onsets)
     # unique over the reversed timestamps finds each timestamp's last pair
     times, last = np.unique(onsets[:0:-1], return_index=True)
-    return FeatureSeries(times, np.where(ioi < chord_eps, 0.0, ioi)[::-1][last])
+    return FeatureSeries(times, np.where(ioi < chord_eps - TIME_SLACK, 0.0, ioi)[::-1][last])
 
 
 def kor_series(stream: Performance) -> FeatureSeries:
@@ -93,12 +93,12 @@ def kor_series(stream: Performance) -> FeatureSeries:
 
     KOR_i = (offset(i) - onset(i+1)) / (onset(i+1) - onset(i)): positive
     when the notes overlap (legato), negative when a gap separates them
-    (staccato), 0 at perfect legato. Pairs closer than ``MIN_IOI`` are
-    skipped. Timestamps are at the second note's onset.
+    (staccato), 0 at perfect legato. Pairs more than ``TIME_SLACK`` closer
+    than ``MIN_IOI`` are skipped. Timestamps are at the second note's onset.
     """
     onsets, offsets = stream.onsets, stream.offsets
     ioi = np.diff(onsets)
-    keep = np.flatnonzero(ioi >= MIN_IOI)
+    keep = np.flatnonzero(ioi >= MIN_IOI - TIME_SLACK)
     return FeatureSeries(onsets[keep + 1], (offsets[keep] - onsets[keep + 1]) / ioi[keep])
 
 
@@ -123,12 +123,13 @@ def _velocity_on_grid(stream: Performance, grid: np.ndarray) -> np.ndarray:
     The latest-onset sounding note wins (then the earlier offset, then the
     lower velocity). Once nothing sounds, the last note to end (then the
     later onset, then the higher velocity) holds for ``DYNAMICS_HOLD``
-    seconds, after which the stream is silent (0).
+    seconds, after which the stream is silent (0). A time within
+    ``TIME_SLACK`` of a grid point is at it.
     """
     onsets, offsets, velocities = stream.onsets, stream.offsets, stream.velocities
     # notes paint their [onset, offset) grid spans in this order; the last to paint a point wins
     order = _lexsort_ties((-velocities, -offsets, onsets))
-    lo, hi = np.searchsorted(grid, onsets[order], "left"), np.searchsorted(grid, offsets[order], "left")
+    lo, hi = (np.searchsorted(grid, t[order] - TIME_SLACK, "left") for t in (onsets, offsets))
     before = np.append(0, np.cumsum(hi - lo))  # points painted before each note; hi >= lo
     painter = np.full(len(grid), -1)
     first = 0
@@ -138,8 +139,8 @@ def _velocity_on_grid(stream: Performance, grid: np.ndarray) -> np.ndarray:
         np.maximum.at(painter, point, rank + first)
         first = stop
     ended = _lexsort_ties((velocities, onsets, offsets))
-    last = np.searchsorted(offsets[ended], grid, "right") - 1
-    held = (last >= 0) & (grid - offsets[ended[last]] <= DYNAMICS_HOLD)
+    last = np.searchsorted(offsets[ended], grid + TIME_SLACK, "right") - 1
+    held = (last >= 0) & (grid - offsets[ended[last]] <= DYNAMICS_HOLD + TIME_SLACK)
     silent = np.where(held, velocities[ended[last]], 0)
     return np.where(painter >= 0, velocities[order[painter]], silent)
 

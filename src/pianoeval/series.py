@@ -18,7 +18,7 @@ from .config import RunConfig
 
 __all__ = [
     "CONSTANT_SPREAD",
-    "HOLD_SLACK",
+    "TIME_SLACK",
     "FeatureSeries",
     "grid_times",
     "common_grid",
@@ -27,9 +27,8 @@ __all__ = [
     "correlate_series",
 ]
 
-_GRID_EPS = 1e-9  # guards float error when counting grid points
 CONSTANT_SPREAD = 1e-9  # max - min at or below this is constant: above tick-time noise, far below 1 ms
-HOLD_SLACK = 1e-9  # a sample this far after a grid point is at it: over float error (~1e-12 s), under a tick (1 us)
+TIME_SLACK = 1e-9  # s: a time this near a grid point, window edge or tolerance is at it; under a tick (1 us)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,12 +62,10 @@ class FeatureSeries:
 
 
 def grid_times(t0: float, t1: float, step: float) -> np.ndarray:
-    """Grid points t0, t0+step, ... up to and including t1."""
+    """Grid points t0, t0+step, ... up to and including t1 + ``TIME_SLACK``."""
     if step <= 0:
         raise ValueError("step must be positive")
-    if t1 < t0:
-        return np.empty(0)
-    count = int(math.floor((t1 - t0) / step + _GRID_EPS)) + 1
+    count = int(math.floor((t1 - t0 + TIME_SLACK) / step)) + 1
     return t0 + np.arange(count) * step
 
 
@@ -84,16 +81,16 @@ def resample_to_grid(series: FeatureSeries, grid: np.ndarray) -> np.ndarray:
     """Previous-value-hold resampling onto ``grid`` (non-decreasing times).
 
     Each grid point takes the value of the latest sample at or before it, as
-    a float64 array; a sample at most ``HOLD_SLACK`` after a point counts as
+    a float64 array; a sample at most ``TIME_SLACK`` after a point counts as
     at it, since a tick or lattice time and a grid point that are one instant
     can differ in the last ulp. An empty grid gives an empty array. A
     non-empty grid must not start before the series' first sample.
     """
     if len(grid) and not len(series):
         raise ValueError(f"the series is empty, so grid start {grid[0]} has no sample to hold")
-    if len(grid) and grid[0] + HOLD_SLACK < series.times[0]:
+    if len(grid) and grid[0] + TIME_SLACK < series.times[0]:
         raise ValueError(f"grid start {grid[0]} precedes the series' first sample {series.times[0]}")
-    return series.values[np.searchsorted(series.times, grid + HOLD_SLACK, side="right") - 1]
+    return series.values[np.searchsorted(series.times, grid + TIME_SLACK, side="right") - 1]
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> Optional[float]:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import RunConfig
 from .midi import Performance
+from .series import TIME_SLACK
 
 __all__ = [
     "cluster_onsets",
@@ -25,21 +26,22 @@ def cluster_onsets(perf: Performance, eps: float = RunConfig.chord_epsilon) -> n
     over the rows in their given order.
 
     Row 0 starts the first cluster and its onset is the anchor. A later row
-    joins the current cluster iff its onset is at most ``eps`` past the
-    anchor (an earlier onset always joins); otherwise it starts a new
-    cluster and becomes the anchor. Anchoring at the first onset keeps a
-    slow arpeggio from chaining into one giant cluster. A cluster runs from
-    its first row up to the next cluster's first row. ``eps`` must be
-    non-negative (``inf`` makes one cluster); NaN raises ValueError.
+    joins the current cluster iff its onset is at most ``eps`` +
+    ``TIME_SLACK`` past the anchor (an earlier onset always joins);
+    otherwise it starts a new cluster and becomes the anchor. Anchoring at
+    the first onset keeps a slow arpeggio from chaining into one giant
+    cluster. A cluster runs from its first row up to the next cluster's
+    first row. ``eps`` must be non-negative (``inf`` makes one cluster); NaN
+    raises ValueError.
     """
     if not eps >= 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    onsets = perf.onsets
-    # row 0, if any, and every row more than eps past all earlier onsets start a cluster
-    # whatever the anchor; a run up to the next such row with no onset over eps past its
+    onsets, limit = perf.onsets, eps + TIME_SLACK
+    # row 0, if any, and every row more than limit past all earlier onsets start a cluster
+    # whatever the anchor; a run up to the next such row with no onset over limit past its
     # first is one cluster
-    starts = np.flatnonzero(np.r_[len(onsets) > 0, onsets[1:] - np.maximum.accumulate(onsets)[:-1] > eps])
-    wide = np.flatnonzero(np.maximum.reduceat(onsets, starts) - onsets[starts] > eps)
+    starts = np.flatnonzero(np.r_[len(onsets) > 0, onsets[1:] - np.maximum.accumulate(onsets)[:-1] > limit])
+    wide = np.flatnonzero(np.maximum.reduceat(onsets, starts) - onsets[starts] > limit)
     if not len(wide):
         return starts
     ends = np.append(starts[1:], len(onsets))
@@ -48,7 +50,7 @@ def cluster_onsets(perf: Performance, eps: float = RunConfig.chord_epsilon) -> n
         run = onsets[first:end].tolist()
         anchor = run[0]
         for index, onset in enumerate(run, first):
-            if onset - anchor > eps:
+            if onset - anchor > limit:
                 inner.append(index)
                 anchor = onset
     return np.sort(np.append(starts, np.array(inner, dtype=np.int64)))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .midi import Performance, expand_ranges
-from .series import FeatureSeries, grid_times
+from .series import TIME_SLACK, FeatureSeries, grid_times
 
 __all__ = [
     "SpiralPoint",
@@ -72,24 +72,23 @@ def _spiral_points(config: RunConfig) -> np.ndarray:
 def _pc_weights(perf: Performance, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Sounding time of each pitch class in each window [starts[w], ends[w]).
 
-    Returns a W x 12 matrix. A note overlaps the windows from the first
-    whose end is past its onset up to the last whose start is before its
-    offset; ``starts`` and ``ends`` must be non-decreasing.
+    Returns a W x 12 matrix. A note overlaps the windows from the first whose
+    end is over ``TIME_SLACK`` past its onset up to the last whose start is
+    over it before its offset; ``starts`` and ``ends`` must be non-decreasing.
     """
     onsets, offsets, pitches = perf.onsets, perf.offsets, perf.pitches
-    note, window = expand_ranges(
-        np.searchsorted(ends, onsets, "right"), np.searchsorted(starts, offsets, "left")
-    )
+    first = np.searchsorted(ends, onsets + TIME_SLACK, "right")
+    note, window = expand_ranges(first, np.searchsorted(starts, offsets - TIME_SLACK, "left"))
     overlap = np.minimum(offsets[note], ends[window]) - np.maximum(onsets[note], starts[window])
     cells = window * 12 + pitches[note] % 12
     return np.bincount(cells, overlap, minlength=12 * len(starts)).reshape(-1, 12)
 
 
 def _window_weights(perf: Performance, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Start times i*hop of every window overlapping the data, and the
-    windows' pitch-class weights."""
+    """Start times i*hop of every window that starts over ``TIME_SLACK``
+    before the data ends, and the windows' pitch-class weights."""
     starts = grid_times(0.0, perf.end_time, config.hop)
-    starts = starts[starts < perf.end_time - 1e-12]
+    starts = starts[starts < perf.end_time - TIME_SLACK]
     return starts, _pc_weights(perf, starts, starts + config.window_length)
 
 

@@ -29,6 +29,10 @@ from pianoeval.musical import MusicalMetrics
 from pianoeval.stats import MetricReport
 from pianoeval.tension import SpiralPoint, pitch_to_spiral
 
+# seconds: a time this near a grid point, window edge or time tolerance is at it
+# (pianoeval.series.TIME_SLACK, restated so that the oracles do not read it)
+SLACK = 1e-9
+
 # ---------------------------------------------------------------------------
 # Standard MIDI File serializer (test-harness only)
 # ---------------------------------------------------------------------------
@@ -211,10 +215,23 @@ def jitter_velocities(perf: Performance, sigma: float, rng: np.random.Generator)
 # Note-matching oracle: naive validity + exhaustive maximum matching
 # ---------------------------------------------------------------------------
 
+def _oracle_affine_fit(xs: Sequence[int], ys: Sequence[float]):
+    """The least-squares line from integer ``xs`` to ``ys``, as a function;
+    with one distinct x, ``np.linalg.lstsq``'s minimum-norm fit, the mean of ``ys``."""
+    n = len(xs)
+    det = n * sum(x * x for x in xs) - sum(xs) ** 2  # exact: the xs are ints
+    if det == 0:
+        return lambda x: sum(ys) / n
+    slope = (n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)) / det
+    intercept = (sum(ys) - slope * sum(xs)) / n
+    return lambda x: slope * x + intercept
+
+
 def _oracle_valid_matrix(
     ref: Sequence[Note], est: Sequence[Note], mode: str
 ) -> list[list[bool]]:
-    # distances are rounded to 7 decimals before the compare, as in mir_eval
+    # distances are rounded to 7 decimals before the compare: this repository's
+    # choice of precision; mir_eval also rounds before it compares
     valid = [[False] * len(est) for _ in ref]
     for i, r in enumerate(ref):
         for j, e in enumerate(est):
@@ -230,17 +247,7 @@ def _oracle_valid_matrix(
         scaled = [0.0 if hi == lo else (v - lo) / (hi - lo) for v in velocities]
         edges = [(i, j) for i in range(len(ref)) for j in range(len(est)) if valid[i][j]]
         if edges:
-            xs = [est[j].velocity for _, j in edges]
-            ys = [scaled[i] for i, _ in edges]
-            n = len(edges)
-            det = n * sum(x * x for x in xs) - sum(xs) ** 2  # exact: velocities are ints
-            if det != 0:
-                slope = (n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)) / det
-                intercept = (sum(ys) - slope * sum(xs)) / n
-                predict = lambda x: slope * x + intercept
-            else:
-                mean_y = sum(ys) / n  # all est velocities equal: flat best fit
-                predict = lambda x: mean_y
+            predict = _oracle_affine_fit([est[j].velocity for _, j in edges], [scaled[i] for i, _ in edges])
             for i, j in edges:
                 if abs(predict(est[j].velocity) - scaled[i]) > 0.1:
                     valid[i][j] = False
@@ -292,6 +299,50 @@ def _oracle_max_matching(valid: list[list[bool]], n_est: int) -> int:
     return total
 
 
+def _oracle_one_max_matching(valid: list[list[bool]], n_est: int) -> list[tuple[int, int]]:
+    """One maximum matching as (i, j) pairs, by augmenting paths (Kuhn)."""
+    partner: list[Optional[int]] = [None] * n_est  # est column -> ref row
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in range(n_est):
+            if valid[i][j] and j not in seen:
+                seen.add(j)
+                if partner[j] is None or augment(partner[j], seen):
+                    partner[j] = i
+                    return True
+        return False
+
+    for i in range(len(valid)):
+        augment(i, set())
+    return sorted((i, j) for j, i in enumerate(partner) if i is not None)
+
+
+def oracle_mir_eval_velocity_count(ref: Sequence[Note], est: Sequence[Note]) -> int:
+    """Matched-note count of mir_eval's ``transcription_velocity.match_notes``
+    (Raffel et al., "mir_eval: A Transparent Implementation of Common MIR
+    Metrics", ISMIR 2014; the procedure of Hawthorne et al., "Enabling
+    Factorized Piano Music Modeling and Generation with the MAESTRO Dataset",
+    ICLR 2019), with its default tolerances.
+
+    As published: take the ``onset_offset`` matching; scale the reference
+    velocities by (v - min) / max(1, max - min); fit slope and intercept by
+    least squares from the matched estimate velocities to the scaled matched
+    reference velocities; keep the matched pairs whose residual is < 0.1,
+    and match no second time. Which maximum matching mir_eval picks can
+    change the count, so this agrees with it only where the ``onset_offset``
+    maximum matching is unique.
+    """
+    pairs = _oracle_one_max_matching(_oracle_valid_matrix(ref, est, "onset_offset"), len(est))
+    if not pairs:
+        return 0
+    lo = min(n.velocity for n in ref)
+    spread = max(1, max(n.velocity for n in ref) - lo)
+    xs = [est[j].velocity for _, j in pairs]
+    ys = [(ref[i].velocity - lo) / spread for i, _ in pairs]
+    predict = _oracle_affine_fit(xs, ys)
+    return sum(abs(predict(x) - y) < 0.1 for x, y in zip(xs, ys))
+
+
 def oracle_note_prf(ref: Sequence[Note], est: Sequence[Note], mode: str):
     valid = _oracle_valid_matrix(ref, est, mode)
     n = _oracle_max_matching(valid, len(est))
@@ -339,22 +390,22 @@ def _oracle_windows(perf: Performance, config: RunConfig):
     pointer = 0
     active: list[tuple[float, int]] = []  # (offset, note index)
     index = 0
-    while index * config.hop < end_time - 1e-12:
+    while index * config.hop < end_time - SLACK:
         start = index * config.hop
         end = start + config.window_length
-        while pointer < len(notes) and notes[pointer].onset < end:
+        while pointer < len(notes) and notes[pointer].onset + SLACK < end:
             heapq.heappush(active, (notes[pointer].offset, pointer))
             pointer += 1
-        while active and active[0][0] <= start:
+        while active and active[0][0] - SLACK <= start:
             heapq.heappop(active)
         yield index, start, [notes[i] for _, i in active]
         index += 1
 
 
 def oracle_window_starts(end_time: float, hop: float) -> np.ndarray:
-    """Window starts i*hop before end_time - 1e-12, for i up to ceil(end_time / hop)."""
+    """Window starts i*hop before end_time - SLACK, for i up to ceil(end_time / hop)."""
     starts = np.arange(math.ceil(max(end_time, 0.0) / hop) + 1) * hop
-    return starts[starts < end_time - 1e-12]
+    return starts[starts < end_time - SLACK]
 
 
 def _oracle_center(notes: Sequence[Note], start: float, end: float, config: RunConfig):
@@ -399,7 +450,7 @@ def oracle_ioi_series(stream: Sequence[Note], chord_eps: float = 0.030):
     samples: dict[float, float] = {}
     for a, b in zip(stream, stream[1:]):
         ioi = b.onset - a.onset
-        samples[b.onset] = 0.0 if ioi < chord_eps else ioi
+        samples[b.onset] = 0.0 if ioi < chord_eps - SLACK else ioi
     times = sorted(samples)
     return times, [samples[t] for t in times]
 
@@ -409,7 +460,7 @@ def oracle_kor_series(stream: Sequence[Note], min_ioi: float = 0.001):
     times, values = [], []
     for a, b in zip(stream, stream[1:]):
         ioi = b.onset - a.onset
-        if ioi >= min_ioi:
+        if ioi >= min_ioi - SLACK:
             times.append(b.onset)
             values.append((a.offset - b.onset) / ioi)
     return times, values
@@ -421,7 +472,7 @@ class OracleVelocityTracker:
     Queries must come in non-decreasing time order. The latest-onset note
     still sounding wins; once nothing sounds, the most recently ended
     note's velocity holds for ``hold`` seconds, after which the stream is
-    silent (None).
+    silent (None). An onset, offset or hold end at most SLACK after t is at t.
     """
 
     def __init__(self, stream: Sequence[Note], hold: float = 2.0):
@@ -432,31 +483,31 @@ class OracleVelocityTracker:
         self._last_ended = None  # (offset, onset, velocity)
 
     def velocity_at(self, t: float):
-        while self._next < len(self._notes) and self._notes[self._next].onset <= t:
+        while self._next < len(self._notes) and self._notes[self._next].onset - SLACK <= t:
             n = self._notes[self._next]
             heapq.heappush(self._sounding, (-n.onset, n.offset, n.velocity))
             self._next += 1
-        while self._sounding and self._sounding[0][1] <= t:
+        while self._sounding and self._sounding[0][1] - SLACK <= t:
             neg_onset, offset, velocity = heapq.heappop(self._sounding)
             ended = (offset, -neg_onset, velocity)
             if self._last_ended is None or ended > self._last_ended:
                 self._last_ended = ended
         if self._sounding:
             return self._sounding[0][2]
-        if self._last_ended is not None and t - self._last_ended[0] <= self._hold:
+        if self._last_ended is not None and t - self._last_ended[0] <= self._hold + SLACK:
             return self._last_ended[2]
         return None
 
 
 def oracle_dynamics_series(melody: Sequence[Note], bass: Sequence[Note], step: float = 0.1):
     """(times, values) of ln(vel_melody / vel_bass) on the grid 0, step, ...
-    up to the last offset, one tracker query per grid point."""
+    up to the last offset (plus SLACK), one tracker query per grid point."""
     if not melody or not bass:
         return [], []
     end = max(n.offset for n in list(melody) + list(bass))
     mel, bas = OracleVelocityTracker(melody), OracleVelocityTracker(bass)
     times, values = [], []
-    for k in range(int(math.floor(end / step + 1e-9)) + 1):
+    for k in range(int(math.floor((end + SLACK) / step)) + 1):
         t = k * step
         vm, vb = mel.velocity_at(t), bas.velocity_at(t)
         if vm is not None and vb is not None:
@@ -697,7 +748,7 @@ def oracle_split_streams(notes: Sequence[Note], eps: float = 0.030):
     clusters: list[list[Note]] = []
     anchor = None
     for note in notes:
-        if anchor is not None and note.onset - anchor <= eps:
+        if anchor is not None and note.onset - anchor <= eps + SLACK:
             clusters[-1].append(note)
         else:
             clusters.append([note])
@@ -722,7 +773,7 @@ def oracle_cluster_onsets(perf: Performance, eps: float = 0.030) -> np.ndarray:
     firsts = []
     anchor = None
     for index, onset in enumerate(perf.onsets.tolist()):
-        if anchor is None or onset - anchor > eps:
+        if anchor is None or onset - anchor > eps + SLACK:
             firsts.append(index)
             anchor = onset
     return np.array(firsts, dtype=np.int64)
@@ -757,13 +808,13 @@ def oracle_piano_roll(perf: Performance, frame_length: float = 0.010) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def oracle_hold(times: Sequence[float], values: Sequence[float], t0: float, t1: float, step: float):
-    """Grid t0 + k*step up to t1 (1e-9 slack on the count), each point
-    holding the value of the latest sample at or before it, a sample at most
-    1e-9 s after the point counting as at it; None before the first sample."""
-    count = int(math.floor((t1 - t0) / step + 1e-9)) + 1
+    """Grid t0 + k*step up to t1 + SLACK, each point holding the value of the
+    latest sample at or before it, a sample at most SLACK after the point
+    counting as at it; None before the first sample."""
+    count = int(math.floor((t1 - t0 + SLACK) / step)) + 1
     out = []
     for k in range(count):
-        i = bisect_right(times, t0 + k * step + 1e-9) - 1
+        i = bisect_right(times, t0 + k * step + SLACK) - 1
         out.append(values[i] if i >= 0 else None)
     return out
 

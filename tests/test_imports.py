@@ -9,6 +9,10 @@ way round, a name deleted from a module must also leave its ``__all__`` and
 the package's re-exports, and a ``_``-prefixed top-level name in ``src/``
 must be read somewhere there, so a helper does not outlive its callers.
 
+A time slack is stated once: the only float literals in ``(0, 1e-9]`` in the
+package are the definitions of ``series.CONSTANT_SPREAD`` and
+``series.TIME_SLACK``, so a tolerance cannot come back as a bare ``1e-12``.
+
 Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
 anything, so a cost cannot move unseen from start-up into a first call.
@@ -276,3 +280,34 @@ def test_deferred_import_scan():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_deferred_imports_in_package(path):
     assert deferred_imports(path.read_text(encoding="utf-8")) == []
+
+
+def tiny_floats(source: str, allowed: tuple[str, ...] = ()) -> list[tuple[int, float]]:
+    """(line, value) of each float literal in ``(0, 1e-9]``, a negated one
+    included, that is not the value of a top-level assignment to an ``allowed`` name."""
+    tree = ast.parse(source)
+    defined = {
+        id(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and ast.unparse(node.targets[0]) in allowed
+    }
+    return sorted(
+        (n.lineno, n.value)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, float) and 0 < n.value <= 1e-9 and id(n) not in defined
+    )
+
+
+def test_tiny_float_scan():
+    source = (
+        "TIME_SLACK = 1e-9\nOTHER = 1e-9\nSPREAD = (1e-9)\n"
+        "def f(t, TIME_SLACK=1e-9):\n    return t < -1e-12 or t > 0.5 or t == 0.0 or t > 2e-9\n"
+    )
+    assert tiny_floats(source, ("TIME_SLACK",)) == [(2, 1e-9), (3, 1e-9), (4, 1e-9), (5, 1e-12)]
+    assert tiny_floats(source) == [(1, 1e-9), (2, 1e-9), (3, 1e-9), (4, 1e-9), (5, 1e-12)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_the_only_tiny_floats_in_the_package_are_its_two_constants(path):
+    allowed = ("CONSTANT_SPREAD", "TIME_SLACK") if path.stem == "series" else ()
+    assert tiny_floats(path.read_text(encoding="utf-8"), allowed) == []

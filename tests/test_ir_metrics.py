@@ -14,6 +14,7 @@ from helpers import (
     jitter_velocities,
     oracle_candidate_edges,
     oracle_frame_prf,
+    oracle_mir_eval_velocity_count,
     oracle_note_frames,
     oracle_note_prf,
     oracle_piano_roll,
@@ -544,3 +545,16 @@ def test_velocity_mode_constant_reference_velocities():
     est = [Note(n.onset, n.offset, n.pitch, 90) for n in ref]
     prf = note_metrics(Performance.from_notes(ref), Performance.from_notes(est), "onset_offset_velocity")
     assert prf.f1 == 1.0
+
+
+def test_velocity_count_differs_from_mir_eval_on_a_pinned_pair():
+    # README: here the fit runs over every onset_offset candidate pair and the matching runs again;
+    # mir_eval fits over its onset_offset matching only. The extra candidate (0, 1) pulls this fit.
+    ref = [Note(0.0, 1.0, 60, 20), Note(0.08, 1.0, 60, 40), Note(2.0, 3.0, 64, 100)]
+    est = [Note(0.0, 1.0, 60, 60), Note(0.04, 1.0, 60, 80), Note(2.0, 3.0, 64, 120)]
+    # ref 1 has est 1 only, so the maximum onset_offset matching is unique: {(0, 0), (1, 1), (2, 2)}
+    assert oracle_candidate_edges(ref, est, "onset_offset") == [(0, 0), (0, 1), (1, 1), (2, 2)]
+    assert oracle_mir_eval_velocity_count(ref, est) == 3
+    assert oracle_mir_eval_velocity_count(ref, ref) == 3  # a perfect fit keeps every pair
+    ref, est = Performance.from_notes(ref), Performance.from_notes(est)
+    assert len(match_notes(ref, est, "onset_offset_velocity").pairs) == 2

@@ -9,7 +9,7 @@ from helpers import oracle_hold
 from pianoeval.config import RunConfig
 from pianoeval.series import (
     CONSTANT_SPREAD,
-    HOLD_SLACK,
+    TIME_SLACK,
     FeatureSeries,
     common_grid,
     correlate_series,
@@ -81,7 +81,7 @@ def test_resample_grid_before_first_sample_rejected():
 
 
 def test_resample_holds_a_sample_within_hold_slack_after_a_grid_point():
-    series = _series((1.0 + HOLD_SLACK / 2, 1.0), (2.0 + HOLD_SLACK / 2, 2.0), (3.0 + 2 * HOLD_SLACK, 3.0))
+    series = _series((1.0 + TIME_SLACK / 2, 1.0), (2.0 + TIME_SLACK / 2, 2.0), (3.0 + 2 * TIME_SLACK, 3.0))
     assert resample_to_grid(series, grid_times(1.0, 3.0, 1.0)).tolist() == [1.0, 2.0, 2.0]
 
 
