@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .config import RunConfig
 from .midi import Performance, expand_ranges
+from .series import grid_positions
 
 __all__ = [
     "PRF",
@@ -66,8 +67,8 @@ class PianoRoll:
     """A binary pitch x frame roll held as one frame interval [first, stop) per note."""
 
     pitches: np.ndarray  # int64, one entry per note
-    firsts: np.ndarray  # int64, floor(onset / frame_length)
-    stops: np.ndarray  # int64, min(max(first + 1, ceil(offset / frame_length)), n_frames)
+    firsts: np.ndarray  # int64, the onset's frame: grid_positions(onset, 0, frame_length, "right") - 1
+    stops: np.ndarray  # int64, min(max(first + 1, grid_positions(offset, 0, frame_length, "left")), n_frames)
     n_frames: int
     frame_length: float = RunConfig.frame_length
 
@@ -84,17 +85,17 @@ class PianoRoll:
 def build_piano_roll(perf: Performance, frame_length: float = RunConfig.frame_length) -> PianoRoll:
     """Each note's frames at ``frame_length`` seconds, with no duration-sized array.
 
-    A note occupies frames floor(onset/h) through
-    max(floor(onset/h), ceil(offset/h) - 1), clipped at the last frame, so
-    every note that starts inside the roll covers at least one frame.
+    A note occupies frames [first, max(first + 1, stop)) up to the last frame,
+    where ``series.grid_positions`` puts its onset in frame first and its offset
+    before frame stop, a time within ``TIME_SLACK`` of a frame start being at it.
     """
     if not 0 < frame_length < math.inf:
         raise ValueError("frame_length must be positive and finite")
     if perf.end_time / frame_length > 1 << FRAME_BITS:
         raise ValueError(f"{perf.end_time:g} s is more than 2**{FRAME_BITS} frames of {frame_length:g} s")
     n_frames = int(math.ceil(perf.end_time / frame_length))
-    firsts = np.floor(perf.onsets / frame_length).astype(np.int64)
-    stops = np.maximum(firsts + 1, np.ceil(perf.offsets / frame_length).astype(np.int64))
+    firsts = grid_positions(perf.onsets, 0.0, frame_length, "right") - 1
+    stops = np.maximum(firsts + 1, grid_positions(perf.offsets, 0.0, frame_length, "left"))
     return PianoRoll(perf.pitches, firsts, np.minimum(stops, n_frames), n_frames, frame_length)
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .config import RunConfig
 from .midi import Performance, expand_ranges
-from .series import TIME_SLACK, FeatureSeries, common_grid, correlate_series, grid_times, resample_to_grid
+from .series import TIME_SLACK, FeatureSeries, common_grid, correlate_series, grid_positions, grid_times
+from .series import resample_to_grid
 from .streams import split_streams
 from .tension import cloud_diameter_series, cloud_momentum
 
@@ -117,21 +118,21 @@ def _lexsort_ties(keys: tuple[np.ndarray, ...]) -> np.ndarray:
     return order
 
 
-def _velocity_on_grid(stream: Performance, grid: np.ndarray) -> np.ndarray:
-    """Velocity of the stream at each grid time, with a hold after it ends.
+def _velocity_on_grid(stream: Performance, n: int, step: float) -> np.ndarray:
+    """Velocity of the stream at each of the ``n`` grid points k*step, with a hold after it ends.
 
     The latest-onset sounding note wins (then the earlier offset, then the
     lower velocity). Once nothing sounds, the last note to end (then the
     later onset, then the higher velocity) holds for ``DYNAMICS_HOLD``
-    seconds, after which the stream is silent (0). A time within
-    ``TIME_SLACK`` of a grid point is at it.
+    seconds, after which the stream is silent (0). ``grid_positions`` places
+    every time on the grid, which must reach the stream's last offset.
     """
     onsets, offsets, velocities = stream.onsets, stream.offsets, stream.velocities
     # notes paint their [onset, offset) grid spans in this order; the last to paint a point wins
     order = _lexsort_ties((-velocities, -offsets, onsets))
-    lo, hi = (np.searchsorted(grid, t[order] - TIME_SLACK, "left") for t in (onsets, offsets))
+    lo, hi = (grid_positions(t[order], 0.0, step, "left") for t in (onsets, offsets))
     before = np.append(0, np.cumsum(hi - lo))  # points painted before each note; hi >= lo
-    painter = np.full(len(grid), -1)
+    painter = np.full(n, -1)
     first = 0
     while first < len(order):  # passes of at most PAINT_PASS points, or one note; a maximum ignores order
         stop = max(int(np.searchsorted(before, before[first] + PAINT_PASS, "right")) - 1, first + 1)
@@ -139,8 +140,10 @@ def _velocity_on_grid(stream: Performance, grid: np.ndarray) -> np.ndarray:
         np.maximum.at(painter, point, rank + first)
         first = stop
     ended = _lexsort_ties((velocities, onsets, offsets))
-    last = np.searchsorted(offsets[ended], grid + TIME_SLACK, "right") - 1
-    held = (last >= 0) & (grid - offsets[ended[last]] <= DYNAMICS_HOLD + TIME_SLACK)
+    # point k counts the notes ended at or before it; ``ended`` orders their offsets' positions too
+    last = np.cumsum(np.bincount(grid_positions(offsets[ended], 0.0, step, "left"), minlength=n)[:n]) - 1
+    horizon = grid_positions(offsets[ended] + DYNAMICS_HOLD, 0.0, step, "right")  # the points each end holds
+    held = (last >= 0) & (np.arange(n) < horizon[last])
     silent = np.where(held, velocities[ended[last]], 0)
     return np.where(painter >= 0, velocities[order[painter]], silent)
 
@@ -156,8 +159,7 @@ def dynamics_series(melody: Performance, bass: Performance, config: RunConfig = 
     if not len(melody) or not len(bass):
         return FeatureSeries([], [])
     times = grid_times(0.0, max(melody.end_time, bass.end_time), config.grid_step)
-    mel = _velocity_on_grid(melody, times)
-    bas = _velocity_on_grid(bass, times)
+    mel, bas = (_velocity_on_grid(stream, len(times), config.grid_step) for stream in (melody, bass))
     keep = (mel > 0) & (bas > 0)
     return FeatureSeries(times[keep], _LOG_RATIO[mel[keep], bas[keep]])
 

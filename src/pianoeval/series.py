@@ -20,6 +20,7 @@ __all__ = [
     "CONSTANT_SPREAD",
     "TIME_SLACK",
     "FeatureSeries",
+    "grid_positions",
     "grid_times",
     "common_grid",
     "resample_to_grid",
@@ -61,12 +62,22 @@ class FeatureSeries:
         return len(self.times)
 
 
-def grid_times(t0: float, t1: float, step: float) -> np.ndarray:
-    """Grid points t0, t0+step, ... up to and including t1 + ``TIME_SLACK``."""
+def grid_positions(times, t0: float, step: float, side: str) -> np.ndarray:
+    """The int64 count of grid points t0 + k*step (k >= 0) at or before t + ``TIME_SLACK`` for ``"right"``,
+    before t - ``TIME_SLACK`` for ``"left"``: ``np.searchsorted`` of each time so shifted, with no grid."""
     if step <= 0:
         raise ValueError("step must be positive")
-    count = int(math.floor((t1 - t0 + TIME_SLACK) / step)) + 1
-    return t0 + np.arange(count) * step
+    slack, before = {"right": (TIME_SLACK, np.less_equal), "left": (-TIME_SLACK, np.less)}[side]
+    shifted = np.asarray(times, dtype=np.float64) + slack
+    # points below the nearest lie over half a step before the time, points above it over half a step
+    # after: only the nearest point's own value t0 + k*step can round either way
+    nearest = np.floor((shifted - (t0 - step / 2)) / step)
+    return np.maximum(nearest + before(t0 + nearest * step, shifted), 0).astype(np.int64)
+
+
+def grid_times(t0: float, t1: float, step: float) -> np.ndarray:
+    """Grid points t0, t0+step, ... up to and including t1 + ``TIME_SLACK``."""
+    return t0 + np.arange(grid_positions(t1, t0, step, "right")) * step
 
 
 def common_grid(a: FeatureSeries, b: FeatureSeries, step: float) -> np.ndarray:

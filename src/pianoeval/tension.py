@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .midi import Performance, expand_ranges
-from .series import TIME_SLACK, FeatureSeries, grid_times
+from .series import FeatureSeries, grid_positions
 
 __all__ = [
     "SpiralPoint",
@@ -69,27 +69,24 @@ def _spiral_points(config: RunConfig) -> np.ndarray:
     return np.array([(p.x, p.y, p.z) for p in (pitch_to_spiral(pc, config) for pc in range(12))])
 
 
-def _pc_weights(perf: Performance, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Sounding time of each pitch class in each window [starts[w], ends[w]).
-
-    Returns a W x 12 matrix. A note overlaps the windows from the first whose
-    end is over ``TIME_SLACK`` past its onset up to the last whose start is
-    over it before its offset; ``starts`` and ``ends`` must be non-decreasing.
-    """
+def _pc_weights(perf: Performance, count: int, config: RunConfig) -> np.ndarray:
+    """Sounding time of each pitch class in the windows [k*hop, k*hop + window_length), k < count,
+    as a count x 12 matrix. Placed by ``grid_positions``, a note is in the windows from the first
+    that ends over ``TIME_SLACK`` past its onset to the last (below count) that starts over it
+    before its offset."""
     onsets, offsets, pitches = perf.onsets, perf.offsets, perf.pitches
-    first = np.searchsorted(ends, onsets + TIME_SLACK, "right")
-    note, window = expand_ranges(first, np.searchsorted(starts, offsets - TIME_SLACK, "left"))
-    overlap = np.minimum(offsets[note], ends[window]) - np.maximum(onsets[note], starts[window])
+    first = grid_positions(onsets - config.window_length, 0.0, config.hop, "right")
+    note, window = expand_ranges(first, grid_positions(offsets, 0.0, config.hop, "left"))
+    starts = window * config.hop
+    overlap = np.minimum(offsets[note], starts + config.window_length) - np.maximum(onsets[note], starts)
     cells = window * 12 + pitches[note] % 12
-    return np.bincount(cells, overlap, minlength=12 * len(starts)).reshape(-1, 12)
+    return np.bincount(cells, overlap, minlength=12 * count).reshape(-1, 12)
 
 
 def _window_weights(perf: Performance, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Start times i*hop of every window that starts over ``TIME_SLACK``
-    before the data ends, and the windows' pitch-class weights."""
-    starts = grid_times(0.0, perf.end_time, config.hop)
-    starts = starts[starts < perf.end_time - TIME_SLACK]
-    return starts, _pc_weights(perf, starts, starts + config.window_length)
+    """Start times k*hop of the windows that start before the data ends, and their pitch-class weights."""
+    count = int(grid_positions(perf.end_time, 0.0, config.hop, "left"))
+    return np.arange(count) * config.hop, _pc_weights(perf, count, config)
 
 
 def _diameters(present: np.ndarray, config: RunConfig) -> np.ndarray:
@@ -112,8 +109,7 @@ def cloud_diameter(perf: Performance, config: RunConfig = RunConfig()) -> Option
     """
     if not len(perf):
         return None
-    present = _pc_weights(perf, np.array([-math.inf]), np.array([math.inf])) > 0
-    return float(_diameters(present, config)[0])
+    return float(_diameters(np.isin(np.arange(12), perf.pitches % 12)[None], config)[0])
 
 
 def cloud_diameter_series(perf: Performance, config: RunConfig = RunConfig()) -> FeatureSeries:

@@ -317,6 +317,35 @@ def _oracle_one_max_matching(valid: list[list[bool]], n_est: int) -> list[tuple[
     return sorted((i, j) for j, i in enumerate(partner) if i is not None)
 
 
+def oracle_mir_eval_counts(ref: Sequence[Note], est: Sequence[Note], mode: str) -> int:
+    """Matched-note count of mir_eval's ``transcription.match_notes`` (Raffel
+    et al., "mir_eval: A Transparent Implementation of Common MIR Metrics",
+    ISMIR 2014) with its default tolerances: ``offset_ratio=None`` for
+    ``"onset"``, 0.2 for ``"onset_offset"``.
+
+    As published: the |ref - est| onset distance matrix, rounded; the pitch
+    distance matrix in cents between the notes' frequencies, within 50; for
+    ``"onset_offset"`` the rounded offset distance matrix, within
+    max(0.2 x reference duration, 0.05); every compare ``<=``
+    (``strict=False``); then one maximum matching of the hit matrix. The
+    rounding keeps 7 decimals, this repository's precision: mir_eval's own
+    ``N_DECIMALS`` is not checked here.
+    """
+    if not ref or not est:
+        return 0
+    (ref_on, ref_off, ref_hz), (est_on, est_off, est_hz) = (
+        (np.array([n.onset for n in side]), np.array([n.offset for n in side]),
+         440.0 * 2.0 ** ((np.array([n.pitch for n in side]) - 69) / 12))
+        for side in (ref, est)
+    )
+    hit = np.around(np.abs(np.subtract.outer(ref_on, est_on)), 7) <= 0.05
+    hit &= np.abs(1200 * np.subtract.outer(np.log2(ref_hz), np.log2(est_hz))) <= 50.0
+    if mode == "onset_offset":
+        offset_distances = np.around(np.abs(np.subtract.outer(ref_off, est_off)), 7)
+        hit &= offset_distances <= np.maximum(0.2 * (ref_off - ref_on), 0.05)[:, None]
+    return len(_oracle_one_max_matching(hit.tolist(), len(est)))
+
+
 def oracle_mir_eval_velocity_count(ref: Sequence[Note], est: Sequence[Note]) -> int:
     """Matched-note count of mir_eval's ``transcription_velocity.match_notes``
     (Raffel et al., "mir_eval: A Transparent Implementation of Common MIR
@@ -793,12 +822,14 @@ def oracle_split_columns(perf: Performance, eps: float = 0.030) -> tuple[Perform
 
 
 def oracle_piano_roll(perf: Performance, frame_length: float = 0.010) -> np.ndarray:
-    """The (128, T) roll filled one note at a time."""
+    """The (128, T) roll filled one note at a time: a note starts in the frame
+    that holds onset + SLACK and stops before the frame that starts at or
+    after offset - SLACK, so a time within SLACK of a frame start is at it."""
     n_frames = int(math.ceil(perf.end_time / frame_length))
     roll = np.zeros((128, n_frames), dtype=np.bool_)
     for note in perf.notes:
-        first = int(math.floor(note.onset / frame_length))
-        last = max(first, int(math.ceil(note.offset / frame_length)) - 1)
+        first = int(math.floor((note.onset + SLACK) / frame_length))
+        last = max(first, int(math.ceil((note.offset - SLACK) / frame_length)) - 1)
         roll[note.pitch, first : min(last, n_frames - 1) + 1] = True
     return roll
 
@@ -843,8 +874,9 @@ def oracle_frame_prf(ref_roll: np.ndarray, est_roll: np.ndarray):
 
 
 def oracle_note_frames(onset: float, offset: float, h: float) -> set[int]:
-    first = math.floor(onset / h)
-    last = max(first, math.ceil(offset / h) - 1)
+    """Frames floor((onset + SLACK) / h) through max(that, ceil((offset - SLACK) / h) - 1)."""
+    first = math.floor((onset + SLACK) / h)
+    last = max(first, math.ceil((offset - SLACK) / h) - 1)
     return set(range(first, last + 1))
 
 

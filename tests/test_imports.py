@@ -12,6 +12,11 @@ must be read somewhere there, so a helper does not outlive its callers.
 A time slack is stated once: the only float literals in ``(0, 1e-9]`` in the
 package are the definitions of ``series.CONSTANT_SPREAD`` and
 ``series.TIME_SLACK``, so a tolerance cannot come back as a bare ``1e-12``.
+A time is placed on a uniform grid once: outside ``series.py`` no ``floor``
+or ``ceil`` is called but on two sizes (a roll's frame count and a reverb's
+sample count), and ``tension`` and ``ir_metrics`` do not name ``TIME_SLACK``,
+so every frame, grid point and window position comes from
+``series.grid_positions``.
 
 Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
@@ -311,3 +316,45 @@ def test_tiny_float_scan():
 def test_the_only_tiny_floats_in_the_package_are_its_two_constants(path):
     allowed = ("CONSTANT_SPREAD", "TIME_SLACK") if path.stem == "series" else ()
     assert tiny_floats(path.read_text(encoding="utf-8"), allowed) == []
+
+
+def rounding_calls(source: str) -> list[str]:
+    """The source of each call to a function named ``floor`` or ``ceil``, as in ``math.floor(x)`` or ``np.ceil(x)``."""
+    calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    names = [c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", None) for c in calls]
+    return sorted(ast.unparse(c) for c, name in zip(calls, names) if name in ("floor", "ceil"))
+
+
+def names_in(source: str) -> set[str]:
+    """Every name a module reads, binds, imports or takes as an attribute."""
+    nodes = list(ast.walk(ast.parse(source)))
+    imported = {a.asname or a.name for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    return imported | {n.id for n in nodes if isinstance(n, ast.Name)} | {
+        n.attr for n in nodes if isinstance(n, ast.Attribute)
+    }
+
+
+def test_grid_placement_scans():
+    source = (
+        "import math\nimport numpy as np\nfrom .series import TIME_SLACK as slack\n"
+        "k = np.floor(t / h) + math.ceil(x) + floor(y) + series.TIME_SLACK\nz = np.floor_divide(t, h)\n"
+    )
+    assert rounding_calls(source) == ["floor(y)", "math.ceil(x)", "np.floor(t / h)"]
+    assert {"TIME_SLACK", "slack", "floor_divide"} <= names_in(source)
+    assert "TIME_SLACK" not in names_in("'TIME_SLACK'\n# TIME_SLACK\n")
+
+
+# sizes, not placements: the frames a roll spans, and the samples of a synthetic reverb
+_ROUNDING_ALLOWED = {
+    "audio": ["math.floor(checked_rt60(rt60) * sample_rate)"],
+    "ir_metrics": ["math.ceil(perf.end_time / frame_length)"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_only_series_places_a_time_on_a_grid(path):
+    source = path.read_text(encoding="utf-8")
+    if path.stem != "series":
+        assert rounding_calls(source) == _ROUNDING_ALLOWED.get(path.stem, [])
+    if path.stem in ("tension", "ir_metrics"):
+        assert "TIME_SLACK" not in names_in(source)

@@ -14,6 +14,7 @@ from helpers import (
     jitter_velocities,
     oracle_candidate_edges,
     oracle_frame_prf,
+    oracle_mir_eval_counts,
     oracle_mir_eval_velocity_count,
     oracle_note_frames,
     oracle_note_prf,
@@ -465,6 +466,16 @@ def test_candidate_edges_equal_loop_oracle(ref, est, shift):
     for mode in ("onset", "onset_offset"):
         i, j = _candidate_edges(ref, est, mode)
         assert list(zip(i.tolist(), j.tolist())) == oracle_candidate_edges(ref.notes, est.notes, mode), mode
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tick_lattice_notes, _tick_lattice_notes)
+def test_onset_and_onset_offset_counts_equal_mir_eval_match_notes(ref, est):
+    # a maximum matching's size is unique, so this holds whichever matching either side picks
+    ref_perf, est_perf = Performance.from_notes(ref), Performance.from_notes(est)
+    for mode in ("onset", "onset_offset"):
+        n = oracle_mir_eval_counts(ref, est, mode)
+        assert note_metrics(ref_perf, est_perf, mode) == PRF.from_counts(n, len(est) - n, len(ref) - n), mode
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_hold
-from pianoeval.config import RunConfig
+from pianoeval.config import MIN_STEP, RunConfig
+from pianoeval.evaluation import MAX_DURATION
 from pianoeval.series import (
     CONSTANT_SPREAD,
     TIME_SLACK,
     FeatureSeries,
     common_grid,
     correlate_series,
+    grid_positions,
     grid_times,
     pearson,
     resample_to_grid,
@@ -97,6 +99,45 @@ def test_a_lattice_series_holds_its_own_samples_onto_a_grid_from_any_of_them(ste
     k0 = data.draw(st.integers(0, len(times) - 1))
     held = resample_to_grid(FeatureSeries(times, values), grid_times(times[k0], times[-1], step))
     assert held.tolist() == values[k0:].tolist()
+
+
+@st.composite
+def _grid_cases(draw):
+    """A grid t0 + k*step of n points no longer than ``MAX_DURATION``, and
+    times on its points, an ulp either side of them, between them and
+    outside the grid on both sides."""
+    t0 = draw(st.one_of(st.sampled_from([0.0, 0.3, 1 / 3, 12.345]), st.floats(0.0, 100.0)))
+    step = draw(st.one_of(st.sampled_from([MIN_STEP, 0.01, 0.025, 0.07, 0.1, 1 / 3, 0.5]), st.floats(MIN_STEP, 10.0)))
+    n = draw(st.integers(1, int(MAX_DURATION / step) + 1))
+    times = []
+    for k in draw(st.lists(st.integers(-3, n + 2), min_size=1, max_size=20)):
+        point = t0 + k * step  # the value ``grid_times`` gives the point when 0 <= k < n
+        offset = draw(st.sampled_from(["on", "ulp above", "ulp below", "between"]))
+        if offset == "between":
+            point += draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * step
+        elif offset != "on":
+            point = math.nextafter(point, math.inf if offset == "ulp above" else -math.inf)
+        times.append(point)
+    return t0, step, n, times + [t0 - 1000.0, t0 + n * step + 1000.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_cases())
+@example((0.3, 0.001, 1, [0.300000001]))  # 0.300000001 - TIME_SLACK is the point 0.3, but the quotient rounds past it
+def test_grid_positions_equal_a_search_of_the_slack_shifted_times_in_the_grid(case):
+    t0, step, n, times = case
+    grid, times = t0 + np.arange(n) * step, np.array(times)
+    assert np.array_equal(grid, grid_times(t0, grid[-1], step))
+    for side, shifted in (("right", times + TIME_SLACK), ("left", times - TIME_SLACK)):
+        expected = np.searchsorted(grid, shifted, side)
+        assert np.minimum(grid_positions(times, t0, step, side), n).tolist() == expected.tolist()
+
+
+def test_grid_positions_rejects_an_unknown_side_or_a_step_that_is_not_positive():
+    with pytest.raises(KeyError, match="up"):
+        grid_positions([0.0], 0.0, 0.1, "up")
+    with pytest.raises(ValueError, match="^step must be positive$"):
+        grid_positions([0.0], 0.0, 0.0, "left")
 
 
 def test_resample_holds_past_last_sample():

@@ -1,5 +1,5 @@
 """One boundary rule on tick lattices: a time within ``TIME_SLACK`` of a grid
-point, window edge or time tolerance is at it.
+point, frame start, window edge or time tolerance is at it.
 
 Every case is built in MIDI ticks at a constant tempo, so each boundary is
 exact in integers; ``midi._tick_seconds`` turns the ticks into the float
@@ -11,12 +11,15 @@ wrong side.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pianoeval.config import MIN_STEP, RunConfig
+from pianoeval.evaluation import MAX_DURATION
+from pianoeval.ir_metrics import build_piano_roll
 from pianoeval.midi import Performance, _tick_seconds
 from pianoeval.musical import DYNAMICS_HOLD, dynamics_series, ioi_series
 from pianoeval.series import grid_times
@@ -134,3 +137,25 @@ def test_grid_times_on_lattice_ends_has_the_nominal_count(tpq, uspq, step, start
     if ulp_below:
         span, t1 = 0, math.nextafter(t0, -math.inf)
     assert len(grid_times(t0, t1, step_s)) == max(span // step + 1, 0)
+
+
+# tempos in whole bpm at which a quarter note is a whole number of microseconds
+_BPM = st.sampled_from([bpm for bpm in range(40, 241) if 60_000_000 % bpm == 0])
+_FRAME_LENGTHS = st.sampled_from([MIN_STEP, 0.005, 0.01, 0.025, 0.1, 1 / 3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TPQ, _BPM, _FRAME_LENGTHS, st.integers(0, 10**6), st.integers(1, 50))
+@example(480, 120, 0.01, 23, 1)  # onset 1.15 s (tick 1104): floor(onset / h) is frame 114
+@example(1000, 120, 0.01, 29, 1)  # onset 0.29 s (tick 580): floor(onset / h) is frame 28
+@example(1000, 120, 0.01, 6, 1)  # offset 0.07 s (tick 140): ceil(offset / h) is frame 8
+@example(480, 120, 0.1, 3, 1)  # onset 0.3 s (tick 288): floor(onset / h) is frame 2
+def test_a_note_from_frame_k_start_to_frame_m_start_has_first_k_and_stop_m(tpq, bpm, frame_length, j, frames):
+    nominal = Fraction(frame_length).limit_denominator(1000)  # the decimal or third the float stands for
+    per_frame = nominal / Fraction(60, bpm * tpq)  # ticks per frame
+    whole = per_frame.denominator  # frame k starts on a whole tick when whole divides k
+    k = j % (int(MAX_DURATION / 2 / (whole * nominal)) + 1) * whole  # onsets up to half of MAX_DURATION
+    m = k + frames * whole
+    onset, offset = _seconds([int(k * per_frame), int(m * per_frame)], tpq, 60_000_000 // bpm)
+    roll = build_piano_roll(_notes([onset], [offset], [80]), frame_length)
+    assert (roll.firsts.tolist(), roll.stops.tolist()) == ([k], [m])
