@@ -9,7 +9,7 @@ __all__ = ["MAX_WINDOW_OVERLAP", "MIN_STEP", "RunConfig"]
 
 # Finest frame_length, grid_step and hop, seconds: grids, windows and a read roll grow as the duration over these
 MIN_STEP = 0.001
-# Largest window_length / hop: tension's window weights grow as the note count times this ratio
+# Largest window_length / hop: windows' work grows as sounding time over hop, in passes of midi.EXPAND_PASS pairs
 MAX_WINDOW_OVERLAP = 100
 
 

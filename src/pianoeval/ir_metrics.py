@@ -68,8 +68,8 @@ class PianoRoll:
 
     pitches: np.ndarray  # int64, one entry per note
     firsts: np.ndarray  # int64, the onset's frame: grid_positions(onset, 0, frame_length, "right") - 1
-    stops: np.ndarray  # int64, min(max(first + 1, grid_positions(offset, 0, frame_length, "left")), n_frames)
-    n_frames: int
+    stops: np.ndarray  # int64, max(first + 1, grid_positions(offset, 0, frame_length, "left"))
+    n_frames: int  # the largest stop: a roll ends at its last note's last frame
     frame_length: float = RunConfig.frame_length
 
     @cached_property
@@ -85,18 +85,17 @@ class PianoRoll:
 def build_piano_roll(perf: Performance, frame_length: float = RunConfig.frame_length) -> PianoRoll:
     """Each note's frames at ``frame_length`` seconds, with no duration-sized array.
 
-    A note occupies frames [first, max(first + 1, stop)) up to the last frame,
-    where ``series.grid_positions`` puts its onset in frame first and its offset
+    A note occupies frames [first, max(first + 1, stop)) and the roll ends at the largest
+    stop, where ``series.grid_positions`` puts a note's onset in frame first and its offset
     before frame stop, a time within ``TIME_SLACK`` of a frame start being at it.
     """
     if not 0 < frame_length < math.inf:
         raise ValueError("frame_length must be positive and finite")
     if perf.end_time / frame_length > 1 << FRAME_BITS:
         raise ValueError(f"{perf.end_time:g} s is more than 2**{FRAME_BITS} frames of {frame_length:g} s")
-    n_frames = int(math.ceil(perf.end_time / frame_length))
     firsts = grid_positions(perf.onsets, 0.0, frame_length, "right") - 1
     stops = np.maximum(firsts + 1, grid_positions(perf.offsets, 0.0, frame_length, "left"))
-    return PianoRoll(perf.pitches, firsts, np.minimum(stops, n_frames), n_frames, frame_length)
+    return PianoRoll(perf.pitches, firsts, stops, int(stops.max(initial=0)), frame_length)
 
 
 def frame_metrics(ref: PianoRoll, est: PianoRoll) -> PRF:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,12 +24,14 @@ __all__ = [
     "parse_midi_file",
     "apply_sustain_pedal",
     "expand_ranges",
+    "expand_in_passes",
 ]
 
 DEFAULT_TEMPO = 500_000  # microseconds per quarter note (120 BPM)
 MIN_NOTE_DURATION = 0.001  # seconds; zero-length notes are widened to this
 SUSTAIN_CONTROLLER = 64
 SUSTAIN_THRESHOLD = 64  # CC64 values at or above this hold the pedal down
+EXPAND_PASS = 1 << 16  # pairs expand_in_passes yields a pass (or one longer range); bounds a sweep's memory
 
 
 class MidiParseError(ValueError):
@@ -153,6 +155,18 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     counts = np.maximum(hi - lo, 0)
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+
+
+def expand_in_passes(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``expand_ranges(lo, hi)``'s pairs in order, in passes of whole ranges: at most
+    ``EXPAND_PASS`` pairs a pass, or one range when that range alone is longer."""
+    before = np.append(0, np.cumsum(np.maximum(hi - lo, 0)))  # pairs before each range
+    first = 0
+    while first < len(lo):
+        stop = max(int(np.searchsorted(before, before[first] + EXPAND_PASS, "right")) - 1, first + 1)
+        k, index = expand_ranges(lo[first:stop], hi[first:stop])
+        yield k + first, index
+        first = stop
 
 
 def _tick_seconds(ticks: np.ndarray, tempos: Sequence[tuple[int, int]], tpq: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
-from .midi import Performance, expand_ranges
+from .midi import Performance, expand_in_passes
 from .series import TIME_SLACK, FeatureSeries, common_grid, correlate_series, grid_positions, grid_times
 from .series import resample_to_grid
 from .streams import split_streams
@@ -40,7 +40,6 @@ __all__ = [
 MIN_IOI = 0.001  # seconds; KOR is unstable below this inter-onset interval
 DYNAMICS_HOLD = 2.0  # seconds a stream's last velocity stays valid after its offset
 RATIO_KOR_GUARD = 1e-6  # |bass KOR| below this drops the ratio sample
-PAINT_PASS = 1 << 22  # grid points the dynamics painter expands per pass; bounds its memory
 
 # ln(m / b) per velocity pair; math.log, not np.log: the two differ in the last ulp for some ratios
 _LOG_RATIO = np.array([[math.log(m / b) if m and b else 0.0 for b in range(128)] for m in range(128)])
@@ -131,14 +130,9 @@ def _velocity_on_grid(stream: Performance, n: int, step: float) -> np.ndarray:
     # notes paint their [onset, offset) grid spans in this order; the last to paint a point wins
     order = _lexsort_ties((-velocities, -offsets, onsets))
     lo, hi = (grid_positions(t[order], 0.0, step, "left") for t in (onsets, offsets))
-    before = np.append(0, np.cumsum(hi - lo))  # points painted before each note; hi >= lo
     painter = np.full(n, -1)
-    first = 0
-    while first < len(order):  # passes of at most PAINT_PASS points, or one note; a maximum ignores order
-        stop = max(int(np.searchsorted(before, before[first] + PAINT_PASS, "right")) - 1, first + 1)
-        rank, point = expand_ranges(lo[first:stop], hi[first:stop])
-        np.maximum.at(painter, point, rank + first)
-        first = stop
+    for rank, point in expand_in_passes(lo, hi):  # a maximum ignores the passes' order
+        np.maximum.at(painter, point, rank)
     ended = _lexsort_ties((velocities, onsets, offsets))
     # point k counts the notes ended at or before it; ``ended`` orders their offsets' positions too
     last = np.cumsum(np.bincount(grid_positions(offsets[ended], 0.0, step, "left"), minlength=n)[:n]) - 1

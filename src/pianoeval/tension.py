@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
-from .midi import Performance, expand_ranges
+from .midi import Performance, expand_in_passes
 from .series import FeatureSeries, grid_positions
 
 __all__ = [
@@ -73,14 +73,15 @@ def _pc_weights(perf: Performance, count: int, config: RunConfig) -> np.ndarray:
     """Sounding time of each pitch class in the windows [k*hop, k*hop + window_length), k < count,
     as a count x 12 matrix. Placed by ``grid_positions``, a note is in the windows from the first
     that ends over ``TIME_SLACK`` past its onset to the last (below count) that starts over it
-    before its offset."""
+    before its offset. Each cell sums in pair order, as one bincount does, however the passes split."""
     onsets, offsets, pitches = perf.onsets, perf.offsets, perf.pitches
     first = grid_positions(onsets - config.window_length, 0.0, config.hop, "right")
-    note, window = expand_ranges(first, grid_positions(offsets, 0.0, config.hop, "left"))
-    starts = window * config.hop
-    overlap = np.minimum(offsets[note], starts + config.window_length) - np.maximum(onsets[note], starts)
-    cells = window * 12 + pitches[note] % 12
-    return np.bincount(cells, overlap, minlength=12 * count).reshape(-1, 12)
+    weights = np.zeros(12 * count)
+    for note, window in expand_in_passes(first, grid_positions(offsets, 0.0, config.hop, "left")):
+        starts = window * config.hop
+        overlap = np.minimum(offsets[note], starts + config.window_length) - np.maximum(onsets[note], starts)
+        np.add.at(weights, window * 12 + pitches[note] % 12, overlap)
+    return weights.reshape(-1, 12)
 
 
 def _window_weights(perf: Performance, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -824,13 +824,16 @@ def oracle_split_columns(perf: Performance, eps: float = 0.030) -> tuple[Perform
 def oracle_piano_roll(perf: Performance, frame_length: float = 0.010) -> np.ndarray:
     """The (128, T) roll filled one note at a time: a note starts in the frame
     that holds onset + SLACK and stops before the frame that starts at or
-    after offset - SLACK, so a time within SLACK of a frame start is at it."""
-    n_frames = int(math.ceil(perf.end_time / frame_length))
-    roll = np.zeros((128, n_frames), dtype=np.bool_)
+    after offset - SLACK (keeping at least its first frame), so a time within
+    SLACK of a frame start is at it; T ends the last frame a note covers."""
+    spans = []
     for note in perf.notes:
         first = int(math.floor((note.onset + SLACK) / frame_length))
         last = max(first, int(math.ceil((note.offset - SLACK) / frame_length)) - 1)
-        roll[note.pitch, first : min(last, n_frames - 1) + 1] = True
+        spans.append((note.pitch, first, last))
+    roll = np.zeros((128, max((last + 1 for _, _, last in spans), default=0)), dtype=np.bool_)
+    for pitch, first, last in spans:
+        roll[pitch, first : last + 1] = True
     return roll
 
 

@@ -13,10 +13,11 @@ A time slack is stated once: the only float literals in ``(0, 1e-9]`` in the
 package are the definitions of ``series.CONSTANT_SPREAD`` and
 ``series.TIME_SLACK``, so a tolerance cannot come back as a bare ``1e-12``.
 A time is placed on a uniform grid once: outside ``series.py`` no ``floor``
-or ``ceil`` is called but on two sizes (a roll's frame count and a reverb's
-sample count), and ``tension`` and ``ir_metrics`` do not name ``TIME_SLACK``,
-so every frame, grid point and window position comes from
-``series.grid_positions``.
+or ``ceil`` is called but on one size (a reverb's sample count), and
+``tension`` and ``ir_metrics`` do not name ``TIME_SLACK``, so every frame,
+grid point and window position comes from ``series.grid_positions``. Notes
+are expanded over a grid by one bounded loop: ``musical`` and ``tension`` do
+not name ``midi.expand_ranges``, only its pass generator ``expand_in_passes``.
 
 Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
@@ -344,11 +345,8 @@ def test_grid_placement_scans():
     assert "TIME_SLACK" not in names_in("'TIME_SLACK'\n# TIME_SLACK\n")
 
 
-# sizes, not placements: the frames a roll spans, and the samples of a synthetic reverb
-_ROUNDING_ALLOWED = {
-    "audio": ["math.floor(checked_rt60(rt60) * sample_rate)"],
-    "ir_metrics": ["math.ceil(perf.end_time / frame_length)"],
-}
+# a size, not a placement: the samples of a synthetic reverb
+_ROUNDING_ALLOWED = {"audio": ["math.floor(checked_rt60(rt60) * sample_rate)"]}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
@@ -358,3 +356,9 @@ def test_only_series_places_a_time_on_a_grid(path):
         assert rounding_calls(source) == _ROUNDING_ALLOWED.get(path.stem, [])
     if path.stem in ("tension", "ir_metrics"):
         assert "TIME_SLACK" not in names_in(source)
+
+
+@pytest.mark.parametrize("stem", ["musical", "tension"])
+def test_grid_sweeps_expand_notes_only_in_bounded_passes(stem):
+    names = names_in((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    assert "expand_in_passes" in names and "expand_ranges" not in names

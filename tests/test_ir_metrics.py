@@ -81,6 +81,14 @@ def test_roll_matches_per_note_oracle():
         assert np.array_equal(roll.active, expected)
 
 
+def test_roll_ends_at_its_last_notes_last_frame():
+    # 0.1 + 0.2 is an ulp past frame 30's start, which the time rule puts the offset at
+    roll = build_piano_roll(_perf((0.1, 0.1 + 0.2, 60, 64)))
+    assert (roll.n_frames, roll.stops.tolist()) == (30, [30])
+    roll = build_piano_roll(_AT_THE_ROLL_END)
+    assert roll.n_frames == 4 and roll.active[60].tolist() == [False, False, False, True]
+
+
 def test_roll_custom_frame_length():
     roll = build_piano_roll(_perf((0.0, 1.0, 60, 64)), frame_length=0.5)
     assert roll.active.shape == (128, 2)
@@ -204,15 +212,15 @@ def _frame_pairs(draw):
     return draw(side), draw(side), h
 
 
-# floor(0.03 / h) = 3 = ceil(0.030000000000000002 / h) = n_frames at h = 0.01: the
-# pitch-60 note starts at the end of the roll, so its frame is clipped away
-_PAST_THE_ROLL = _perf((0.0, 0.02, 62, 64), (0.03, 0.030000000000000002, 60, 64))
+# the pitch-60 note starts at frame 3's start (0.03 at h = 0.01) and ends an ulp later, under
+# 2 x TIME_SLACK long: it keeps frame 3, its first, which is the roll's last
+_AT_THE_ROLL_END = _perf((0.0, 0.02, 62, 64), (0.03, 0.030000000000000002, 60, 64))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_frame_pairs(), st.integers(0, 2**32 - 1))
-@example((_PAST_THE_ROLL, _perf((0.0, 0.1, 60, 64)), 0.01), 0)
-@example((_PAST_THE_ROLL, Performance.from_notes([]), 0.01), 1)
+@example((_AT_THE_ROLL_END, _perf((0.0, 0.1, 60, 64)), 0.01), 0)
+@example((_AT_THE_ROLL_END, Performance.from_notes([]), 0.01), 1)
 def test_frame_sweep_equals_per_cell_oracle(pair, seed):
     a, b, h = pair
     got = frame_metrics(build_piano_roll(a, h), build_piano_roll(b, h))

@@ -15,7 +15,7 @@ from helpers import (
     random_performance,
     serialize_smf,
 )
-from pianoeval import musical
+from pianoeval import midi
 from pianoeval.config import RunConfig
 from pianoeval.evaluation import evaluate_performances
 from pianoeval.midi import Note, Performance, parse_midi
@@ -184,7 +184,7 @@ def test_dynamics_series_equals_tracker_oracle(melody, bass, data):
     shuffled = [s.take(data.draw(st.permutations(range(len(s))))) for s in (melody, bass)]
     # a pass of a few grid points paints each stream in many passes
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(musical, "PAINT_PASS", data.draw(st.sampled_from([musical.PAINT_PASS, 1, 5])))
+        patch.setattr(midi, "EXPAND_PASS", data.draw(st.sampled_from([midi.EXPAND_PASS, 1, 5])))
         for series in (dynamics_series(melody, bass), dynamics_series(*shuffled)):
             assert series.times.tolist() == times
             assert series.values.tolist() == values
@@ -197,7 +197,7 @@ def test_dynamics_painter_memory_is_bounded_by_its_pass(monkeypatch):
     melody = Performance(onsets, np.full(300, 300.0), np.full(300, 72), 1 + np.arange(300) % 127)
     bass = Performance(onsets, np.full(300, 300.0), np.full(300, 40), 1 + np.arange(300) * 7 % 127)
     expected = dynamics_series(melody, bass)
-    monkeypatch.setattr(musical, "PAINT_PASS", 4096)
+    monkeypatch.setattr(midi, "EXPAND_PASS", 4096)
     tracemalloc.start()
     try:
         series = dynamics_series(melody, bass)

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_tension_series, oracle_window_starts, random_performance
+from pianoeval import midi
 from pianoeval.config import MIN_STEP, RunConfig
 from pianoeval.midi import Note, Performance
 from pianoeval.tension import (
@@ -244,6 +249,51 @@ def test_diameter_series_memory_does_not_grow_as_windows_times_144():
     assert peak < 400 * 72_500
 
 
+def test_window_weights_memory_is_bounded_by_the_pass(monkeypatch):
+    # notes whose offsets were lost, held to the end: 90,600 (note, window) pairs, about 5 MB of
+    # index and overlap arrays if expanded at once, against 600 windows
+    onsets = np.arange(300) * 1.0
+    perf = Performance(onsets, np.full(300, 300.0), 21 + np.arange(300) * 7 % 88, np.full(300, 64))
+    expected = cloud_diameter_series(perf)
+    monkeypatch.setattr(midi, "EXPAND_PASS", 4096)
+    tracemalloc.start()
+    try:
+        series = cloud_diameter_series(perf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert series.times.tolist() == expected.times.tolist()
+    assert series.values.tolist() == expected.values.tolist()
+
+
+# 2000 notes held from uniform onsets to the end of an hour, as when a file's note-offs are lost, against
+# an estimate whose onsets are jittered by 10 ms: about 7.2 M (note, window) pairs, 58 MB per array over
+# them. The child limits its own address space before numpy loads (a preexec_fn would run in a fork of
+# this threaded process).
+_HELD_PAIR = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (384 << 20, 384 << 20))
+import numpy as np
+from pianoeval.evaluation import evaluate_performances
+from pianoeval.midi import Performance
+rng = np.random.default_rng(0)
+onsets = np.sort(rng.uniform(0, 3590, 2000))
+pitches, velocities = rng.integers(21, 109, 2000), rng.integers(20, 110, 2000)
+jittered = np.sort(np.maximum(onsets + rng.normal(0, 0.01, 2000), 0))
+held = [Performance(t, np.full(2000, 3600.0), pitches, velocities) for t in (onsets, jittered)]
+evaluate_performances(*held)
+"""
+
+
+def test_held_notes_evaluate_within_a_fixed_address_space():
+    # one BLAS thread: each further thread reserves address space of its own
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _HELD_PAIR], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
 def test_tension_values_nonnegative():
     rng = np.random.default_rng(29)
     for _ in range(10):
@@ -288,24 +338,43 @@ _configs = st.sampled_from([
 ])
 
 
+# a pass of a few (note, window) pairs expands the notes in many passes
+_passes = st.sampled_from([midi.EXPAND_PASS, 1, 5])
+
+
 @settings(max_examples=150, deadline=None)
-@given(_lattice_performances(), _configs)
-def test_diameter_series_equals_sweep_oracle(perf, config):
+@given(_lattice_performances(), _configs, _passes)
+def test_diameter_series_equals_sweep_oracle(perf, config, expand_pass):
     (times, values), _ = oracle_tension_series(perf, config)
-    series = cloud_diameter_series(perf, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(midi, "EXPAND_PASS", expand_pass)
+        series = cloud_diameter_series(perf, config)
     assert series.times.tolist() == times
     assert series.values.tolist() == values
 
 
 @settings(max_examples=150, deadline=None)
-@given(_lattice_performances(), _configs)
-def test_momentum_equals_sweep_oracle_within_last_digits(perf, config):
+@given(_lattice_performances(), _configs, _passes)
+def test_momentum_equals_sweep_oracle_within_last_digits(perf, config, expand_pass):
     # the weights are summed in another order than the sweep's, so values
     # may differ in the last bits; the sample times may not
     _, (times, values) = oracle_tension_series(perf, config)
-    series = cloud_momentum(perf, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(midi, "EXPAND_PASS", expand_pass)
+        series = cloud_momentum(perf, config)
     assert series.times.tolist() == times
     np.testing.assert_allclose(series.values, values, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_performances(), _configs)
+def test_window_weights_do_not_depend_on_the_pass_size(perf, config):
+    starts, weights = _window_weights(perf, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(midi, "EXPAND_PASS", 1)
+        one_starts, one_weights = _window_weights(perf, config)
+    assert one_starts.tolist() == starts.tolist()
+    assert one_weights.shape == weights.shape and (one_weights == weights).all()
 
 
 @st.composite
