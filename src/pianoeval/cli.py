@@ -29,8 +29,8 @@ from .audio import (
     synth_ir,
     write_wav_file,
 )
-from .config import RunConfig
-from .evaluation import checked_duration, evaluate_performances
+from .config import RunConfig, checked_duration
+from .evaluation import evaluate_performances
 from .midi import Performance, parse_midi_file
 from .stats import ALPHA, aggregate, check_tags, csv_text, emit, kruskal_wallis
 

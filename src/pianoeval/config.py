@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-__all__ = ["MAX_WINDOW_OVERLAP", "MIN_STEP", "RunConfig"]
+__all__ = ["MAX_DURATION", "MAX_WINDOW_OVERLAP", "MIN_STEP", "RunConfig", "checked_duration"]
 
 # Finest frame_length, grid_step and hop, seconds: grids, windows and a read roll grow as the duration over these
 MIN_STEP = 0.001
+# Longest performance evaluated, seconds: a full two-hour recital
+MAX_DURATION = 7200.0
 # Largest window_length / hop: windows' work grows as sounding time over hop, in passes of midi.EXPAND_PASS pairs
 MAX_WINDOW_OVERLAP = 100
 
@@ -49,3 +51,11 @@ class RunConfig:
             raise ValueError(f"window_length / hop must be at most {MAX_WINDOW_OVERLAP}, got {overlap:g}")
         if self.pedal_mode not in ("ignore", "extend"):
             raise ValueError(f"pedal_mode must be 'ignore' or 'extend', got {self.pedal_mode!r}")
+
+
+def checked_duration(perf, side: str):
+    """The performance ``perf`` if it ends within ``MAX_DURATION``, else a ValueError naming ``side``: grid
+    and window arrays grow with the duration, so a small file whose ticks span years would ask for terabytes."""
+    if perf.end_time > MAX_DURATION:
+        raise ValueError(f"{side} lasts {perf.end_time:.6g} s, longer than the {MAX_DURATION:g} s limit")
+    return perf

@@ -4,25 +4,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .config import RunConfig
+from .config import RunConfig, checked_duration
 from .ir_metrics import build_piano_roll, frame_metrics, note_metrics
 from .midi import Performance
 from .musical import compute_musical_metrics
 from .stats import MetricReport
 
-__all__ = ["MAX_DURATION", "checked_duration", "evaluate_performances"]
-
-# Longest performance evaluated, seconds: a full two-hour recital
-MAX_DURATION = 7200.0
-
-
-def checked_duration(perf: Performance, side: str) -> Performance:
-    """``perf`` if it ends within ``MAX_DURATION``; otherwise a ValueError naming
-    ``side``. Grid and window arrays grow with the duration, so a small valid
-    file whose ticks span years would otherwise ask for terabytes."""
-    if perf.end_time > MAX_DURATION:
-        raise ValueError(f"{side} lasts {perf.end_time:.6g} s, longer than the {MAX_DURATION:g} s limit")
-    return perf
+__all__ = ["evaluate_performances"]
 
 
 def evaluate_performances(

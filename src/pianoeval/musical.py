@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, checked_duration
 from .midi import Performance, expand_in_passes
 from .series import TIME_SLACK, FeatureSeries, common_grid, correlate_series, grid_positions, grid_times
 from .series import resample_to_grid
@@ -184,10 +184,11 @@ def compute_musical_metrics(
     extents and Pearson-correlated; fewer than ``config.min_samples`` shared
     points or a constant series make that metric undefined (None).
 
-    Each side's rows must be in onset order (as parsed input is); a row whose
-    onset is before the previous row's raises ValueError naming the side.
+    Each side must end within ``MAX_DURATION`` and keep its rows in onset order (as parsed input
+    does); a side that does not raises ValueError naming the side (and the row).
     """
     for side, perf in (("ref", ref), ("est", est)):
+        checked_duration(perf, side)
         early = np.flatnonzero(perf.onsets[1:] < perf.onsets[:-1]) + 1
         if early.size:
             row = int(early[0])

@@ -222,8 +222,24 @@ def emit(payload, fmt: str = "csv") -> bytes:
     return csv_text(header, ([_format_cell(row[c]) for c in header] for row in rows)).encode()
 
 
+_JSON_PARTS = {"": MetricReport, **dict.fromkeys(_PRF_FIELDS, PRF), "musical": MusicalMetrics}  # "": the report
+
+
 def parse_reports_json(data: bytes) -> list[MetricReport]:
-    """Inverse of emit(..., "json") for report lists."""
+    """Inverse of emit(..., "json") for report lists: anything else, or an object whose keys differ
+    from those ``emit`` writes, raises ValueError naming the item, the object and the key."""
+    items = json.loads(data.decode())
+    if not isinstance(items, list):
+        raise ValueError("reports JSON must be a list")
+    for i, item in enumerate(items):
+        for part, cls in _JSON_PARTS.items():
+            where, obj = f"report {i} {part}".rstrip(), item[part] if part else item
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where} is not a JSON object")
+            keys = {f.name for f in fields(cls)}
+            odd = sorted(set(obj) ^ keys)
+            if odd:
+                raise ValueError(f"{where} {'lacks' if odd[0] in keys else 'has unknown'} key {odd[0]!r}")
     return [
         MetricReport(
             pair_id=item["pair_id"],
@@ -231,5 +247,5 @@ def parse_reports_json(data: bytes) -> list[MetricReport]:
             musical=MusicalMetrics(**item["musical"]),
             tags=dict(item["tags"]),
         )
-        for item in json.loads(data.decode())
+        for item in items
     ]

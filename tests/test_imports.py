@@ -18,6 +18,12 @@ or ``ceil`` is called but on one size (a reverb's sample count), and
 grid point and window position comes from ``series.grid_positions``. Notes
 are expanded over a grid by one bounded loop: ``musical`` and ``tension`` do
 not name ``midi.expand_ranges``, only its pass generator ``expand_in_passes``.
+The slack meets a grid in two functions only, both in ``series``:
+``grid_positions`` shifts each time by it, and ``resample_to_grid`` shifts
+each grid point by it before it searches the sample times, as ``oracle_hold``
+does; the two forms round apart an ulp from a point + ``TIME_SLACK``. No other
+``series`` function reads ``TIME_SLACK``, only ``resample_to_grid`` names
+``searchsorted``, and ``musical`` and ``tension`` name it nowhere.
 
 Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
@@ -362,3 +368,40 @@ def test_only_series_places_a_time_on_a_grid(path):
 def test_grid_sweeps_expand_notes_only_in_bounded_passes(stem):
     names = names_in((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
     assert "expand_in_passes" in names and "expand_ranges" not in names
+
+
+def readers(source: str, name: str) -> list[str]:
+    """The top-level functions of a module that read ``name`` as a name or an attribute, and
+    ``<module>`` if anything else does."""
+    found = set()
+    for node in ast.parse(source).body:
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load):
+                found.add(scope)
+            elif isinstance(n, ast.Attribute) and n.attr == name:
+                found.add(scope)
+    return sorted(found)
+
+
+def test_reader_scan():
+    source = (
+        "SLACK = 1e-9\nLIMIT = SLACK * 2\n"
+        "def f(t):\n    'SLACK'\n    return t + SLACK\n"
+        "def g(SLACK):\n    return 0\n"
+        "def h():\n    SLACK = 2\n"
+        "def i(x):\n    return np.SLACK(x)\n"
+    )
+    assert readers(source, "SLACK") == ["<module>", "f", "i"]
+    assert readers(source.replace("LIMIT = SLACK * 2\n", ""), "SLACK") == ["f", "i"]
+
+
+@pytest.mark.parametrize("stem", ["musical", "tension"])
+def test_no_grid_sweep_searches(stem):
+    assert "searchsorted" not in names_in((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+
+
+def test_series_applies_the_time_slack_only_where_it_places_or_holds_a_time():
+    source = (PACKAGE / "series.py").read_text(encoding="utf-8")
+    assert readers(source, "TIME_SLACK") == ["grid_positions", "resample_to_grid"]
+    assert readers(source, "searchsorted") == ["resample_to_grid"]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +369,29 @@ def test_rows_out_of_onset_order_name_the_side_and_row(side):
         compute_musical_metrics(*pair)
     with pytest.raises(ValueError, match=message):
         evaluate_performances(*pair)
+
+
+# 20 short notes and one from 30 s to 1e9 s: a grid over that span would take about 15 GiB. The child
+# limits its own address space before numpy loads, as tests/test_tension.py's held pair does.
+_OVERLONG = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from pianoeval.midi import Note, Performance
+from pianoeval.musical import compute_musical_metrics
+perf = Performance.from_notes([Note(0.5 * k, 0.5 * k + 0.3, 60 + k, 64) for k in range(20)] + [Note(30.0, 1e9, 72, 64)])
+try:
+    compute_musical_metrics(perf, perf)
+except ValueError as error:
+    print(error)
+"""
+
+
+def test_musical_metrics_reject_a_side_longer_than_max_duration_before_building_a_grid():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _OVERLONG], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "ref lasts 1e+09 s, longer than the 7200 s limit\n"
 
 
 def test_equal_onsets_in_any_row_order_are_accepted():

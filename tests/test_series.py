@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_hold
-from pianoeval.config import MIN_STEP, RunConfig
-from pianoeval.evaluation import MAX_DURATION
+from pianoeval.config import MAX_DURATION, MIN_STEP, RunConfig
 from pianoeval.series import (
     CONSTANT_SPREAD,
     TIME_SLACK,
@@ -168,21 +167,37 @@ def test_common_grid_is_empty_for_empty_or_disjoint_series():
 
 @st.composite
 def _hold_cases(draw):
-    """A series, some of whose sample times sit exactly on the grid, and a
-    grid that may start before the first sample, on it, or after it."""
+    """A series and a grid that may start before its first sample, on it or after it. Some sample
+    times sit on grid points, at a point + ``TIME_SLACK`` or an ulp either side of that, or after
+    the grid's last point."""
     t0 = draw(st.floats(-20.0, 20.0))
-    step = draw(st.floats(0.01, 3.0))
+    step = draw(st.one_of(st.sampled_from([MIN_STEP, 0.1, 1 / 3]), st.floats(0.01, 3.0)))
     t1 = t0 + draw(st.floats(0.0, 30.0))
+    n = math.floor((t1 - t0 + TIME_SLACK) / step) + 1  # the points ``oracle_hold`` counts
     on_grid = draw(st.lists(st.integers(-5, 40), max_size=10))
+    at_slack = set()
+    for k, ulp in draw(st.lists(st.tuples(st.integers(-5, n + 5), st.sampled_from([-1, 0, 1])), max_size=10)):
+        edge = t0 + k * step + TIME_SLACK
+        at_slack.add(math.nextafter(edge, ulp * math.inf) if ulp else edge)
+    after = draw(st.lists(st.floats(0.01, 10.0), max_size=3))  # in steps past the last point
     off_grid = draw(st.lists(st.floats(-30.0, 60.0), max_size=10))
     lead = draw(st.lists(st.floats(0.0, 10.0), max_size=1))  # a sample at or before t0, or none
-    times = sorted({t0 + k * step for k in on_grid} | set(off_grid) | {t0 - x for x in lead})
+    times = {t0 + k * step for k in on_grid} | at_slack | {t0 + (n - 1 + x) * step for x in after}
+    times = sorted(times | set(off_grid) | {t0 - x for x in lead})
     values = draw(st.lists(st.floats(-1e6, 1e6), min_size=len(times), max_size=len(times)))
     return times, values, t0, t1, step
 
 
+# Samples an ulp from a point + TIME_SLACK, where shifting the point and shifting the sample round
+# apart: the oracle holds 0.0 at the first example's point and 1.0 at the second's, while comparing
+# time - TIME_SLACK with the point, as ``grid_positions`` does, holds 1.0 and 0.0.
+_EDGE = -1.192092896e-07
+
+
 @settings(max_examples=300, deadline=None)
 @given(_hold_cases())
+@example(([-0.0010001192092896, _EDGE, -1.182092896e-07], [0.0, 0.0, 1.0], _EDGE, _EDGE, 0.001))
+@example(([0.0, 1e-09], [0.0, 1.0], -1e-300, -1e-300, 0.001))
 def test_resample_equals_per_point_bisect(case):
     times, values, t0, t1, step = case
     series = FeatureSeries(times, values)

@@ -207,6 +207,31 @@ def test_json_round_trip():
     assert back == reports
 
 
+def _json_items(edit):
+    """The JSON of two emitted reports after ``edit`` changes the second item."""
+    reports = [_report(p, 0.5, {"melody_ioi": 0.25}, {"model": "x"}) for p in ("p0", "p1")]
+    items = json.loads(emit(reports, "json").decode())
+    edit(items[1])
+    return json.dumps(items).encode()
+
+
+def test_json_parse_rejects_keys_emit_does_not_write():
+    cases = [
+        (lambda item: item.update(musical={"melody_ioi": 0.25}), "^report 1 musical lacks key 'accompaniment_ioi'$"),
+        (lambda item: item.pop("tags"), "^report 1 lacks key 'tags'$"),
+        (lambda item: item["frame"].update(extra=1.0), "^report 1 frame has unknown key 'extra'$"),
+        (lambda item: item.update(note=None), "^report 1 has unknown key 'note'$"),
+    ]
+    for edit, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse_reports_json(_json_items(edit))
+    with pytest.raises(ValueError, match="^report 1 frame is not a JSON object$"):
+        parse_reports_json(_json_items(lambda item: item.update(frame=0.5)))
+    for data, message in ((b"{}", "^reports JSON must be a list$"), (b"[1]", "^report 0 is not a JSON object$")):
+        with pytest.raises(ValueError, match=message):
+            parse_reports_json(data)
+
+
 def test_json_uses_null_for_undefined():
     obj = json.loads(emit([_report("p", 1.0, None, {})], "json").decode())
     assert obj[0]["musical"]["melody_ioi"] is None

@@ -17,8 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pianoeval.config import MIN_STEP, RunConfig
-from pianoeval.evaluation import MAX_DURATION
+from pianoeval.config import MAX_DURATION, MIN_STEP, RunConfig
 from pianoeval.ir_metrics import build_piano_roll
 from pianoeval.midi import Performance, _tick_seconds
 from pianoeval.musical import DYNAMICS_HOLD, dynamics_series, ioi_series
