@@ -222,12 +222,13 @@ def emit(payload, fmt: str = "csv") -> bytes:
     return csv_text(header, ([_format_cell(row[c]) for c in header] for row in rows)).encode()
 
 
-_JSON_PARTS = {"": MetricReport, **dict.fromkeys(_PRF_FIELDS, PRF), "musical": MusicalMetrics}  # "": the report
+# "": the report; the tags' keys are free
+_JSON_PARTS = {"": MetricReport, **dict.fromkeys(_PRF_FIELDS, PRF), "musical": MusicalMetrics, "tags": None}
 
 
 def parse_reports_json(data: bytes) -> list[MetricReport]:
-    """Inverse of emit(..., "json") for report lists: anything else, or an object whose keys differ
-    from those ``emit`` writes, raises ValueError naming the item, the object and the key."""
+    """Inverse of emit(..., "json") for report lists: anything else, an object whose keys differ from those
+    ``emit`` writes, or a tag not a string or failing ``check_tags``, raises ValueError naming where."""
     items = json.loads(data.decode())
     if not isinstance(items, list):
         raise ValueError("reports JSON must be a list")
@@ -236,10 +237,17 @@ def parse_reports_json(data: bytes) -> list[MetricReport]:
             where, obj = f"report {i} {part}".rstrip(), item[part] if part else item
             if not isinstance(obj, dict):
                 raise ValueError(f"{where} is not a JSON object")
-            keys = {f.name for f in fields(cls)}
+            keys = {f.name for f in fields(cls)} if cls else set(obj)
             odd = sorted(set(obj) ^ keys)
             if odd:
                 raise ValueError(f"{where} {'lacks' if odd[0] in keys else 'has unknown'} key {odd[0]!r}")
+        for name, value in item["tags"].items():
+            if not isinstance(value, str):
+                raise ValueError(f"report {i} tag {name!r} is not a string")
+        try:
+            check_tags(item["tags"])
+        except ValueError as error:
+            raise ValueError(f"report {i} {error}") from None
     return [
         MetricReport(
             pair_id=item["pair_id"],

@@ -9,6 +9,7 @@ duration-weighted centroid between consecutive windows).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -90,16 +91,21 @@ def _window_weights(perf: Performance, config: RunConfig) -> tuple[np.ndarray, n
     return np.arange(count) * config.hop, _pc_weights(perf, count, config)
 
 
-def _diameters(present: np.ndarray, config: RunConfig) -> np.ndarray:
-    """Cloud diameter of each row of a W x 12 pitch-class presence mask.
+@functools.lru_cache
+def _diameter_table(spiral_radius: float, spiral_rise: float) -> np.ndarray:
+    """Read-only diameters of all 4096 pitch-class masks (bit pc: pc present), built pairwise, not 4096 x 144."""
+    points = _spiral_points(RunConfig(spiral_radius=spiral_radius, spiral_rise=spiral_rise))
+    distances = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
+    masks, table = np.arange(4096), np.zeros(4096)
+    for a, b in zip(*np.triu_indices(12, 1)):
+        np.maximum(table, np.where(masks >> a & masks >> b & 1, distances[a, b], 0.0), out=table)
+    table.flags.writeable = False
+    return table
 
-    Each distinct mask (at most 4096) is measured once, so memory does not
-    grow as W x 144."""
-    points = _spiral_points(config)
-    table = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
-    _, first, inverse = np.unique(present @ (1 << np.arange(12)), return_index=True, return_inverse=True)
-    pairs = present[first, :, None] & present[first, None, :]
-    return np.where(pairs, table, 0.0).max(axis=(1, 2), initial=0.0)[inverse]
+
+def _diameters(present: np.ndarray, config: RunConfig) -> np.ndarray:
+    """Cloud diameter of each row of a W x 12 pitch-class presence mask."""
+    return _diameter_table(config.spiral_radius, config.spiral_rise)[present @ (1 << np.arange(12))]
 
 
 def cloud_diameter(perf: Performance, config: RunConfig = RunConfig()) -> Optional[float]:

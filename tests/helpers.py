@@ -473,6 +473,16 @@ def oracle_tension_series(perf: Performance, config: RunConfig = RunConfig()):
     return diameter, momentum
 
 
+def oracle_diameters(present: np.ndarray, config: RunConfig = RunConfig()) -> np.ndarray:
+    """Cloud diameter of each row of a W x 12 pitch-class presence mask: each
+    distinct mask's largest helix distance over its W x 144 pairs of points."""
+    points = np.array([(p.x, p.y, p.z) for p in (pitch_to_spiral(pc, config) for pc in range(12))])
+    table = np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2))
+    _, first, inverse = np.unique(present @ (1 << np.arange(12)), return_index=True, return_inverse=True)
+    pairs = present[first, :, None] & present[first, None, :]
+    return np.where(pairs, table, 0.0).max(axis=(1, 2), initial=0.0)[inverse]
+
+
 def oracle_ioi_series(stream: Sequence[Note], chord_eps: float = 0.030):
     """(times, values) of inter-onset intervals, pair by pair; a later pair
     on the same timestamp overwrites an earlier one."""

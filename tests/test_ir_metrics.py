@@ -22,13 +22,14 @@ from helpers import (
     random_performance,
     serialize_smf,
 )
+from pianoeval import evaluation, ir_metrics
 from pianoeval.config import RunConfig
 from pianoeval.ir_metrics import (
     MATCH_MODES,
     PRF,
     NoteMatching,
-    _candidate_edges,
     build_piano_roll,
+    candidate_edges,
     frame_metrics,
     match_notes,
     note_metrics,
@@ -468,12 +469,47 @@ _tick_lattice_notes = st.lists(
 @given(_tick_lattice_notes, _tick_lattice_notes, st.sampled_from([0.0, 1e6, 1e10]))
 # 0.2 - 0.05 is 0.15000000000000002: only the slack keeps the est onset 0.15 in the search
 @example([Note(0.2, 0.3, 60, 80)], [Note(0.15, 0.25, 60, 80)], 0.0)
+# reference pitches 60, 61, 64, 60, 64 in row order, three notes on one onset: the bounds are searched in
+# (pitch, onset) order and must land back on their own rows
+@example(
+    [Note(0.1, 0.2, 64, 80), Note(0.1, 0.3, 61, 80), Note(0.1, 0.25, 60, 80), Note(0.2, 0.3, 60, 80),
+     Note(0.2, 0.4, 64, 80)],
+    [Note(0.11, 0.21, 64, 70), Note(0.1, 0.3, 61, 80), Note(0.09, 0.25, 60, 80), Note(0.19, 0.31, 60, 80),
+     Note(0.12, 0.22, 60, 90), Note(0.21, 0.4, 64, 80)],
+    0.0,
+)
 def test_candidate_edges_equal_loop_oracle(ref, est, shift):
     ref, est = (Performance.from_notes(notes) for notes in (ref, est))
     ref, est = (Performance(p.onsets + shift, p.offsets + shift, p.pitches, p.velocities) for p in (ref, est))
     for mode in ("onset", "onset_offset"):
-        i, j = _candidate_edges(ref, est, mode)
+        i, j = candidate_edges(ref, est, mode)
         assert list(zip(i.tolist(), j.tolist())) == oracle_candidate_edges(ref.notes, est.notes, mode), mode
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tick_lattice_notes, _tick_lattice_notes)
+def test_given_edges_score_as_the_search_does(ref, est):
+    ref, est = Performance.from_notes(ref), Performance.from_notes(est)
+    for mode in MATCH_MODES:
+        assert note_metrics(ref, est, mode, edges=candidate_edges(ref, est, mode)) == note_metrics(ref, est, mode)
+    # evaluate_performances searches once for both offset modes
+    shared, own = candidate_edges(ref, est, "onset_offset"), candidate_edges(ref, est, "onset_offset_velocity")
+    assert all(np.array_equal(a, b) for a, b in zip(shared, own))
+
+
+def test_evaluation_searches_candidate_edges_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return candidate_edges(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "candidate_edges", counted)
+    monkeypatch.setattr(ir_metrics, "candidate_edges", counted)
+    ref = random_performance(np.random.default_rng(61), 40)
+    report = evaluation.evaluate_performances(ref, jitter_onsets(ref, 0.01, np.random.default_rng(62)))
+    assert calls == ["onset_offset"]
+    assert report.note_offset.f1 > 0
 
 
 @settings(max_examples=150, deadline=None)

@@ -225,6 +225,14 @@ def test_json_parse_rejects_keys_emit_does_not_write():
     for edit, message in cases:
         with pytest.raises(ValueError, match=message):
             parse_reports_json(_json_items(edit))
+    tag_cases = [
+        ([["a", "b"]], "^report 1 tags is not a JSON object$"),
+        ({"model": 3}, "^report 1 tag 'model' is not a string$"),
+        ({"model": "x", "count": "2"}, "^report 1 tag column 'count' has the name of a report column$"),
+    ]
+    for tags, message in tag_cases:
+        with pytest.raises(ValueError, match=message):
+            parse_reports_json(_json_items(lambda item: item.update(tags=tags)))
     with pytest.raises(ValueError, match="^report 1 frame is not a JSON object$"):
         parse_reports_json(_json_items(lambda item: item.update(frame=0.5)))
     for data, message in ((b"{}", "^reports JSON must be a list$"), (b"[1]", "^report 0 is not a JSON object$")):

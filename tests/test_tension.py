@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_tension_series, oracle_window_starts, random_performance
+from helpers import oracle_diameters, oracle_tension_series, oracle_window_starts, random_performance
 from pianoeval import midi
 from pianoeval.config import MIN_STEP, RunConfig
 from pianoeval.midi import Note, Performance
 from pianoeval.tension import (
+    _diameter_table,
+    _diameters,
     _window_weights,
     cloud_diameter,
     cloud_diameter_series,
@@ -163,6 +165,16 @@ def test_diameter_of_each_pair_is_its_point_distance_exactly(params):
             perf = Performance.from_notes([_note(60 + a), _note(60 + b)])
             expected = pitch_to_spiral(a, params).distance(pitch_to_spiral(b, params))
             assert cloud_diameter(perf, params) == expected
+
+
+@pytest.mark.parametrize("params", _GEOMETRIES)
+def test_diameter_table_equals_the_pairwise_oracle_on_every_mask(params):
+    masks = np.arange(4096)[:, None] >> np.arange(12) & 1 == 1
+    got, want = _diameters(masks, params), oracle_diameters(masks, params)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    table = _diameter_table(params.spiral_radius, params.spiral_rise)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 1.0
 
 
 def test_diameter_permutation_invariant():
