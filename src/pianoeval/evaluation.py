@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .config import RunConfig, checked_duration
-from .ir_metrics import build_piano_roll, candidate_edges, frame_metrics, note_metrics
+from .ir_metrics import build_piano_roll, frame_metrics, note_metrics, shared_edge_search
 from .midi import Performance
 from .musical import compute_musical_metrics
 from .stats import MetricReport
@@ -30,12 +30,12 @@ def evaluate_performances(
         build_piano_roll(ref, config.frame_length), build_piano_roll(est, config.frame_length)
     )
     musical = compute_musical_metrics(ref, est, config)
-    edges = candidate_edges(ref, est, "onset_offset")  # the velocity mode's too
-    return MetricReport(
-        pair_id=pair_id,
-        frame=frame,
-        note_offset=note_metrics(ref, est, "onset_offset", edges=edges),
-        note_offset_velocity=note_metrics(ref, est, "onset_offset_velocity", edges=edges),
-        musical=musical,
-        tags=dict(tags or {}),
-    )
+    with shared_edge_search():
+        return MetricReport(
+            pair_id=pair_id,
+            frame=frame,
+            note_offset=note_metrics(ref, est, "onset_offset"),
+            note_offset_velocity=note_metrics(ref, est, "onset_offset_velocity"),
+            musical=musical,
+            tags=dict(tags or {}),
+        )

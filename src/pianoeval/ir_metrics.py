@@ -10,6 +10,8 @@ bipartite matching so no valid pairing is left on the table.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -26,7 +28,6 @@ __all__ = [
     "NoteMatching",
     "MATCH_MODES",
     "build_piano_roll",
-    "candidate_edges",
     "frame_metrics",
     "match_notes",
     "note_metrics",
@@ -135,9 +136,9 @@ def offset_window(ref_duration):
     return np.maximum(OFFSET_TOLERANCE, OFFSET_RATIO * ref_duration)
 
 
-def candidate_edges(ref: Performance, est: Performance, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_edges(ref: Performance, est: Performance, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Candidate pairs (i, j) of ref and est note indices passing the
-    mode's onset/offset rules; the two offset modes share them.
+    mode's onset/offset rules.
 
     Pairs come ordered by i, then by the est note's (onset, index).
     """
@@ -188,19 +189,39 @@ def _filter_velocity(
     return i[keep], j[keep]
 
 
-def match_notes(ref: Performance, est: Performance, mode: str, *, edges: tuple | None = None) -> NoteMatching:
+# each (ref, est) pair's offset-mode edges, searched once inside shared_edge_search() in this thread
+_shared_edges: ContextVar[dict | None] = ContextVar("_shared_edges", default=None)
+
+
+@contextmanager
+def shared_edge_search():
+    """Within the block, the two offset modes of a pair share one candidate-edge search, as they have the
+    same edges; ``evaluate_performances`` scores each pair inside one block, so nothing outlives it."""
+    token = _shared_edges.set({})
+    try:
+        yield
+    finally:
+        _shared_edges.reset(token)
+
+
+def match_notes(ref: Performance, est: Performance, mode: str) -> NoteMatching:
     """Maximum-cardinality one-to-one matching under the mode's tolerances.
 
     A pair is a candidate iff pitches are equal and onsets differ by at
     most 50 ms; the offset modes additionally require the offset error
     within max(50 ms, 20% of the reference duration); the velocity mode
     further requires the affine-aligned velocity residual within 0.1.
-    Distances are rounded to 7 decimals before they are compared. ``edges``,
-    if given, must be ``candidate_edges(ref, est, mode)``; the two offset modes can share one search.
+    Distances are rounded to 7 decimals before they are compared.
     """
     if mode not in MATCH_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MATCH_MODES}")
-    i, j = candidate_edges(ref, est, mode) if edges is None else edges
+    shared = _shared_edges.get()
+    if shared is None or mode == "onset":
+        i, j = _candidate_edges(ref, est, mode)
+    else:  # a Performance is read-only and hashes by identity
+        if (ref, est) not in shared:
+            shared[ref, est] = _candidate_edges(ref, est, "onset_offset")
+        i, j = shared[ref, est]
     if mode == "onset_offset_velocity":
         i, j = _filter_velocity(ref.velocities, est.velocities, i, j)
     indptr = np.searchsorted(i, np.arange(len(ref) + 1))
@@ -210,7 +231,7 @@ def match_notes(ref: Performance, est: Performance, mode: str, *, edges: tuple |
     return NoteMatching(np.column_stack((matched, match[matched])).astype(np.int64, copy=False))
 
 
-def note_metrics(ref: Performance, est: Performance, mode: str, *, edges: tuple | None = None) -> PRF:
-    """Note-level precision/recall/F1, ``edges`` as in ``match_notes``; empty-vs-empty scores 0 by convention."""
-    n = len(match_notes(ref, est, mode, edges=edges).pairs)
+def note_metrics(ref: Performance, est: Performance, mode: str) -> PRF:
+    """Note-level precision/recall/F1; empty-vs-empty scores 0 by convention."""
+    n = len(match_notes(ref, est, mode).pairs)
     return PRF.from_counts(n, len(est) - n, len(ref) - n)

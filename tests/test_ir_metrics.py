@@ -28,12 +28,13 @@ from pianoeval.ir_metrics import (
     MATCH_MODES,
     PRF,
     NoteMatching,
+    _candidate_edges,
     build_piano_roll,
-    candidate_edges,
     frame_metrics,
     match_notes,
     note_metrics,
     offset_window,
+    shared_edge_search,
 )
 from pianoeval.midi import Note, Performance, parse_midi
 from pianoeval.series import FeatureSeries, grid_times, resample_to_grid
@@ -482,34 +483,43 @@ def test_candidate_edges_equal_loop_oracle(ref, est, shift):
     ref, est = (Performance.from_notes(notes) for notes in (ref, est))
     ref, est = (Performance(p.onsets + shift, p.offsets + shift, p.pitches, p.velocities) for p in (ref, est))
     for mode in ("onset", "onset_offset"):
-        i, j = candidate_edges(ref, est, mode)
+        i, j = _candidate_edges(ref, est, mode)
         assert list(zip(i.tolist(), j.tolist())) == oracle_candidate_edges(ref.notes, est.notes, mode), mode
 
 
 @settings(max_examples=100, deadline=None)
 @given(_tick_lattice_notes, _tick_lattice_notes)
-def test_given_edges_score_as_the_search_does(ref, est):
+def test_shared_edge_search_scores_as_separate_searches(ref, est):
     ref, est = Performance.from_notes(ref), Performance.from_notes(est)
-    for mode in MATCH_MODES:
-        assert note_metrics(ref, est, mode, edges=candidate_edges(ref, est, mode)) == note_metrics(ref, est, mode)
-    # evaluate_performances searches once for both offset modes
-    shared, own = candidate_edges(ref, est, "onset_offset"), candidate_edges(ref, est, "onset_offset_velocity")
+    alone, swapped = ([note_metrics(a, b, mode) for mode in MATCH_MODES] for a, b in ((ref, est), (est, ref)))
+    with shared_edge_search():
+        assert [note_metrics(ref, est, mode) for mode in MATCH_MODES] == alone
+        # another pair in the same block searches its own edges
+        assert [note_metrics(est, ref, mode) for mode in MATCH_MODES] == swapped
+    with shared_edge_search():  # the velocity mode searches, the offset mode reads its edges
+        assert [note_metrics(ref, est, mode) for mode in MATCH_MODES[::-1]] == alone[::-1]
+    shared, own = _candidate_edges(ref, est, "onset_offset"), _candidate_edges(ref, est, "onset_offset_velocity")
     assert all(np.array_equal(a, b) for a, b in zip(shared, own))
 
 
-def test_evaluation_searches_candidate_edges_once(monkeypatch):
+def test_evaluation_searches_candidate_edges_once_per_call(monkeypatch):
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return candidate_edges(*args, **kwargs)
+    def counted(ref, est, mode):
+        calls.append(mode)
+        return _candidate_edges(ref, est, mode)
 
-    monkeypatch.setattr(evaluation, "candidate_edges", counted)
-    monkeypatch.setattr(ir_metrics, "candidate_edges", counted)
+    monkeypatch.setattr(ir_metrics, "_candidate_edges", counted)
     ref = random_performance(np.random.default_rng(61), 40)
-    report = evaluation.evaluate_performances(ref, jitter_onsets(ref, 0.01, np.random.default_rng(62)))
+    est = jitter_onsets(ref, 0.01, np.random.default_rng(62))
+    report = evaluation.evaluate_performances(ref, est)
     assert calls == ["onset_offset"]
     assert report.note_offset.f1 > 0
+    # the block ends with the call: evaluating the same pair again searches again, and outside it each call does
+    assert evaluation.evaluate_performances(ref, est) == report
+    note_metrics(ref, est, "onset_offset")
+    note_metrics(ref, est, "onset_offset_velocity")
+    assert calls == ["onset_offset"] * 3 + ["onset_offset_velocity"]
 
 
 @settings(max_examples=150, deadline=None)
