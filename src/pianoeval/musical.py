@@ -21,7 +21,7 @@ import numpy as np
 from .config import RunConfig, checked_duration
 from .midi import Performance, expand_in_passes
 from .series import TIME_SLACK, FeatureSeries, common_grid, correlate_series, grid_positions, grid_times
-from .series import resample_to_grid
+from .series import hold_indices, resample_to_grid
 from .streams import split_streams
 from .tension import cloud_diameter_series, cloud_momentum
 
@@ -133,9 +133,8 @@ def _velocity_on_grid(stream: Performance, n: int, step: float) -> np.ndarray:
     painter = np.full(n, -1)
     for rank, point in expand_in_passes(lo, hi):  # a maximum ignores the passes' order
         np.maximum.at(painter, point, rank)
-    ended = _lexsort_ties((velocities, onsets, offsets))
-    # point k counts the notes ended at or before it; ``ended`` orders their offsets' positions too
-    last = np.cumsum(np.bincount(grid_positions(offsets[ended], 0.0, step, "left"), minlength=n)[:n]) - 1
+    ended = _lexsort_ties((velocities, onsets, offsets))  # orders the offsets too, so each point holds the last
+    last = hold_indices(offsets[ended], 0.0, step, n)
     horizon = grid_positions(offsets[ended] + DYNAMICS_HOLD, 0.0, step, "right")  # the points each end holds
     held = (last >= 0) & (np.arange(n) < horizon[last])
     silent = np.where(held, velocities[ended[last]], 0)
@@ -167,11 +166,11 @@ def ratio_kor_series(
     The grid is their ``common_grid``; samples where the bass
     KOR is within ``RATIO_KOR_GUARD`` of zero are dropped.
     """
-    grid = common_grid(melody_kor, bass_kor, config.grid_step)
-    mel = resample_to_grid(melody_kor, grid)
-    bas = resample_to_grid(bass_kor, grid)
+    t0, n = common_grid(melody_kor, bass_kor, config.grid_step)
+    mel = resample_to_grid(melody_kor, t0, config.grid_step, n)
+    bas = resample_to_grid(bass_kor, t0, config.grid_step, n)
     keep = np.abs(bas) >= RATIO_KOR_GUARD
-    return FeatureSeries(grid[keep], mel[keep] / bas[keep])
+    return FeatureSeries((t0 + np.arange(n) * config.grid_step)[keep], mel[keep] / bas[keep])
 
 
 def compute_musical_metrics(

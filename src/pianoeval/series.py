@@ -23,6 +23,7 @@ __all__ = [
     "grid_positions",
     "grid_times",
     "common_grid",
+    "hold_indices",
     "resample_to_grid",
     "pearson",
     "correlate_series",
@@ -80,28 +81,29 @@ def grid_times(t0: float, t1: float, step: float) -> np.ndarray:
     return t0 + np.arange(grid_positions(t1, t0, step, "right")) * step
 
 
-def common_grid(a: FeatureSeries, b: FeatureSeries, step: float) -> np.ndarray:
-    """``grid_times`` from the later first time to the earlier last time of
-    two series; empty if either is empty or the two are disjoint."""
+def common_grid(a: FeatureSeries, b: FeatureSeries, step: float) -> tuple[float, int]:
+    """The start and point count of ``grid_times`` from the later first time to the
+    earlier last time of two series; no points if either is empty or the two are disjoint."""
     if len(a) == 0 or len(b) == 0:
-        return np.empty(0)
-    return grid_times(max(a.times[0], b.times[0]), min(a.times[-1], b.times[-1]), step)
+        return 0.0, 0
+    t0 = max(a.times[0], b.times[0])
+    return t0, int(grid_positions(min(a.times[-1], b.times[-1]), t0, step, "right"))
 
 
-def resample_to_grid(series: FeatureSeries, grid: np.ndarray) -> np.ndarray:
-    """Previous-value-hold resampling onto ``grid`` (non-decreasing times).
+def hold_indices(times, t0: float, step: float, n: int) -> np.ndarray:
+    """For each of the ``n`` grid points t0 + k*step, the index of the last of the non-decreasing ``times``
+    at or before it, or -1: ``grid_positions`` "left" places each time, to within ``TIME_SLACK``."""
+    # times past the grid share bin n, so a sample far past it cannot size the counts
+    return np.cumsum(np.bincount(np.minimum(grid_positions(times, t0, step, "left"), n), minlength=n + 1)[:n]) - 1
 
-    Each grid point takes the value of the latest sample at or before it, as
-    a float64 array; a sample at most ``TIME_SLACK`` after a point counts as
-    at it, since a tick or lattice time and a grid point that are one instant
-    can differ in the last ulp. An empty grid gives an empty array. A
-    non-empty grid must not start before the series' first sample.
-    """
-    if len(grid) and not len(series):
-        raise ValueError(f"the series is empty, so grid start {grid[0]} has no sample to hold")
-    if len(grid) and grid[0] + TIME_SLACK < series.times[0]:
-        raise ValueError(f"grid start {grid[0]} precedes the series' first sample {series.times[0]}")
-    return series.values[np.searchsorted(series.times, grid + TIME_SLACK, side="right") - 1]
+
+def resample_to_grid(series: FeatureSeries, t0: float, step: float, n: int) -> np.ndarray:
+    """Previous-value-hold resampling onto the ``n`` grid points t0 + k*step: each point takes, as
+    float64, the value of the sample ``hold_indices`` gives it, and must have one (ValueError)."""
+    last = hold_indices(series.times, t0, step, n)
+    if n and last[0] < 0:
+        raise ValueError(f"grid start {t0} has no sample of the series at or before it")
+    return series.values[last]
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
@@ -113,13 +115,16 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
         raise ValueError("need at least 2 samples")
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
-    for side in (x, y):
-        if not np.isfinite(side).all():
+    bounds = [(v.min(), v.max()) for v in (x, y)]  # a NaN or an infinity reaches a bound
+    for side, (lo, hi) in zip((x, y), bounds):
+        if not np.isfinite((lo, hi)).all():
             raise ValueError(f"non-finite sample value {side[~np.isfinite(side)][0]}")
-    if np.ptp(x) <= CONSTANT_SPREAD or np.ptp(y) <= CONSTANT_SPREAD:
+    if min(hi - lo for lo, hi in bounds) <= CONSTANT_SPREAD:
         return None
-    dx = x - x.mean()
-    dy = y - y.mean()
+    # each side over a power of two above its largest magnitude: exact, and no product overflows
+    dx, dy = (np.ldexp(v, -np.frexp(max(-lo, hi))[1]) for v, (lo, hi) in zip((x, y), bounds))
+    dx -= dx.mean()
+    dy -= dy.mean()
     r = float(np.dot(dx, dy)) / math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
     return min(1.0, max(-1.0, r))
 
@@ -127,14 +132,9 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
 def correlate_series(
     ref: FeatureSeries, est: FeatureSeries, config: RunConfig = RunConfig()
 ) -> Optional[float]:
-    """Correlate two series on their ``common_grid``.
-
-    The grid spans the intersection of the two time extents, where both
-    series are defined, and both are previous-value-held onto it. Returns
-    None when the grid has fewer than ``config.min_samples`` points or either
-    side is constant.
-    """
-    grid = common_grid(ref, est, config.grid_step)
-    if len(grid) < config.min_samples:
+    """Pearson correlation of two series held onto their ``common_grid``, over the intersection of their
+    time extents; None when it has fewer than ``config.min_samples`` points or either side is constant."""
+    t0, n = common_grid(ref, est, config.grid_step)
+    if n < config.min_samples:
         return None
-    return pearson(resample_to_grid(ref, grid), resample_to_grid(est, grid))
+    return pearson(resample_to_grid(ref, t0, config.grid_step, n), resample_to_grid(est, t0, config.grid_step, n))

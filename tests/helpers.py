@@ -851,16 +851,109 @@ def oracle_piano_roll(perf: Performance, frame_length: float = 0.010) -> np.ndar
 # Previous-value-hold oracle: one bisect per grid point
 # ---------------------------------------------------------------------------
 
+def oracle_hold_indices(times: Sequence[float], t0: float, step: float, n: int) -> list[int]:
+    """For each grid point t0 + k*step (0 <= k < n), the index of the last of the
+    non-decreasing ``times`` whose time - SLACK is at or before it, or -1."""
+    shifted = [t - SLACK for t in times]
+    return [bisect_right(shifted, t0 + k * step) - 1 for k in range(n)]
+
+
 def oracle_hold(times: Sequence[float], values: Sequence[float], t0: float, t1: float, step: float):
     """Grid t0 + k*step up to t1 + SLACK, each point holding the value of the
     latest sample at or before it, a sample at most SLACK after the point
-    counting as at it; None before the first sample."""
+    counting as at it (time - SLACK <= point); None before the first sample."""
     count = int(math.floor((t1 - t0 + SLACK) / step)) + 1
-    out = []
-    for k in range(count):
-        i = bisect_right(times, t0 + k * step + SLACK) - 1
-        out.append(values[i] if i >= 0 else None)
-    return out
+    return [values[i] if i >= 0 else None for i in oracle_hold_indices(times, t0, step, max(count, 0))]
+
+
+# ---------------------------------------------------------------------------
+# Whole-report oracle: the stage oracles above composed as the library
+# composes its stages, with a plain-Python Pearson
+# ---------------------------------------------------------------------------
+
+# a value series whose max - min is at most this is constant
+# (pianoeval.series.CONSTANT_SPREAD, restated so that the oracles do not read it)
+SPREAD = 1e-9
+
+
+def oracle_pearson(a: Sequence[float], b: Sequence[float]):
+    """Sample Pearson correlation from exactly rounded sums, clamped to [-1, 1];
+    None when either side's max - min is at most SPREAD."""
+    if max(a) - min(a) <= SPREAD or max(b) - min(b) <= SPREAD:
+        return None
+    mean_a, mean_b = math.fsum(a) / len(a), math.fsum(b) / len(b)
+    da, db = [x - mean_a for x in a], [y - mean_b for y in b]
+    sab = math.fsum(x * y for x, y in zip(da, db))
+    r = sab / math.sqrt(math.fsum(x * x for x in da) * math.fsum(y * y for y in db))
+    return min(1.0, max(-1.0, r))
+
+
+def oracle_numpy_pearson(a: Sequence[float], b: Sequence[float]):
+    """``series.pearson``'s earlier formula, unscaled: numpy dot products of the centred
+    sides, clamped to [-1, 1]; None when either side's max - min is at most SPREAD."""
+    x, y = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if np.ptp(x) <= SPREAD or np.ptp(y) <= SPREAD:
+        return None
+    dx, dy = x - x.mean(), y - y.mean()
+    r = float(np.dot(dx, dy)) / math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+    return min(1.0, max(-1.0, r))
+
+
+def oracle_correlate(a, b, config: RunConfig):
+    """Correlation of two (times, values) series held by ``oracle_hold`` from the later
+    first time to the earlier last time; None when either is empty, the grid has fewer
+    than ``config.min_samples`` points or either side is constant."""
+    (times_a, values_a), (times_b, values_b) = a, b
+    if not times_a or not times_b:
+        return None
+    t0, t1 = max(times_a[0], times_b[0]), min(times_a[-1], times_b[-1])
+    held_a = oracle_hold(times_a, values_a, t0, t1, config.grid_step)
+    if len(held_a) < config.min_samples:
+        return None
+    return oracle_pearson(held_a, oracle_hold(times_b, values_b, t0, t1, config.grid_step))
+
+
+def oracle_ratio_kor_series(melody_kor, bass_kor, step: float):
+    """(times, values) of melody KOR over bass KOR, both (times, values) series held by
+    ``oracle_hold`` onto their shared grid, dropping points where |bass KOR| < 1e-6."""
+    (times_m, values_m), (times_b, values_b) = melody_kor, bass_kor
+    if not times_m or not times_b:
+        return [], []
+    t0, t1 = max(times_m[0], times_b[0]), min(times_m[-1], times_b[-1])
+    held = zip(oracle_hold(times_m, values_m, t0, t1, step), oracle_hold(times_b, values_b, t0, t1, step))
+    kept = [(t0 + k * step, m / b) for k, (m, b) in enumerate(held) if abs(b) >= 1e-6]
+    return [t for t, _ in kept], [v for _, v in kept]
+
+
+def _oracle_features(perf: Performance, config: RunConfig) -> dict:
+    """One side's eight (times, values) series, keyed by ``MusicalMetrics`` field."""
+    _, melody, bass, accompaniment = oracle_split_streams(perf.notes, config.chord_epsilon)
+    melody_kor, bass_kor = oracle_kor_series(melody), oracle_kor_series(bass)
+    diameter, momentum = oracle_tension_series(perf, config)
+    return {
+        "melody_ioi": oracle_ioi_series(melody, config.chord_epsilon),
+        "accompaniment_ioi": oracle_ioi_series(accompaniment, config.chord_epsilon),
+        "melody_kor": melody_kor,
+        "bass_kor": bass_kor,
+        "ratio_kor": oracle_ratio_kor_series(melody_kor, bass_kor, config.grid_step),
+        "cloud_diameter": diameter,
+        "cloud_momentum": momentum,
+        "dynamics": oracle_dynamics_series(melody, bass, config.grid_step),
+    }
+
+
+def oracle_evaluate(ref: Performance, est: Performance, config: RunConfig = RunConfig()):
+    """What ``evaluate_performances`` reports, from the stage oracles alone: the frame,
+    onset-offset and onset-offset-velocity (precision, recall, f1) triples, and the
+    eight correlations by ``MusicalMetrics`` field, None where undefined."""
+    h = config.frame_length
+    prfs = [
+        oracle_frame_prf(oracle_piano_roll(ref, h), oracle_piano_roll(est, h)),
+        oracle_note_prf(ref.notes, est.notes, "onset_offset"),
+        oracle_note_prf(ref.notes, est.notes, "onset_offset_velocity"),
+    ]
+    a, b = _oracle_features(ref, config), _oracle_features(est, config)
+    return prfs, {name: oracle_correlate(a[name], b[name], config) for name in a}
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ or ``ceil`` is called but on one size (a reverb's sample count), and
 grid point and window position comes from ``series.grid_positions``. Notes
 are expanded over a grid by one bounded loop: ``musical`` and ``tension`` do
 not name ``midi.expand_ranges``, only its pass generator ``expand_in_passes``.
-The slack meets a grid in two functions only, both in ``series``:
-``grid_positions`` shifts each time by it, and ``resample_to_grid`` shifts
-each grid point by it before it searches the sample times, as ``oracle_hold``
-does; the two forms round apart an ulp from a point + ``TIME_SLACK``. No other
-``series`` function reads ``TIME_SLACK``, only ``resample_to_grid`` names
-``searchsorted``, and ``musical`` and ``tension`` name it nowhere.
+The slack meets a grid in one function only, ``series.grid_positions``,
+which shifts each time by it: it places every note time, and through
+``hold_indices`` it holds every feature series and the dynamics' last-ended
+note, in the one float form ``oracle_hold`` also uses. No other ``series``
+function reads ``TIME_SLACK``, and ``series``, ``musical`` and ``tension``
+name ``searchsorted`` nowhere: no grid is searched.
 
 Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
@@ -403,5 +403,5 @@ def test_no_grid_sweep_searches(stem):
 
 def test_series_applies_the_time_slack_only_where_it_places_or_holds_a_time():
     source = (PACKAGE / "series.py").read_text(encoding="utf-8")
-    assert readers(source, "TIME_SLACK") == ["grid_positions", "resample_to_grid"]
-    assert readers(source, "searchsorted") == ["resample_to_grid"]
+    assert readers(source, "TIME_SLACK") == ["grid_positions"]
+    assert readers(source, "searchsorted") == []

@@ -37,7 +37,7 @@ from pianoeval.ir_metrics import (
     shared_edge_search,
 )
 from pianoeval.midi import Note, Performance, parse_midi
-from pianoeval.series import FeatureSeries, grid_times, resample_to_grid
+from pianoeval.series import FeatureSeries, resample_to_grid
 
 
 def _perf(*notes):
@@ -351,7 +351,7 @@ def test_layers_hand_each_other_arrays():
     assert pairs.tolist() == [[0, 1], [2, 0]]  # in reference order
     empty = match_notes(ref, Performance.from_notes([]), "onset").pairs
     assert empty.dtype == np.int64 and empty.shape == (0, 2)
-    held = resample_to_grid(FeatureSeries([0.0, 1.0], [3.0, 4.0]), grid_times(0.0, 1.0, 0.5))
+    held = resample_to_grid(FeatureSeries([0.0, 1.0], [3.0, 4.0]), 0.0, 0.5, 3)
     assert isinstance(held, np.ndarray) and held.dtype == np.float64
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_hold
+from helpers import oracle_hold, oracle_hold_indices, oracle_numpy_pearson
 from pianoeval.config import MAX_DURATION, MIN_STEP, RunConfig
 from pianoeval.series import (
     CONSTANT_SPREAD,
@@ -15,6 +15,7 @@ from pianoeval.series import (
     correlate_series,
     grid_positions,
     grid_times,
+    hold_indices,
     pearson,
     resample_to_grid,
 )
@@ -61,12 +62,12 @@ def test_grid_config_validation():
 
 def test_resample_hold_rule():
     series = _series((0.0, 1.0), (1.0, 2.0))
-    assert resample_to_grid(series, grid_times(0.0, 1.0, 0.5)).tolist() == [1.0, 1.0, 2.0]
+    assert resample_to_grid(series, 0.0, 0.5, 3).tolist() == [1.0, 1.0, 2.0]
 
 
 def test_resample_empty_series_rejected():
-    with pytest.raises(ValueError, match="^the series is empty, so grid start 0.0 has no sample to hold$"):
-        resample_to_grid(_series(), grid_times(0.0, 1.0, 0.5))
+    with pytest.raises(ValueError, match="^grid start 0.0 has no sample of the series at or before it$"):
+        resample_to_grid(_series(), 0.0, 0.5, 3)
 
 
 def test_grid_times_rejects_a_step_that_is_not_positive():
@@ -76,14 +77,14 @@ def test_grid_times_rejects_a_step_that_is_not_positive():
 
 
 def test_resample_grid_before_first_sample_rejected():
-    with pytest.raises(ValueError, match="^grid start 0.0 precedes the series' first sample 0.3$"):
-        resample_to_grid(_series((0.3, 5.0)), grid_times(0.0, 0.5, 0.25))
-    assert resample_to_grid(_series((0.3, 5.0)), grid_times(0.3, 0.5, 0.1)).tolist() == [5.0, 5.0, 5.0]
+    with pytest.raises(ValueError, match="^grid start 0.0 has no sample of the series at or before it$"):
+        resample_to_grid(_series((0.3, 5.0)), 0.0, 0.25, 3)
+    assert resample_to_grid(_series((0.3, 5.0)), 0.3, 0.1, 3).tolist() == [5.0, 5.0, 5.0]
 
 
 def test_resample_holds_a_sample_within_hold_slack_after_a_grid_point():
     series = _series((1.0 + TIME_SLACK / 2, 1.0), (2.0 + TIME_SLACK / 2, 2.0), (3.0 + 2 * TIME_SLACK, 3.0))
-    assert resample_to_grid(series, grid_times(1.0, 3.0, 1.0)).tolist() == [1.0, 2.0, 2.0]
+    assert resample_to_grid(series, 1.0, 1.0, 3).tolist() == [1.0, 2.0, 2.0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,7 +97,7 @@ def test_a_lattice_series_holds_its_own_samples_onto_a_grid_from_any_of_them(ste
     times = grid_times(0.0, (n - 1) * step, step)
     values = np.arange(len(times), dtype=np.float64)
     k0 = data.draw(st.integers(0, len(times) - 1))
-    held = resample_to_grid(FeatureSeries(times, values), grid_times(times[k0], times[-1], step))
+    held = resample_to_grid(FeatureSeries(times, values), times[k0], step, len(times) - k0)
     assert held.tolist() == values[k0:].tolist()
 
 
@@ -140,29 +141,29 @@ def test_grid_positions_rejects_an_unknown_side_or_a_step_that_is_not_positive()
 
 
 def test_resample_holds_past_last_sample():
-    assert resample_to_grid(_series((0.0, 7.0)), grid_times(0.0, 2.0, 1.0)).tolist() == [7.0, 7.0, 7.0]
+    assert resample_to_grid(_series((0.0, 7.0)), 0.0, 1.0, 3).tolist() == [7.0, 7.0, 7.0]
 
 
 def test_resample_onto_an_empty_grid_is_empty():
     for series in (_series(), _series((0.3, 5.0))):
-        held = resample_to_grid(series, grid_times(1.0, 0.0, 0.5))
+        held = resample_to_grid(series, 1.0, 0.5, 0)
         assert held.dtype == np.float64 and held.shape == (0,)
 
 
 def test_common_grid_runs_from_the_later_first_to_the_earlier_last_time():
     a = _series((0.0, 1.0), (1.05, 2.0), (3.0, 1.0))
     b = _series((0.25, 4.0), (2.5, 3.0))
-    assert np.array_equal(common_grid(a, b, 0.5), grid_times(0.25, 2.5, 0.5))
-    assert common_grid(a, b, 0.5).tolist() == [0.25, 0.75, 1.25, 1.75, 2.25]
-    assert np.array_equal(common_grid(b, a, 0.1), grid_times(0.25, 2.5, 0.1))
-    assert common_grid(a, _series((3.0, 1.0)), 0.5).tolist() == [3.0]  # extents touch at one point
+    assert common_grid(a, b, 0.5) == (0.25, len(grid_times(0.25, 2.5, 0.5)))
+    assert common_grid(a, b, 0.5) == (0.25, 5)  # 0.25, 0.75, 1.25, 1.75, 2.25
+    assert common_grid(b, a, 0.1) == (0.25, len(grid_times(0.25, 2.5, 0.1)))
+    assert common_grid(a, _series((3.0, 1.0)), 0.5) == (3.0, 1)  # extents touch at one point
 
 
 def test_common_grid_is_empty_for_empty_or_disjoint_series():
     a = _series((0.0, 1.0), (1.0, 2.0))
     for b in (_series(), _series((1.5, 1.0), (2.0, 2.0))):
-        assert common_grid(a, b, 0.1).shape == (0,)
-        assert common_grid(b, a, 0.1).shape == (0,)
+        assert common_grid(a, b, 0.1)[1] == 0
+        assert common_grid(b, a, 0.1)[1] == 0
 
 
 @st.composite
@@ -189,8 +190,9 @@ def _hold_cases(draw):
 
 
 # Samples an ulp from a point + TIME_SLACK, where shifting the point and shifting the sample round
-# apart: the oracle holds 0.0 at the first example's point and 1.0 at the second's, while comparing
-# time - TIME_SLACK with the point, as ``grid_positions`` does, holds 1.0 and 0.0.
+# apart: comparing each sample with point + TIME_SLACK held 0.0 at the first example's point and 1.0
+# at the second's, while comparing time - TIME_SLACK with the point, as ``grid_positions`` and the
+# oracle do, holds 1.0 and 0.0.
 _EDGE = -1.192092896e-07
 
 
@@ -202,11 +204,39 @@ def test_resample_equals_per_point_bisect(case):
     times, values, t0, t1, step = case
     series = FeatureSeries(times, values)
     expected = oracle_hold(times, values, t0, t1, step)
+    n = len(grid_times(t0, t1, step))
     if expected[0] is None:  # no sample at or before the grid start
         with pytest.raises(ValueError):
-            resample_to_grid(series, grid_times(t0, t1, step))
+            resample_to_grid(series, t0, step, n)
     else:
-        assert resample_to_grid(series, grid_times(t0, t1, step)).tolist() == expected
+        assert resample_to_grid(series, t0, step, n).tolist() == expected
+
+
+
+@st.composite
+def _tied_times(draw):
+    """A grid of n points and non-decreasing times with ties, as sorted note offsets have: on
+    points, at a point + ``TIME_SLACK`` or an ulp either side of that, between points, and
+    before or far past the grid."""
+    t0 = draw(st.one_of(st.just(0.0), st.floats(-20.0, 20.0)))
+    step = draw(st.one_of(st.sampled_from([MIN_STEP, 0.1, 1 / 3]), st.floats(0.01, 3.0)))
+    n = draw(st.integers(0, 60))
+    times = []
+    for k in draw(st.lists(st.integers(-3, n + 3), max_size=20)):
+        time = t0 + k * step + draw(st.sampled_from([0.0, TIME_SLACK, step / 2]))
+        ulp = draw(st.sampled_from([0, -1, 1]))
+        time = math.nextafter(time, ulp * math.inf) if ulp else time
+        times += [time] * draw(st.integers(1, 3))
+    outside = draw(st.lists(st.sampled_from([t0 - 1000.0, t0 + n * step + 1000.0]), max_size=2))
+    return sorted(times + outside), t0, step, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_times())
+def test_hold_indices_equal_a_per_point_bisect_over_times_with_ties(case):
+    times, t0, step, n = case
+    last = hold_indices(np.array(times), t0, step, n)
+    assert last.shape == (n,) and last.tolist() == oracle_hold_indices(times, t0, step, n)
 
 
 def test_pearson_perfect():
@@ -250,6 +280,21 @@ def test_pearson_rejects_a_non_finite_value_naming_it(bad):
     for a, b in (([bad, 1, 2], [1, 2, 3]), ([1, 2, 3], [1, bad, 2])):
         with pytest.raises(ValueError, match=f"^non-finite sample value {bad}$"):
             pearson(a, b)
+
+
+def test_pearson_of_a_large_spread_is_finite():
+    assert pearson([0, 1e200, 2e200], [0, 1e200, 2e200]) == 1.0
+    assert pearson([0, 1e155, 2e155], [0, 1, 2]) == 1.0
+
+
+_values = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_values, _values), min_size=2, max_size=60), st.integers(-6, 60), st.integers(-6, 60))
+def test_pearson_is_bit_equal_to_the_unscaled_formula(pairs, scale_a, scale_b):
+    a, b = ([p[i] * 10.0**scale for p in pairs] for i, scale in ((0, scale_a), (1, scale_b)))
+    assert pearson(a, b) == oracle_numpy_pearson(a, b)
 
 
 def test_pearson_stays_in_bounds():
