@@ -160,12 +160,14 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def expand_in_passes(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``expand_ranges(lo, hi)``'s pairs in order, in passes of whole ranges: at most
     ``EXPAND_PASS`` pairs a pass, or one range when that range alone is longer."""
-    before = np.append(0, np.cumsum(np.maximum(hi - lo, 0)))  # pairs before each range
+    counts = np.maximum(hi - lo, 0)
+    before = np.append(0, np.cumsum(counts))  # pairs before each range
+    shift = before[:-1] - lo  # a pair's place in the whole expansion less its index
     first = 0
     while first < len(lo):
         stop = max(int(np.searchsorted(before, before[first] + EXPAND_PASS, "right")) - 1, first + 1)
-        k, index = expand_ranges(lo[first:stop], hi[first:stop])
-        yield k + first, index
+        k = np.repeat(np.arange(first, stop), counts[first:stop])
+        yield k, np.arange(before[first], before[stop]) - shift[k]
         first = stop
 
 

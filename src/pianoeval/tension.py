@@ -3,8 +3,8 @@
 Pitch classes live on a helix that advances a quarter turn per perfect
 fifth, so Euclidean distance encodes tonal proximity (C-G close, C-F#
 far). Two windowed tension features are derived from it: cloud diameter
-(harmonic dispersion inside a window) and cloud momentum (movement of the
-duration-weighted centroid between consecutive windows).
+(the spread of the pitch classes sounding in a window) and cloud momentum
+(movement of the duration-weighted centroid between consecutive windows).
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ class SpiralPoint:
         )
 
 
-def _fifths_index(pitch: int) -> int:
-    # pitch class -> position along the line of fifths, C=0 ... F=11
-    return (7 * (pitch % 12)) % 12
-
-
 def pitch_to_spiral(pitch: int, config: RunConfig = RunConfig()) -> SpiralPoint:
     """Map a MIDI pitch to its pitch-class point on the helix.
 
@@ -60,7 +55,7 @@ def pitch_to_spiral(pitch: int, config: RunConfig = RunConfig()) -> SpiralPoint:
     """
     if not 0 <= pitch <= 127:
         raise ValueError(f"pitch out of range: {pitch}")
-    k = _fifths_index(pitch)
+    k = (7 * (pitch % 12)) % 12
     r = config.spiral_radius
     return SpiralPoint(r * _SIN[k % 4], r * _COS[k % 4], k * config.spiral_rise)
 
@@ -70,25 +65,34 @@ def _spiral_points(config: RunConfig) -> np.ndarray:
     return np.array([(p.x, p.y, p.z) for p in (pitch_to_spiral(pc, config) for pc in range(12))])
 
 
-def _pc_weights(perf: Performance, count: int, config: RunConfig) -> np.ndarray:
-    """Sounding time of each pitch class in the windows [k*hop, k*hop + window_length), k < count,
-    as a count x 12 matrix. Placed by ``grid_positions``, a note is in the windows from the first
-    that ends over ``TIME_SLACK`` past its onset to the last (below count) that starts over it
-    before its offset. Each cell sums in pair order, as one bincount does, however the passes split."""
-    onsets, offsets, pitches = perf.onsets, perf.offsets, perf.pitches
-    first = grid_positions(onsets - config.window_length, 0.0, config.hop, "right")
+def _windows(perf: Performance, config: RunConfig) -> tuple[int, np.ndarray, np.ndarray]:
+    """The count of windows [k*hop, k*hop + window_length) starting before the data ends, and each note's
+    [first, stop): the windows ending over ``TIME_SLACK`` past its onset and starting over it before its offset."""
+    count = int(grid_positions(perf.end_time, 0.0, config.hop, "left"))
+    first = grid_positions(perf.onsets - config.window_length, 0.0, config.hop, "right")
+    return count, first, grid_positions(perf.offsets, 0.0, config.hop, "left")
+
+
+def _pc_weights(perf: Performance, config: RunConfig) -> np.ndarray:
+    """Sounding time of each pitch class in the ``_windows``: count x 12, each cell summed in pair order."""
+    onsets, offsets, pcs = perf.onsets, perf.offsets, perf.pitches % 12
+    count, first, stop = _windows(perf, config)
     weights = np.zeros(12 * count)
-    for note, window in expand_in_passes(first, grid_positions(offsets, 0.0, config.hop, "left")):
+    for note, window in expand_in_passes(first, stop):  # in place: a fresh pair-length array costs more than a sum
         starts = window * config.hop
-        overlap = np.minimum(offsets[note], starts + config.window_length) - np.maximum(onsets[note], starts)
-        np.add.at(weights, window * 12 + pitches[note] % 12, overlap)
+        overlap = starts + config.window_length
+        np.minimum(offsets[note], overlap, out=overlap)
+        overlap -= np.maximum(onsets[note], starts, out=starts)
+        window *= 12
+        window += pcs[note]
+        np.add.at(weights, window, overlap)
     return weights.reshape(-1, 12)
 
 
 def _window_weights(perf: Performance, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Start times k*hop of the windows that start before the data ends, and their pitch-class weights."""
-    count = int(grid_positions(perf.end_time, 0.0, config.hop, "left"))
-    return np.arange(count) * config.hop, _pc_weights(perf, count, config)
+    """Start times k*hop of the ``_windows`` and their pitch-class weights, the momentum's duration weights."""
+    weights = _pc_weights(perf, config)
+    return np.arange(len(weights)) * config.hop, weights
 
 
 @functools.lru_cache
@@ -122,16 +126,21 @@ def cloud_diameter(perf: Performance, config: RunConfig = RunConfig()) -> Option
 def cloud_diameter_series(perf: Performance, config: RunConfig = RunConfig()) -> FeatureSeries:
     """Per-window cloud diameter, timestamped at the window start.
 
-    Windows with no sounding notes produce no sample.
+    It reads only which pitch classes sound in each window, counted from note events (+1 at a note's first
+    window, -1 at its stop); the momentum reads their durations. Silent windows produce no sample.
     """
-    starts, weights = _window_weights(perf, config)
-    present = weights > 0
-    sounding = present.any(axis=1)
-    return FeatureSeries(starts[sounding], _diameters(present[sounding], config))
+    count, first, stop = _windows(perf, config)
+    cells, ones = perf.pitches % 12, np.ones(len(perf), np.int32)  # an int32 array keeps ufunc.at fast
+    table = np.zeros((count + 1, 12), np.int32)
+    np.add.at(table.ravel(), first * 12 + cells, ones)  # first <= stop: an empty range adds and takes at one cell
+    np.subtract.at(table.ravel(), stop * 12 + cells, ones)
+    present = np.cumsum(table, axis=0, dtype=np.int32, out=table)[:count] > 0
+    sounding = np.flatnonzero(present.any(axis=1))
+    return FeatureSeries(sounding * config.hop, _diameters(present[sounding], config))
 
 
 def cloud_momentum(perf: Performance, config: RunConfig = RunConfig()) -> FeatureSeries:
-    """Distance between consecutive windows' centers of effect.
+    """Distance between consecutive windows' duration-weighted centers of effect.
 
     The sample at window i (timestamped i*hop) is the distance between the
     centers of windows i-1 and i; an empty window yields no center and

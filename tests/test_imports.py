@@ -18,6 +18,8 @@ or ``ceil`` is called but on one size (a reverb's sample count), and
 grid point and window position comes from ``series.grid_positions``. Notes
 are expanded over a grid by one bounded loop: ``musical`` and ``tension`` do
 not name ``midi.expand_ranges``, only its pass generator ``expand_in_passes``.
+In ``tension`` only the momentum's duration weights, ``_pc_weights``, expand
+notes: the cloud diameter reads neither those weights nor ``_window_weights``.
 The slack meets a grid in one function only, ``series.grid_positions``,
 which shifts each time by it: it places every note time, and through
 ``hold_indices`` it holds every feature series and the dynamics' last-ended
@@ -394,6 +396,13 @@ def test_reader_scan():
     )
     assert readers(source, "SLACK") == ["<module>", "f", "i"]
     assert readers(source.replace("LIMIT = SLACK * 2\n", ""), "SLACK") == ["f", "i"]
+
+
+def test_only_the_momentum_weights_expand_notes_in_tension():
+    source = (PACKAGE / "tension.py").read_text(encoding="utf-8")
+    assert readers(source, "expand_in_passes") == ["_pc_weights"]
+    for weights in ("_pc_weights", "_window_weights"):
+        assert "cloud_diameter_series" not in readers(source, weights)
 
 
 @pytest.mark.parametrize("stem", ["musical", "tension"])

@@ -22,6 +22,8 @@ from pianoeval.midi import (
     Note,
     Performance,
     apply_sustain_pedal,
+    expand_in_passes,
+    expand_ranges,
     parse_midi,
     parse_midi_file,
 )
@@ -668,3 +670,45 @@ def test_parse_raises_only_midi_parse_error(data, pedal_mode):
     except MidiParseError:
         pass
     _assert_reader_equals_oracle(data)
+
+
+# ---------------------------------------------------------------------------
+# Range expansion, whole and in bounded passes
+# ---------------------------------------------------------------------------
+
+def test_expand_ranges_lists_each_index_of_each_range_in_order():
+    # [2, 4), the empty [5, 5), [0, 3) and the negative [7, 2)
+    k, index = expand_ranges(np.array([2, 5, 0, 7]), np.array([4, 5, 3, 2]))
+    assert k.tolist() == [0, 0, 2, 2, 2]
+    assert index.tolist() == [2, 3, 0, 1, 2]
+
+
+def _lo_hi(rows):
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    return rows[:, 0], rows.sum(axis=1)
+
+
+# up to 12 ranges [lo, lo + n), n from -10 (a negative range) through 0 (empty) to 80 (longer than
+# a pass of 1, 5 or 64 pairs)
+_ranges = st.lists(st.tuples(st.integers(0, 40), st.integers(-10, 80)), max_size=12).map(_lo_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ranges, st.sampled_from([1, 5, 64, midi.EXPAND_PASS]))
+@example((np.array([3, 0, 7, 1]), np.array([3, 90, 2, 4])), 64)
+@example((np.array([0, 0]), np.array([-1, 0])), 1)
+def test_passes_are_whole_ranges_of_the_whole_expansion_in_order(ranges, expand_pass):
+    lo, hi = ranges
+    k, index = expand_ranges(lo, hi)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(midi, "EXPAND_PASS", expand_pass)
+        passes = list(expand_in_passes(lo, hi))
+    for pass_k, pass_index in passes:
+        assert pass_k.dtype == k.dtype and pass_index.dtype == index.dtype
+    owners = [pass_k.tolist() for pass_k, _ in passes]
+    assert sum(owners, []) == k.tolist()
+    assert sum((pass_index.tolist() for _, pass_index in passes), []) == index.tolist()
+    # each range's pairs lie in one pass, so a later pass starts past every range of an earlier one
+    ranges_seen = [owner for owner in owners if owner]
+    assert all(a[-1] < b[0] for a, b in zip(ranges_seen, ranges_seen[1:]))
+    assert all(len(owner) <= expand_pass or len(set(owner)) == 1 for owner in owners)

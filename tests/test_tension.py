@@ -8,13 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_diameters, oracle_tension_series, oracle_window_starts, random_performance
-from pianoeval import midi
+from pianoeval import midi, tension
 from pianoeval.config import MIN_STEP, RunConfig
 from pianoeval.midi import Note, Performance
+from pianoeval.series import TIME_SLACK
 from pianoeval.tension import (
     _diameter_table,
     _diameters,
@@ -248,7 +249,7 @@ def test_diameter_series_timestamps_and_gaps():
 
 def test_diameter_series_memory_does_not_grow_as_windows_times_144():
     # one 2.5 s note every 2 s, cycling the pitch classes: 72,500 windows of 100 ms at a 1 ms hop. The
-    # weights they come from take about 100 bytes a window; a W x 144 float array would take 1152.
+    # int32 note counts they come from take 48 bytes a window; a W x 144 float array would take 1152.
     onsets = np.arange(36) * 2.0
     perf = Performance(onsets, onsets + 2.5, 60 + np.arange(36) % 12, np.full(36, 64))
     tracemalloc.start()
@@ -263,14 +264,14 @@ def test_diameter_series_memory_does_not_grow_as_windows_times_144():
 
 def test_window_weights_memory_is_bounded_by_the_pass(monkeypatch):
     # notes whose offsets were lost, held to the end: 90,600 (note, window) pairs, about 5 MB of
-    # index and overlap arrays if expanded at once, against 600 windows
+    # index and overlap arrays if the momentum's weights expanded them at once, against 600 windows
     onsets = np.arange(300) * 1.0
     perf = Performance(onsets, np.full(300, 300.0), 21 + np.arange(300) * 7 % 88, np.full(300, 64))
-    expected = cloud_diameter_series(perf)
+    expected = cloud_momentum(perf)
     monkeypatch.setattr(midi, "EXPAND_PASS", 4096)
     tracemalloc.start()
     try:
-        series = cloud_diameter_series(perf)
+        series = cloud_momentum(perf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -356,6 +357,11 @@ _passes = st.sampled_from([midi.EXPAND_PASS, 1, 5])
 
 @settings(max_examples=150, deadline=None)
 @given(_lattice_performances(), _configs, _passes)
+@example(  # two notes held over about 60 windows each, in passes of 5 pairs
+    _perf((0.0, 6.0, 60, 64), (0.35, 6.0, 66, 64), (1.0, 1.05, 62, 64)),
+    replace(_GEOMETRIES[1], window_length=0.3, hop=0.1),
+    5,
+)
 def test_diameter_series_equals_sweep_oracle(perf, config, expand_pass):
     (times, values), _ = oracle_tension_series(perf, config)
     with pytest.MonkeyPatch.context() as patch:
@@ -363,6 +369,68 @@ def test_diameter_series_equals_sweep_oracle(perf, config, expand_pass):
         series = cloud_diameter_series(perf, config)
     assert series.times.tolist() == times
     assert series.values.tolist() == values
+
+
+def _near_window_starts(draw, hop):
+    """A time at a window start k*hop, one ulp or ``TIME_SLACK`` either side of it, or between two starts."""
+    point = draw(st.integers(0, 24)) * hop
+    time = draw(st.sampled_from([
+        point,
+        np.nextafter(point, -math.inf),
+        np.nextafter(point, math.inf),
+        point - TIME_SLACK,
+        point + TIME_SLACK,
+        point + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * hop,
+    ]))
+    return max(float(time), 0.0)
+
+
+@st.composite
+def _window_edge_cases(draw):
+    """(performance, config): off-lattice notes starting and ending at or near window starts, shorter
+    than a hop, or held to the end of the data."""
+    config = draw(_configs)
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        onset = _near_window_starts(draw, config.hop)
+        length = draw(st.sampled_from(["to a start", "under a hop", "held"]))
+        if length == "to a start":
+            offset = _near_window_starts(draw, config.hop)
+        elif length == "under a hop":
+            offset = onset + draw(st.floats(0.0, 1.0, exclude_max=True)) * config.hop
+        else:
+            offset = 30 * config.hop
+        pitch = draw(st.sampled_from([48, 55, 60, 61, 62, 64, 66, 67, 70, 71, 72]))
+        rows.append((onset, max(offset, float(np.nextafter(onset, math.inf))), pitch, 64))
+    return _perf(*rows), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_edge_cases())
+def test_diameter_series_equals_the_diameters_of_the_weights_mask(case):
+    # the mask counted from note events is the one the duration weights give, ulp for ulp
+    perf, config = case
+    starts, weights = _window_weights(perf, config)
+    present = weights > 0
+    sounding = present.any(axis=1)
+    series = cloud_diameter_series(perf, config)
+    assert series.times.tolist() == starts[sounding].tolist()
+    assert series.values.tolist() == _diameters(present[sounding], config).tolist()
+
+
+def test_diameter_series_expands_no_note_window_pairs(monkeypatch):
+    def expand_in_passes(lo, hi):
+        raise AssertionError("(note, window) pairs expanded")
+
+    perf = _perf((0.0, 40.0, 60, 64), (0.3, 2.2, 67, 64), (1.0, 1.2, 62, 64), (5.0, 40.0, 66, 64))
+    expected = cloud_diameter_series(perf)
+    monkeypatch.setattr(midi, "expand_in_passes", expand_in_passes)
+    monkeypatch.setattr(tension, "expand_in_passes", expand_in_passes)
+    series = cloud_diameter_series(perf)
+    assert series.times.tolist() == expected.times.tolist()
+    assert series.values.tolist() == expected.values.tolist()
+    with pytest.raises(AssertionError, match="pairs expanded"):
+        cloud_momentum(perf)
 
 
 @settings(max_examples=150, deadline=None)
