@@ -29,7 +29,7 @@ from .audio import (
     synth_ir,
     write_wav_file,
 )
-from .config import RunConfig, checked_duration
+from .config import PEDAL_MODES, RunConfig, checked_duration
 from .evaluation import evaluate_performances
 from .midi import Performance, parse_midi_file
 from .stats import ALPHA, aggregate, check_tags, csv_text, emit, kruskal_wallis
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)  # the run flags of evaluate and batch
     run.add_argument("--config", help="flat key=value run configuration file")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.add_argument("--pedal", choices=("ignore", "extend"), help="sustain pedal handling")
+    run.add_argument("--pedal", choices=PEDAL_MODES, help="sustain pedal handling")
 
     pe = sub.add_parser("evaluate", parents=[run], help="evaluate one MIDI pair")
     pe.add_argument("ref", help="ground-truth MIDI file")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-__all__ = ["MAX_DURATION", "MAX_WINDOW_OVERLAP", "MIN_STEP", "RunConfig", "checked_duration"]
+__all__ = ["MAX_DURATION", "MAX_WINDOW_OVERLAP", "MIN_STEP", "PEDAL_MODES", "RunConfig", "checked_duration"]
 
 # Finest frame_length, grid_step and hop, seconds: grids, windows and a read roll grow as the duration over these
 MIN_STEP = 0.001
@@ -13,6 +13,8 @@ MIN_STEP = 0.001
 MAX_DURATION = 7200.0
 # Largest window_length / hop: windows' work grows as sounding time over hop, in passes of midi.EXPAND_PASS pairs
 MAX_WINDOW_OVERLAP = 100
+# The sustain pedal handlings: RunConfig.pedal_mode, parse_midi's pedal_mode and the --pedal flag take one
+PEDAL_MODES = ("ignore", "extend")
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class RunConfig:
         overlap = self.window_length / self.hop
         if overlap > MAX_WINDOW_OVERLAP:
             raise ValueError(f"window_length / hop must be at most {MAX_WINDOW_OVERLAP}, got {overlap:g}")
-        if self.pedal_mode not in ("ignore", "extend"):
-            raise ValueError(f"pedal_mode must be 'ignore' or 'extend', got {self.pedal_mode!r}")
+        if self.pedal_mode not in PEDAL_MODES:
+            raise ValueError(f"pedal_mode must be {' or '.join(map(repr, PEDAL_MODES))}, got {self.pedal_mode!r}")
 
 
 def checked_duration(perf, side: str):

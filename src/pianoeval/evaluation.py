@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .config import RunConfig, checked_duration
+from .config import RunConfig
 from .ir_metrics import build_piano_roll, frame_metrics, note_metrics, shared_edge_search
 from .midi import Performance
 from .musical import compute_musical_metrics
@@ -22,14 +22,12 @@ def evaluate_performances(
 ) -> MetricReport:
     """Frame PRF, the two headline note PRFs, and the eight correlations.
 
-    A side longer than ``MAX_DURATION`` raises ValueError before any array is
-    built."""
-    checked_duration(ref, "ref")
-    checked_duration(est, "est")
+    The musical metrics come first: a side longer than ``MAX_DURATION`` raises
+    ValueError there before any array is built."""
+    musical = compute_musical_metrics(ref, est, config)
     frame = frame_metrics(
         build_piano_roll(ref, config.frame_length), build_piano_roll(est, config.frame_length)
     )
-    musical = compute_musical_metrics(ref, est, config)
     with shared_edge_search():
         return MetricReport(
             pair_id=pair_id,

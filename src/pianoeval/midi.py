@@ -16,6 +16,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .config import PEDAL_MODES
+
 __all__ = [
     "Note",
     "Performance",
@@ -333,8 +335,8 @@ def parse_midi(data: bytes, pedal_mode: str = "extend") -> Performance:
 
     Raises :class:`MidiParseError` (with a byte offset) on malformed input.
     """
-    if pedal_mode not in ("ignore", "extend"):
-        raise ValueError(f"pedal_mode must be 'ignore' or 'extend', got {pedal_mode!r}")
+    if pedal_mode not in PEDAL_MODES:
+        raise ValueError(f"pedal_mode must be {' or '.join(map(repr, PEDAL_MODES))}, got {pedal_mode!r}")
 
     fmt, ntrks, tpq, pos = _parse_header(data)
     columns, tempos, raw_pedals = ([], [], [], []), [], []  # filled by _parse_track

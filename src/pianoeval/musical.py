@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig, checked_duration
 from .midi import Performance, expand_in_passes
-from .series import TIME_SLACK, FeatureSeries, common_grid, correlate_series, grid_positions, grid_times
+from .series import TIME_SLACK, FeatureSeries, common_grid, correlate_series, grid_positions
 from .series import hold_indices, resample_to_grid
 from .streams import split_streams
 from .tension import cloud_diameter_series, cloud_momentum
@@ -151,10 +151,10 @@ def dynamics_series(melody: Performance, bass: Performance, config: RunConfig = 
     """
     if not len(melody) or not len(bass):
         return FeatureSeries([], [])
-    times = grid_times(0.0, max(melody.end_time, bass.end_time), config.grid_step)
-    mel, bas = (_velocity_on_grid(stream, len(times), config.grid_step) for stream in (melody, bass))
+    n = int(grid_positions(max(melody.end_time, bass.end_time), 0.0, config.grid_step, "right"))
+    mel, bas = (_velocity_on_grid(stream, n, config.grid_step) for stream in (melody, bass))
     keep = (mel > 0) & (bas > 0)
-    return FeatureSeries(times[keep], _LOG_RATIO[mel[keep], bas[keep]])
+    return FeatureSeries(np.flatnonzero(keep) * config.grid_step, _LOG_RATIO[mel[keep], bas[keep]])
 
 
 def ratio_kor_series(
@@ -170,7 +170,7 @@ def ratio_kor_series(
     mel = resample_to_grid(melody_kor, t0, config.grid_step, n)
     bas = resample_to_grid(bass_kor, t0, config.grid_step, n)
     keep = np.abs(bas) >= RATIO_KOR_GUARD
-    return FeatureSeries((t0 + np.arange(n) * config.grid_step)[keep], mel[keep] / bas[keep])
+    return FeatureSeries(t0 + np.flatnonzero(keep) * config.grid_step, mel[keep] / bas[keep])
 
 
 def compute_musical_metrics(

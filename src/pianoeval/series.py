@@ -21,7 +21,6 @@ __all__ = [
     "TIME_SLACK",
     "FeatureSeries",
     "grid_positions",
-    "grid_times",
     "common_grid",
     "hold_indices",
     "resample_to_grid",
@@ -76,14 +75,9 @@ def grid_positions(times, t0: float, step: float, side: str) -> np.ndarray:
     return np.maximum(nearest + before(t0 + nearest * step, shifted), 0).astype(np.int64)
 
 
-def grid_times(t0: float, t1: float, step: float) -> np.ndarray:
-    """Grid points t0, t0+step, ... up to and including t1 + ``TIME_SLACK``."""
-    return t0 + np.arange(grid_positions(t1, t0, step, "right")) * step
-
-
 def common_grid(a: FeatureSeries, b: FeatureSeries, step: float) -> tuple[float, int]:
-    """The start and point count of ``grid_times`` from the later first time to the
-    earlier last time of two series; no points if either is empty or the two are disjoint."""
+    """The start t0 and count n of the grid points t0 + k*step from the later first time of two series to
+    their earlier last time + ``TIME_SLACK``; no points if either is empty or the two are disjoint."""
     if len(a) == 0 or len(b) == 0:
         return 0.0, 0
     t0 = max(a.times[0], b.times[0])

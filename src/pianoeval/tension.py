@@ -89,12 +89,6 @@ def _pc_weights(perf: Performance, config: RunConfig) -> np.ndarray:
     return weights.reshape(-1, 12)
 
 
-def _window_weights(perf: Performance, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Start times k*hop of the ``_windows`` and their pitch-class weights, the momentum's duration weights."""
-    weights = _pc_weights(perf, config)
-    return np.arange(len(weights)) * config.hop, weights
-
-
 @functools.lru_cache
 def _diameter_table(spiral_radius: float, spiral_rise: float) -> np.ndarray:
     """Read-only diameters of all 4096 pitch-class masks (bit pc: pc present), built pairwise, not 4096 x 144."""
@@ -146,10 +140,10 @@ def cloud_momentum(perf: Performance, config: RunConfig = RunConfig()) -> Featur
     centers of windows i-1 and i; an empty window yields no center and
     breaks the chain, so no distance is taken across the gap.
     """
-    starts, weights = _window_weights(perf, config)
+    weights = _pc_weights(perf, config)
     total = weights.sum(axis=1)
     defined = np.flatnonzero(total > 0)
     centers = weights[defined] @ _spiral_points(config) / total[defined, None]
     chained = defined[1:] == defined[:-1] + 1
     steps = np.sqrt(((centers[1:] - centers[:-1]) ** 2).sum(axis=1))
-    return FeatureSeries(starts[defined[1:][chained]], steps[chained])
+    return FeatureSeries(defined[1:][chained] * config.hop, steps[chained])

@@ -19,13 +19,16 @@ grid point and window position comes from ``series.grid_positions``. Notes
 are expanded over a grid by one bounded loop: ``musical`` and ``tension`` do
 not name ``midi.expand_ranges``, only its pass generator ``expand_in_passes``.
 In ``tension`` only the momentum's duration weights, ``_pc_weights``, expand
-notes: the cloud diameter reads neither those weights nor ``_window_weights``.
+notes, and the cloud diameter does not read them.
 The slack meets a grid in one function only, ``series.grid_positions``,
 which shifts each time by it: it places every note time, and through
 ``hold_indices`` it holds every feature series and the dynamics' last-ended
 note, in the one float form ``oracle_hold`` also uses. No other ``series``
 function reads ``TIME_SLACK``, and ``series``, ``musical`` and ``tension``
-name ``searchsorted`` nowhere: no grid is searched.
+name ``searchsorted`` nowhere: no grid is searched. A uniform grid is a
+start, a step and a count: no ``np.arange(...) * step`` product in ``src/``
+builds an array of grid times, and each series timestamps only the points it
+keeps.
 
 Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
@@ -401,8 +404,7 @@ def test_reader_scan():
 def test_only_the_momentum_weights_expand_notes_in_tension():
     source = (PACKAGE / "tension.py").read_text(encoding="utf-8")
     assert readers(source, "expand_in_passes") == ["_pc_weights"]
-    for weights in ("_pc_weights", "_window_weights"):
-        assert "cloud_diameter_series" not in readers(source, weights)
+    assert "cloud_diameter_series" not in readers(source, "_pc_weights")
 
 
 @pytest.mark.parametrize("stem", ["musical", "tension"])
@@ -414,3 +416,28 @@ def test_series_applies_the_time_slack_only_where_it_places_or_holds_a_time():
     source = (PACKAGE / "series.py").read_text(encoding="utf-8")
     assert readers(source, "TIME_SLACK") == ["grid_positions"]
     assert readers(source, "searchsorted") == []
+
+
+def arange_products(source: str) -> list[str]:
+    """The source of each product with a call to a function named ``arange`` on either side, as in
+    ``np.arange(n) * step``."""
+
+    def is_arange(node) -> bool:
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and (getattr(func, "attr", None) or getattr(func, "id", None)) == "arange"
+
+    products = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)]
+    return sorted(ast.unparse(n) for n in products if is_arange(n.left) or is_arange(n.right))
+
+
+def test_arange_product_scan():
+    source = (
+        "t = t0 + np.arange(n) * step\nu = step * arange(n)\nv = np.arange(n) / rate\n"
+        "w = np.flatnonzero(keep) * step\nx = np.arange(n) < limit\n"
+    )
+    assert arange_products(source) == ["np.arange(n) * step", "step * arange(n)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_array_of_grid_times_is_built(path):
+    assert arange_products(path.read_text(encoding="utf-8")) == []

@@ -14,7 +14,6 @@ from pianoeval.series import (
     common_grid,
     correlate_series,
     grid_positions,
-    grid_times,
     hold_indices,
     pearson,
     resample_to_grid,
@@ -70,12 +69,6 @@ def test_resample_empty_series_rejected():
         resample_to_grid(_series(), 0.0, 0.5, 3)
 
 
-def test_grid_times_rejects_a_step_that_is_not_positive():
-    for step in (0.0, -0.1):
-        with pytest.raises(ValueError, match="^step must be positive$"):
-            grid_times(0.0, 1.0, step)
-
-
 def test_resample_grid_before_first_sample_rejected():
     with pytest.raises(ValueError, match="^grid start 0.0 has no sample of the series at or before it$"):
         resample_to_grid(_series((0.3, 5.0)), 0.0, 0.25, 3)
@@ -94,7 +87,7 @@ def test_resample_holds_a_sample_within_hold_slack_after_a_grid_point():
     st.data(),
 )
 def test_a_lattice_series_holds_its_own_samples_onto_a_grid_from_any_of_them(step, n, data):
-    times = grid_times(0.0, (n - 1) * step, step)
+    times = np.arange(grid_positions((n - 1) * step, 0.0, step, "right")) * step
     values = np.arange(len(times), dtype=np.float64)
     k0 = data.draw(st.integers(0, len(times) - 1))
     held = resample_to_grid(FeatureSeries(times, values), times[k0], step, len(times) - k0)
@@ -111,7 +104,7 @@ def _grid_cases(draw):
     n = draw(st.integers(1, int(MAX_DURATION / step) + 1))
     times = []
     for k in draw(st.lists(st.integers(-3, n + 2), min_size=1, max_size=20)):
-        point = t0 + k * step  # the value ``grid_times`` gives the point when 0 <= k < n
+        point = t0 + k * step  # the grid point k when 0 <= k < n
         offset = draw(st.sampled_from(["on", "ulp above", "ulp below", "between"]))
         if offset == "between":
             point += draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * step
@@ -127,7 +120,7 @@ def _grid_cases(draw):
 def test_grid_positions_equal_a_search_of_the_slack_shifted_times_in_the_grid(case):
     t0, step, n, times = case
     grid, times = t0 + np.arange(n) * step, np.array(times)
-    assert np.array_equal(grid, grid_times(t0, grid[-1], step))
+    assert grid_positions(grid[-1], t0, step, "right") == n
     for side, shifted in (("right", times + TIME_SLACK), ("left", times - TIME_SLACK)):
         expected = np.searchsorted(grid, shifted, side)
         assert np.minimum(grid_positions(times, t0, step, side), n).tolist() == expected.tolist()
@@ -136,8 +129,9 @@ def test_grid_positions_equal_a_search_of_the_slack_shifted_times_in_the_grid(ca
 def test_grid_positions_rejects_an_unknown_side_or_a_step_that_is_not_positive():
     with pytest.raises(KeyError, match="up"):
         grid_positions([0.0], 0.0, 0.1, "up")
-    with pytest.raises(ValueError, match="^step must be positive$"):
-        grid_positions([0.0], 0.0, 0.0, "left")
+    for step, side in ((0.0, "left"), (-0.1, "right")):
+        with pytest.raises(ValueError, match="^step must be positive$"):
+            grid_positions([0.0], 0.0, step, side)
 
 
 def test_resample_holds_past_last_sample():
@@ -153,9 +147,9 @@ def test_resample_onto_an_empty_grid_is_empty():
 def test_common_grid_runs_from_the_later_first_to_the_earlier_last_time():
     a = _series((0.0, 1.0), (1.05, 2.0), (3.0, 1.0))
     b = _series((0.25, 4.0), (2.5, 3.0))
-    assert common_grid(a, b, 0.5) == (0.25, len(grid_times(0.25, 2.5, 0.5)))
+    assert common_grid(a, b, 0.5) == (0.25, grid_positions(2.5, 0.25, 0.5, "right"))
     assert common_grid(a, b, 0.5) == (0.25, 5)  # 0.25, 0.75, 1.25, 1.75, 2.25
-    assert common_grid(b, a, 0.1) == (0.25, len(grid_times(0.25, 2.5, 0.1)))
+    assert common_grid(b, a, 0.1) == (0.25, grid_positions(2.5, 0.25, 0.1, "right"))
     assert common_grid(a, _series((3.0, 1.0)), 0.5) == (3.0, 1)  # extents touch at one point
 
 
@@ -204,7 +198,7 @@ def test_resample_equals_per_point_bisect(case):
     times, values, t0, t1, step = case
     series = FeatureSeries(times, values)
     expected = oracle_hold(times, values, t0, t1, step)
-    n = len(grid_times(t0, t1, step))
+    n = int(grid_positions(t1, t0, step, "right"))
     if expected[0] is None:  # no sample at or before the grid start
         with pytest.raises(ValueError):
             resample_to_grid(series, t0, step, n)

@@ -19,7 +19,7 @@ from pianoeval.series import TIME_SLACK
 from pianoeval.tension import (
     _diameter_table,
     _diameters,
-    _window_weights,
+    _pc_weights,
     cloud_diameter,
     cloud_diameter_series,
     cloud_momentum,
@@ -410,11 +410,11 @@ def _window_edge_cases(draw):
 def test_diameter_series_equals_the_diameters_of_the_weights_mask(case):
     # the mask counted from note events is the one the duration weights give, ulp for ulp
     perf, config = case
-    starts, weights = _window_weights(perf, config)
+    weights = _pc_weights(perf, config)
     present = weights > 0
     sounding = present.any(axis=1)
     series = cloud_diameter_series(perf, config)
-    assert series.times.tolist() == starts[sounding].tolist()
+    assert series.times.tolist() == (np.flatnonzero(sounding) * config.hop).tolist()
     assert series.values.tolist() == _diameters(present[sounding], config).tolist()
 
 
@@ -449,11 +449,10 @@ def test_momentum_equals_sweep_oracle_within_last_digits(perf, config, expand_pa
 @settings(max_examples=150, deadline=None)
 @given(_lattice_performances(), _configs)
 def test_window_weights_do_not_depend_on_the_pass_size(perf, config):
-    starts, weights = _window_weights(perf, config)
+    weights = _pc_weights(perf, config)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(midi, "EXPAND_PASS", 1)
-        one_starts, one_weights = _window_weights(perf, config)
-    assert one_starts.tolist() == starts.tolist()
+        one_weights = _pc_weights(perf, config)
     assert one_weights.shape == weights.shape and (one_weights == weights).all()
 
 
@@ -478,7 +477,7 @@ def _window_ends(draw):
 def test_window_starts_equal_the_ceil_count_oracle(case):
     end, hop = case
     perf = _perf((0.0, end, 60, 64)) if end > 0 else _perf()
-    starts, weights = _window_weights(perf, RunConfig(window_length=hop, hop=hop))
+    weights = _pc_weights(perf, RunConfig(window_length=hop, hop=hop))
     expected = oracle_window_starts(end, hop)
-    assert starts.tolist() == expected.tolist()
+    assert (np.arange(len(weights)) * hop).tolist() == expected.tolist()
     assert weights.shape == (len(expected), 12)

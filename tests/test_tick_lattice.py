@@ -21,7 +21,7 @@ from pianoeval.config import MAX_DURATION, MIN_STEP, RunConfig
 from pianoeval.ir_metrics import build_piano_roll
 from pianoeval.midi import Performance, _tick_seconds
 from pianoeval.musical import DYNAMICS_HOLD, dynamics_series, ioi_series
-from pianoeval.series import grid_times
+from pianoeval.series import grid_positions
 from pianoeval.streams import cluster_onsets
 from pianoeval.tension import cloud_diameter_series
 
@@ -130,12 +130,12 @@ def test_onsets_chord_epsilon_apart_share_a_cluster_and_keep_their_interval(tpq,
 @settings(max_examples=300, deadline=None)
 @given(_TPQ, _USPQ, st.integers(1, 400), st.integers(0, 10_000_000), st.integers(-2_000, 200_000), st.booleans())
 @example(480, 500_000, 96, 1440, 0, True)  # an end an ulp below the start
-def test_grid_times_on_lattice_ends_has_the_nominal_count(tpq, uspq, step, start, span, ulp_below):
+def test_grid_positions_on_lattice_ends_count_the_nominal_points(tpq, uspq, step, start, span, ulp_below):
     step = _step(step, tpq, uspq)
     t0, t1, step_s = _seconds([start, start + span, step], tpq, uspq)
     if ulp_below:
         span, t1 = 0, math.nextafter(t0, -math.inf)
-    assert len(grid_times(t0, t1, step_s)) == max(span // step + 1, 0)
+    assert grid_positions(t1, t0, step_s, "right") == max(span // step + 1, 0)
 
 
 # tempos in whole bpm at which a quarter note is a whole number of microseconds
