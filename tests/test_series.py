@@ -129,9 +129,15 @@ def test_grid_positions_equal_a_search_of_the_slack_shifted_times_in_the_grid(ca
 def test_grid_positions_rejects_an_unknown_side_or_a_step_that_is_not_positive():
     with pytest.raises(KeyError, match="up"):
         grid_positions([0.0], 0.0, 0.1, "up")
-    for step, side in ((0.0, "left"), (-0.1, "right")):
+    with pytest.raises(ValueError, match="^step must be positive$"):
+        grid_positions([0.0], 0.0, 0.0, "left")
+
+
+def test_grid_times_rejects_a_step_that_is_not_positive():
+    # the grid times from 0.0 to 1.0 are counted by the right-side position of the end
+    for step in (0.0, -0.1):
         with pytest.raises(ValueError, match="^step must be positive$"):
-            grid_positions([0.0], 0.0, step, side)
+            grid_positions(1.0, 0.0, step, "right")
 
 
 def test_resample_holds_past_last_sample():
