@@ -42,6 +42,7 @@ MATCH_MODES = ("onset", "onset_offset", "onset_offset_velocity")
 
 N_PITCHES = 128
 FRAME_BITS = 40  # a frame index's share of a sweep key; a roll holds at most 2**40 frames
+MAX_NOTE_PAIRS = 1 << 21  # same-pitch note pairs near in onset a pair may search, each ~100 B at peak
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,8 @@ def _candidate_edges(ref: Performance, est: Performance, mode: str) -> tuple[np.
     """Candidate pairs (i, j) of ref and est note indices passing the
     mode's onset/offset rules.
 
-    Pairs come ordered by i, then by the est note's (onset, index).
+    Pairs come ordered by i, then by the est note's (onset, index); over
+    ``MAX_NOTE_PAIRS`` of them to search raise ValueError before any is built.
     """
     ref_onsets, ref_offsets = ref.onsets, ref.offsets
     est_onsets, est_offsets = est.onsets, est.offsets
@@ -156,6 +158,8 @@ def _candidate_edges(ref: Performance, est: Performance, mode: str) -> tuple[np.
     lo[by_pitch] = np.searchsorted(keys, bounds, "left")
     bounds.imag = ref_onsets[by_pitch] + slack
     hi[by_pitch] = np.searchsorted(keys, bounds, "right")
+    if (searched := int((hi - lo).sum())) > MAX_NOTE_PAIRS:
+        raise ValueError(f"{searched} same-pitch note pairs near in onset, more than the {MAX_NOTE_PAIRS} limit")
     i, position = expand_ranges(lo, hi)
     j = order[position]
     # distances are rounded to 7 decimals (this repository's choice; mir_eval also rounds

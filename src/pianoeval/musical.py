@@ -130,6 +130,8 @@ def _velocity_on_grid(stream: Performance, n: int, step: float) -> np.ndarray:
     # notes paint their [onset, offset) grid spans in this order; the last to paint a point wins
     order = _lexsort_ties((-velocities, -offsets, onsets))
     lo, hi = (grid_positions(t[order], 0.0, step, "left") for t in (onsets, offsets))
+    # a note is hidden from where the next one starts if that one lasts as long (a later rank wins)
+    hi[:-1] = np.where(hi[1:] >= hi[:-1], np.minimum(hi[:-1], lo[1:]), hi[:-1])
     painter = np.full(n, -1)
     for rank, point in expand_in_passes(lo, hi):  # a maximum ignores the passes' order
         np.maximum.at(painter, point, rank)

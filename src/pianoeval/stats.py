@@ -34,7 +34,6 @@ __all__ = [
     "aggregate",
     "csv_text",
     "emit",
-    "parse_reports_json",
 ]
 
 ALPHA = 0.05
@@ -220,38 +219,3 @@ def emit(payload, fmt: str = "csv") -> bytes:
     else:  # aggregate rows; an empty payload took the report branch
         header, rows = list(payload[0]), payload
     return csv_text(header, ([_format_cell(row[c]) for c in header] for row in rows)).encode()
-
-
-_JSON_PARTS = {"": MetricReport, **dict.fromkeys(_PRF_FIELDS, PRF), "musical": MusicalMetrics}  # "": the report
-
-
-def parse_reports_json(data: bytes) -> list[MetricReport]:
-    """Inverse of emit(..., "json") for report lists: anything else, an object whose keys differ from those
-    ``emit`` writes, or tags that are not an object of strings or fail ``check_tags``, raises ValueError
-    naming the item and where in it."""
-    items = json.loads(data.decode())
-    if not isinstance(items, list):
-        raise ValueError("reports JSON must be a list")
-    reports = []
-    for i, item in enumerate(items):
-        for part, cls in _JSON_PARTS.items():
-            where, obj = f"report {i} {part}".rstrip(), item[part] if part else item
-            if not isinstance(obj, dict):
-                raise ValueError(f"{where} is not a JSON object")
-            keys = {f.name for f in fields(cls)}
-            odd = sorted(set(obj) ^ keys)
-            if odd:
-                raise ValueError(f"{where} {'lacks' if odd[0] in keys else 'has unknown'} key {odd[0]!r}")
-        tags = item["tags"]
-        if not isinstance(tags, dict):
-            raise ValueError(f"report {i} tags is not a JSON object")
-        for name, value in tags.items():
-            if not isinstance(value, str):
-                raise ValueError(f"report {i} tag {name!r} is not a string")
-        try:
-            parts = {name: PRF(**item[name]) for name in _PRF_FIELDS}
-            musical = MusicalMetrics(**item["musical"])
-            reports.append(MetricReport(item["pair_id"], **parts, musical=musical, tags=tags))
-        except ValueError as error:
-            raise ValueError(f"report {i} {error}") from None
-    return reports

@@ -5,6 +5,9 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import performance_to_smf, random_performance, serialize_smf, sine_audio
+from helpers import oracle_parse_reports_json, performance_to_smf, random_performance, serialize_smf, sine_audio
 import pianoeval.audio
 from pianoeval import cli
 from pianoeval.audio import AudioBuffer, write_wav_file
@@ -20,7 +23,6 @@ from pianoeval.cli import main
 from pianoeval.config import MAX_WINDOW_OVERLAP, RunConfig
 from pianoeval.evaluation import evaluate_performances
 from pianoeval.midi import parse_midi
-from pianoeval.stats import parse_reports_json
 
 
 def _write_midi(path, perf, **kwargs):
@@ -61,7 +63,7 @@ def test_evaluate_json_to_file(midi_pair, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["evaluate", ref, est, "--format", "json", "--output", str(out)]) == 0
     assert capsys.readouterr().out == ""
-    (report,) = parse_reports_json(out.read_bytes())
+    (report,) = oracle_parse_reports_json(out.read_bytes())
     assert report.frame.f1 == 1.0
     assert report.note_offset.precision == 1.0
 
@@ -348,6 +350,55 @@ def test_batch_overlong_row_fails_alone(tmp_path, capsys):
     assert failure["error"] == f"{long}: ref lasts 1.35108e+10 s, longer than the 7200 s limit"
 
 
+# 8000 one-tick notes on one key at tpq 32767 (15 us a tick), a 64 KB file: against itself about 41.7 M
+# same-pitch note pairs lie within the onset tolerance, some 4 GB to expand
+_DENSE_KEY_SMF = serialize_smf([(k, k + 1, 60, 64) for k in range(8000)], tpq=0x7FFF, fmt=0)
+_PAIRS_REFUSED = "41688548 same-pitch note pairs near in onset, more than the 2097152 limit"
+
+
+def test_note_pair_blow_up_is_refused_before_it_is_built():
+    dense = parse_midi(_DENSE_KEY_SMF)
+    with pytest.raises(ValueError, match=f"^{_PAIRS_REFUSED}$"):
+        evaluate_performances(dense, dense)
+
+
+def test_batch_note_pair_blow_up_row_fails_alone(tmp_path, capsys):
+    manifest = _make_batch(tmp_path, n_good=2)
+    dense = tmp_path / "dense.mid"
+    dense.write_bytes(_DENSE_KEY_SMF)
+    with open(manifest, "a") as fh:
+        fh.write(f"{dense},{dense},dense,modelB\n")
+    out = tmp_path / "out"
+    assert main(["batch", manifest, "--output", str(out)]) == 0
+    assert [r["pair_id"] for r in _read_csv((out / "reports.csv").read_text())] == ["pair-0", "pair-1"]
+    (failure,) = _read_csv((out / "failures.csv").read_text())
+    assert (failure["row"], failure["error"]) == ("2", _PAIRS_REFUSED)
+
+
+# the child limits its own address space before numpy loads (a preexec_fn would run in a fork of this
+# threaded process); without the refusal the expansion dies there with a MemoryError traceback
+_EVALUATE_IN_1_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from pianoeval.cli import main
+sys.exit(main(["evaluate", sys.argv[1], sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_evaluate_refuses_a_note_pair_blow_up_within_a_fixed_address_space(tmp_path):
+    dense = tmp_path / "dense.mid"
+    dense.write_bytes(_DENSE_KEY_SMF)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", _EVALUATE_IN_1_GIB, str(dense)], env=env, capture_output=True,
+                          text=True)
+    assert time.perf_counter() - start < 5.0
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stderr == f"pianoeval: {_PAIRS_REFUSED}\n"
+
+
 def test_batch_failures_csv_quotes_paths_with_commas(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     missing = str(tmp_path / "a,b.mid")
@@ -533,7 +584,7 @@ def test_batch_json_format(tmp_path, capsys):
     manifest = _make_batch(tmp_path, n_good=2)
     out = tmp_path / "out"
     assert main(["batch", manifest, "--output", str(out), "--format", "json"]) == 0
-    reports = parse_reports_json((out / "reports.json").read_bytes())
+    reports = oracle_parse_reports_json((out / "reports.json").read_bytes())
     assert [r.pair_id for r in reports] == ["pair-0", "pair-1"]
     assert reports[0].tags["model"] == "modelA"
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -191,6 +192,15 @@ _lattice_stream = st.lists(
     random.Random(0),
     1,
 )
+# nested notes: shorter notes inside longer ones, and a later note that ends with an earlier one and so
+# hides it from its own onset on
+@example(
+    [Note(0.0, 12 * 0.1, 60, 40), Note(2 * 0.1, 5 * 0.1, 60, 127), Note(3 * 0.1, 4 * 0.1, 60, 20),
+     Note(6 * 0.1, 12 * 0.1, 60, 63)],
+    [Note(0.0, 9 * 0.1, 60, 60), Note(0.1, 3 * 0.1, 60, 21), Note(0.1, 9 * 0.1, 60, 42), Note(4 * 0.1, 7 * 0.1, 60, 59)],
+    random.Random(0),
+    1,
+)
 def test_dynamics_series_equals_tracker_oracle(melody, bass, rng, expand_pass):
     times, values = oracle_dynamics_series(melody, bass)
     melody, bass = Performance.from_notes(melody), Performance.from_notes(bass)
@@ -220,6 +230,21 @@ def test_dynamics_painter_memory_is_bounded_by_its_pass(monkeypatch):
     assert peak < 1_000_000
     assert series.times.tolist() == expected.times.tolist()
     assert series.values.tolist() == expected.values.tolist()
+
+
+def test_dynamics_of_notes_held_to_the_end_costs_by_notes_not_sounding_time():
+    # 2000 + 2000 notes held to the end of an hour, as when a file's note-offs are lost: painting every
+    # note up to its offset is about 360 M grid points a stream at this step, several seconds
+    rng = np.random.default_rng(0)
+    melody, bass = (
+        Performance(np.sort(rng.uniform(0, 3590, 2000)), np.full(2000, 3600.0), np.full(2000, pitch),
+                    rng.integers(20, 110, 2000))
+        for pitch in (72, 40)
+    )
+    start = time.perf_counter()
+    series = dynamics_series(melody, bass, RunConfig(grid_step=0.01))
+    assert time.perf_counter() - start < 1.0
+    assert len(series) == 359911
 
 
 @st.composite

@@ -19,7 +19,6 @@ from pianoeval.stats import (
     chi_square_sf,
     emit,
     kruskal_wallis,
-    parse_reports_json,
 )
 
 
@@ -203,41 +202,7 @@ def test_json_round_trip():
         _report("p1", 0.25, {"melody_ioi": -0.5, "dynamics": 0.9}, {"model": "x", "cond": "clean"}),
         _report("p2", 1.0, None, {"model": "y"}),
     ]
-    back = parse_reports_json(emit(reports, "json"))
-    assert back == reports
-
-
-def _json_items(edit):
-    """The JSON of two emitted reports after ``edit`` changes the second item."""
-    reports = [_report(p, 0.5, {"melody_ioi": 0.25}, {"model": "x"}) for p in ("p0", "p1")]
-    items = json.loads(emit(reports, "json").decode())
-    edit(items[1])
-    return json.dumps(items).encode()
-
-
-def test_json_parse_rejects_keys_emit_does_not_write():
-    cases = [
-        (lambda item: item.update(musical={"melody_ioi": 0.25}), "^report 1 musical lacks key 'accompaniment_ioi'$"),
-        (lambda item: item.pop("tags"), "^report 1 lacks key 'tags'$"),
-        (lambda item: item["frame"].update(extra=1.0), "^report 1 frame has unknown key 'extra'$"),
-        (lambda item: item.update(note=None), "^report 1 has unknown key 'note'$"),
-    ]
-    for edit, message in cases:
-        with pytest.raises(ValueError, match=message):
-            parse_reports_json(_json_items(edit))
-    tag_cases = [
-        ([["a", "b"]], "^report 1 tags is not a JSON object$"),
-        ({"model": 3}, "^report 1 tag 'model' is not a string$"),
-        ({"model": "x", "count": "2"}, "^report 1 tag column 'count' has the name of a report column$"),
-    ]
-    for tags, message in tag_cases:
-        with pytest.raises(ValueError, match=message):
-            parse_reports_json(_json_items(lambda item: item.update(tags=tags)))
-    with pytest.raises(ValueError, match="^report 1 frame is not a JSON object$"):
-        parse_reports_json(_json_items(lambda item: item.update(frame=0.5)))
-    for data, message in ((b"{}", "^reports JSON must be a list$"), (b"[1]", "^report 0 is not a JSON object$")):
-        with pytest.raises(ValueError, match=message):
-            parse_reports_json(data)
+    assert oracle_parse_reports_json(emit(reports, "json")) == reports
 
 
 def test_json_uses_null_for_undefined():
@@ -330,4 +295,4 @@ def test_emit_matches_hand_written_serializers(drawn):
         assert emit(reports, fmt) == oracle_emit(reports, fmt)
         assert emit(rows, fmt) == oracle_emit(rows, fmt)
     data = emit(reports, "json")
-    assert parse_reports_json(data) == oracle_parse_reports_json(data) == reports
+    assert oracle_parse_reports_json(data) == reports
