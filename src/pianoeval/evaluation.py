@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .config import RunConfig
-from .ir_metrics import build_piano_roll, frame_metrics, note_metrics, shared_edge_search
+from .ir_metrics import build_piano_roll, frame_metrics, note_metrics
 from .midi import Performance
 from .musical import compute_musical_metrics
 from .stats import MetricReport
@@ -28,12 +28,11 @@ def evaluate_performances(
     frame = frame_metrics(
         build_piano_roll(ref, config.frame_length), build_piano_roll(est, config.frame_length)
     )
-    with shared_edge_search():
-        return MetricReport(
-            pair_id=pair_id,
-            frame=frame,
-            note_offset=note_metrics(ref, est, "onset_offset"),
-            note_offset_velocity=note_metrics(ref, est, "onset_offset_velocity"),
-            musical=musical,
-            tags=dict(tags or {}),
-        )
+    return MetricReport(
+        pair_id=pair_id,
+        frame=frame,
+        note_offset=note_metrics(ref, est, "onset_offset"),
+        note_offset_velocity=note_metrics(ref, est, "onset_offset_velocity"),
+        musical=musical,
+        tags=dict(tags or {}),
+    )

@@ -10,8 +10,6 @@ bipartite matching so no valid pairing is left on the table.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
@@ -146,10 +144,13 @@ def _candidate_edges(ref: Performance, est: Performance, mode: str) -> tuple[np.
     """
     ref_onsets, ref_offsets = ref.onsets, ref.offsets
     est_onsets, est_offsets = est.onsets, est.offsets
-    # complex numbers sort and search by (real, imag): here (pitch, onset), each part an exact float64
-    order = np.lexsort((est_onsets, est.pitches))
+    # lexsort's (pitch, onset, row) order in two stable passes, several times faster: numpy
+    # radix-sorts a uint8 key, and the pitches (0-127) cast to it exactly
+    order = np.argsort(est_onsets, kind="stable")
+    order = order[np.argsort(est.pitches[order].astype(np.uint8), kind="stable")]
     # the searches run fastest on sorted bounds: (pitch, onset) order when the rows come in onset order
-    by_pitch = np.argsort(ref.pitches, kind="stable")
+    by_pitch = np.argsort(ref.pitches.astype(np.uint8), kind="stable")
+    # complex numbers sort and search by (real, imag): here (pitch, onset), each part an exact float64
     keys, bounds = est.pitches[order].astype(np.complex128), ref.pitches[by_pitch].astype(np.complex128)
     keys.imag = est_onsets[order]
     slack = ONSET_TOLERANCE + 1e-6  # wider than the rounding, so no edge is cut here
@@ -193,21 +194,6 @@ def _filter_velocity(
     return i[keep], j[keep]
 
 
-# each (ref, est) pair's offset-mode edges, searched once inside shared_edge_search() in this thread
-_shared_edges: ContextVar[dict | None] = ContextVar("_shared_edges", default=None)
-
-
-@contextmanager
-def shared_edge_search():
-    """Within the block, the two offset modes of a pair share one candidate-edge search, as they have the
-    same edges; ``evaluate_performances`` scores each pair inside one block, so nothing outlives it."""
-    token = _shared_edges.set({})
-    try:
-        yield
-    finally:
-        _shared_edges.reset(token)
-
-
 def match_notes(ref: Performance, est: Performance, mode: str) -> NoteMatching:
     """Maximum-cardinality one-to-one matching under the mode's tolerances.
 
@@ -219,13 +205,7 @@ def match_notes(ref: Performance, est: Performance, mode: str) -> NoteMatching:
     """
     if mode not in MATCH_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MATCH_MODES}")
-    shared = _shared_edges.get()
-    if shared is None or mode == "onset":
-        i, j = _candidate_edges(ref, est, mode)
-    else:  # a Performance is read-only and hashes by identity
-        if (ref, est) not in shared:
-            shared[ref, est] = _candidate_edges(ref, est, "onset_offset")
-        i, j = shared[ref, est]
+    i, j = _candidate_edges(ref, est, mode)
     if mode == "onset_offset_velocity":
         i, j = _filter_velocity(ref.velocities, est.velocities, i, j)
     indptr = np.searchsorted(i, np.arange(len(ref) + 1))

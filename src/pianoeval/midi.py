@@ -393,7 +393,7 @@ def apply_sustain_pedal(performance: Performance, times: np.ndarray, values: np.
     onsets, offsets, pitches = performance.onsets, performance.offsets, performance.pitches
 
     # next onset of the same pitch, per note (inf when none follows)
-    by_pitch = np.argsort(pitches, kind="stable")
+    by_pitch = np.argsort(pitches.astype(np.uint8), kind="stable")  # a radix sort: pitches are 0-127
     follows = pitches[by_pitch[1:]] == pitches[by_pitch[:-1]]
     next_same_pitch = np.full(len(performance), np.inf)
     next_same_pitch[by_pitch[:-1][follows]] = onsets[by_pitch[1:][follows]]

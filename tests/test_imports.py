@@ -37,7 +37,10 @@ anything, so a cost cannot move unseen from start-up into a first call.
 Every public name has one home: the package root binds exactly the names the
 README's examples import from it, no name is in two modules' ``__all__``, and
 every dotted ``pianoeval.<module>.<name>`` the README mentions resolves. The
-README's self-contained example prints what its comments say.
+README's self-contained example prints what its comments say. Every name
+that ``tests/`` and ``perfbench/`` take by ``from pianoeval[.<module>] import``
+is bound, so a deleted name fails here by name, not as a collection error of
+the module that imports it.
 """
 
 import ast
@@ -245,6 +248,42 @@ def test_readme_imports_are_bound():
     dotted = re.findall(r"\bpianoeval(?:\.[A-Za-z_]\w*)+", (ROOT / "README.md").read_text(encoding="utf-8"))
     assert "pianoeval.config.MIN_STEP" in dotted
     assert [reference for reference in dotted if not _resolves(reference)] == []
+
+
+def stale_imports(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of each name a ``from pianoeval[.<module>] import`` takes that is not bound there."""
+    _package_modules()  # binds every module on the package, so ``from pianoeval import midi`` resolves
+    stale = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "pianoeval":
+            try:
+                module = importlib.import_module(node.module)
+            except ModuleNotFoundError:
+                stale.append((node.lineno, node.module))
+                continue
+            stale += [(node.lineno, f"{node.module}.{a.name}") for a in node.names if not hasattr(module, a.name)]
+    return sorted(stale)
+
+
+def test_stale_import_scan():
+    source = (
+        "from pianoeval import midi, RunConfig, gone\nfrom pianoeval.ir_metrics import match_notes, _dropped\n"
+        "from pianoeval.nowhere import x\nfrom pianoevalx import y\nfrom . import z\n"
+        "def f():\n    from pianoeval.midi import Note, _old\n"
+    )
+    assert stale_imports(source) == [
+        (1, "pianoeval.gone"), (2, "pianoeval.ir_metrics._dropped"), (3, "pianoeval.nowhere"),
+        (7, "pianoeval.midi._old"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for d in ("tests", "perfbench") for p in (ROOT / d).rglob("*.py")),
+    ids=lambda p: p.relative_to(ROOT).with_suffix("").as_posix(),
+)
+def test_names_imported_from_the_package_are_bound(path):
+    assert stale_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_no_name_is_exported_by_two_modules():

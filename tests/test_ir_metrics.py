@@ -22,7 +22,6 @@ from helpers import (
     random_performance,
     serialize_smf,
 )
-from pianoeval import evaluation, ir_metrics
 from pianoeval.config import RunConfig
 from pianoeval.ir_metrics import (
     MATCH_MODES,
@@ -34,7 +33,6 @@ from pianoeval.ir_metrics import (
     match_notes,
     note_metrics,
     offset_window,
-    shared_edge_search,
 )
 from pianoeval.midi import Note, Performance, parse_midi
 from pianoeval.series import FeatureSeries, resample_to_grid
@@ -482,44 +480,42 @@ _tick_lattice_notes = st.lists(
 def test_candidate_edges_equal_loop_oracle(ref, est, shift):
     ref, est = (Performance.from_notes(notes) for notes in (ref, est))
     ref, est = (Performance(p.onsets + shift, p.offsets + shift, p.pitches, p.velocities) for p in (ref, est))
+    _assert_candidate_edges_equal_oracle(ref, est)
+
+
+def _assert_candidate_edges_equal_oracle(ref, est):
+    edges = {mode: _candidate_edges(ref, est, mode) for mode in MATCH_MODES}
     for mode in ("onset", "onset_offset"):
-        i, j = _candidate_edges(ref, est, mode)
+        i, j = edges[mode]
         assert list(zip(i.tolist(), j.tolist())) == oracle_candidate_edges(ref.notes, est.notes, mode), mode
+    # the velocity rule filters the offset mode's edges after the search
+    assert all(map(np.array_equal, edges["onset_offset"], edges["onset_offset_velocity"]))
+
+
+# many notes of three pitches on a few onsets: more than 16 rows tie on a pitch, where numpy's
+# unstable sorts stop acting stable; an onset of 0 is drawn as 0.0 or -0.0
+_tied_notes = st.lists(
+    st.builds(
+        lambda onset, negative, duration, pitch: Note(
+            -0.0 if negative and not onset else onset * 8 / 960, (onset + duration) * 8 / 960, pitch, 80
+        ),
+        st.integers(0, 8),
+        st.booleans(),
+        st.integers(1, 12),
+        st.sampled_from([60, 61, 64]),
+    ),
+    max_size=60,
+)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_tick_lattice_notes, _tick_lattice_notes)
-def test_shared_edge_search_scores_as_separate_searches(ref, est):
-    ref, est = Performance.from_notes(ref), Performance.from_notes(est)
-    alone, swapped = ([note_metrics(a, b, mode) for mode in MATCH_MODES] for a, b in ((ref, est), (est, ref)))
-    with shared_edge_search():
-        assert [note_metrics(ref, est, mode) for mode in MATCH_MODES] == alone
-        # another pair in the same block searches its own edges
-        assert [note_metrics(est, ref, mode) for mode in MATCH_MODES] == swapped
-    with shared_edge_search():  # the velocity mode searches, the offset mode reads its edges
-        assert [note_metrics(ref, est, mode) for mode in MATCH_MODES[::-1]] == alone[::-1]
-    shared, own = _candidate_edges(ref, est, "onset_offset"), _candidate_edges(ref, est, "onset_offset_velocity")
-    assert all(np.array_equal(a, b) for a, b in zip(shared, own))
-
-
-def test_evaluation_searches_candidate_edges_once_per_call(monkeypatch):
-    calls = []
-
-    def counted(ref, est, mode):
-        calls.append(mode)
-        return _candidate_edges(ref, est, mode)
-
-    monkeypatch.setattr(ir_metrics, "_candidate_edges", counted)
-    ref = random_performance(np.random.default_rng(61), 40)
-    est = jitter_onsets(ref, 0.01, np.random.default_rng(62))
-    report = evaluation.evaluate_performances(ref, est)
-    assert calls == ["onset_offset"]
-    assert report.note_offset.f1 > 0
-    # the block ends with the call: evaluating the same pair again searches again, and outside it each call does
-    assert evaluation.evaluate_performances(ref, est) == report
-    note_metrics(ref, est, "onset_offset")
-    note_metrics(ref, est, "onset_offset_velocity")
-    assert calls == ["onset_offset"] * 3 + ["onset_offset_velocity"]
+@given(_tied_notes, _tied_notes, st.data())
+def test_candidate_edges_equal_loop_oracle_on_rows_in_any_order(ref, est, data):
+    # the search sorts est rows by (pitch, onset, row) itself, with -0.0 and 0.0 as one onset
+    ref, est = (
+        p.take(data.draw(st.permutations(range(len(p))))) for p in map(Performance.from_notes, (ref, est))
+    )
+    _assert_candidate_edges_equal_oracle(ref, est)
 
 
 @settings(max_examples=150, deadline=None)
