@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .audio import (
     apply_condition_grid,
@@ -48,15 +48,23 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _read(path: str, reader, *args):
-    """``reader(path, *args)``, naming the file in every input error: a ValueError (or
-    csv.Error) or an OSError is re-raised as a ValueError or OSError ``<path>: <error>``."""
+def _named(label: str, call, *args):
+    """``call(*args)``, with ``label`` prefixed to each ValueError, csv.Error (as a ValueError) or OSError."""
     try:
-        return reader(path, *args)
+        return call(*args)
     except (ValueError, csv.Error) as err:
-        raise ValueError(f"{path}: {err}") from err
+        raise ValueError(f"{label}: {err}") from err
     except OSError as err:
-        raise OSError(f"{path}: {err}") from err
+        raise OSError(f"{label}: {err}") from err
+
+
+def _csv_rows(reader, header: list[str]) -> Iterator[dict[str, str]]:
+    """The rows after ``reader``'s header as dicts over ``header``, skipping blank lines; a row with
+    more or fewer cells than the header raises ValueError naming its line."""
+    for cells in filter(None, reader):  # a blank line reads as no cells
+        if len(cells) != len(header):
+            raise ValueError(f"line {reader.line_num}: {len(cells)} cells for {len(header)} columns")
+        yield dict(zip(header, cells))
 
 
 def _config_file(path: str) -> RunConfig:
@@ -78,16 +86,13 @@ def _config_file(path: str) -> RunConfig:
             if key in set_on:
                 raise ValueError(f"line {line_number}: key {key!r} was already set on line {set_on[key]}")
             set_on[key] = line_number
-            try:
-                values[key] = field_types[key](value)
-            except ValueError as err:
-                raise ValueError(f"{key}: {err}") from None
+            values[key] = _named(key, field_types[key], value)
     return RunConfig(**values)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by --pedal."""
-    config = _read(args.config, _config_file) if args.config else RunConfig()
+    config = _named(args.config, _config_file, args.config) if args.config else RunConfig()
     return replace(config, pedal_mode=args.pedal) if args.pedal else config
 
 
@@ -96,13 +101,13 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _performance(path: str, config: RunConfig, side: str) -> Performance:
-    """One side of a pair, parsed and held to ``MAX_DURATION``."""
-    return checked_duration(parse_midi_file(path, config.pedal_mode), side)
+    """One side of a pair, parsed and held to ``MAX_DURATION``; an input error names the file."""
+    return _named(path, lambda: checked_duration(parse_midi_file(path, config.pedal_mode), side))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    ref, est = (_read(getattr(args, side), _performance, config, side) for side in ("ref", "est"))
+    ref, est = (_performance(getattr(args, side), config, side) for side in ("ref", "est"))
     pair_id = f"{Path(args.ref).stem}__vs__{Path(args.est).stem}"
     report = evaluate_performances(ref, est, config, pair_id)
     data = emit([report], args.format)
@@ -120,8 +125,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _manifest_rows(path: str) -> list[tuple[str, dict[str, str]]]:
     """Each row's pair id (its ``id`` cell, or else ``pair<index>``) and its cells."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None or not {"ref", "est"} <= set(header):
             raise ValueError("manifest needs 'ref' and 'est' columns")
         for i, name in enumerate(header):
@@ -130,15 +135,15 @@ def _manifest_rows(path: str) -> list[tuple[str, dict[str, str]]]:
         check_tags(header)
         rows = []
         seen: dict[str, int] = {}  # pair id -> its line
-        for row in reader:
-            if None in row:  # DictReader files a row's surplus cells under None
-                n = len(reader.fieldnames)
-                raise ValueError(f"line {reader.line_num}: {n + len(row[None])} cells for {n} columns")
+        for row in _csv_rows(reader, header):
+            for side in ("ref", "est"):
+                if not row[side]:
+                    raise ValueError(f"line {reader.line_num}: empty {side!r} cell")
             pair_id = row.get("id") or f"pair{len(rows):04d}"
             if pair_id in seen:
                 raise ValueError(f"line {reader.line_num}: pair id {pair_id!r} is also on line {seen[pair_id]}")
             seen[pair_id] = reader.line_num
-            rows.append((pair_id, {k: (v or "") for k, v in row.items()}))
+            rows.append((pair_id, row))
         return rows
 
 
@@ -149,7 +154,7 @@ def _pool_size(jobs: int, rows: int) -> int:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    rows = _read(args.manifest, _manifest_rows)
+    rows = _named(args.manifest, _manifest_rows, args.manifest)
     if not rows:
         return _fail(EXIT_ALL_FAILED, f"{args.manifest}: empty manifest")
     group_by = [k.strip() for k in (args.group_by or "").split(",") if k.strip()]
@@ -164,7 +169,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         pair_id, row = pair_id_row
         tags = {k: v for k, v in row.items() if k not in ("ref", "est")}
         try:
-            ref, est = (_read(row[side], _performance, config, side) for side in ("ref", "est"))
+            ref, est = (_performance(row[side], config, side) for side in ("ref", "est"))
             return evaluate_performances(ref, est, config, pair_id, tags), None
         except (OSError, ValueError) as err:
             return None, str(err)
@@ -200,12 +205,9 @@ def _levels(flag: str, spec: str, make) -> list[tuple[str, object]]:
     repeated name is refused, since its two cells would write one file."""
     levels: list[tuple[str, object]] = []
     for token in (t.strip() for t in spec.split(",")):
-        try:
-            if not token:
-                raise ValueError("empty level")
-            name, level = ("none", None) if token.lower() == "none" else make(token)
-        except ValueError as err:
-            raise ValueError(f"{flag} {token!r}: {err}") from None
+        if not token:
+            raise ValueError(f"{flag} {token!r}: empty level")
+        name, level = ("none", None) if token.lower() == "none" else _named(f"{flag} {token!r}", make, token)
         if name in (seen for seen, _ in levels):
             raise ValueError(f"{flag}: level {name!r} is given twice, so two cells would write one file")
         levels.append((name, level))
@@ -215,28 +217,24 @@ def _levels(flag: str, spec: str, make) -> list[tuple[str, object]]:
 def cmd_perturb(args: argparse.Namespace) -> int:
     snrs = _levels("--snr", args.snr, lambda t: (t, checked_snr(float(t))))
     if args.ir is not None:  # an IR's level is its file, read after the input
-        ir_flag, rooms = "--ir", _levels("--ir", args.ir, lambda t: (Path(t).stem, t))
+        rooms = _levels("--ir", args.ir, lambda t: (Path(t).stem, t))
     else:  # an RT60's IR length check needs the input's sample rate, so it waits for the read
-        ir_flag, rooms = "--rt60", _levels("--rt60", args.rt60, lambda t: (t, checked_rt60(float(t))))
+        rooms = _levels("--rt60", args.rt60, lambda t: (t, checked_rt60(float(t))))
     if args.seed < 0:
         raise ValueError(f"--seed {args.seed}: must be a non-negative integer")
-    audio = _read(args.input, read_wav_file)
+    audio = _named(args.input, read_wav_file, args.input)
     irs = []
-    for i, (name, level) in enumerate(rooms):
-        try:
-            if level is None:
-                irs.append(None)
-            elif args.ir is None:
-                irs.append(synth_ir(level, audio.sample_rate, derive_seed(args.seed, 1, i)))
-            else:
-                irs.append(read_wav_file(level))
-                checked_ir_length(irs[-1].n_samples)
-        except ValueError as err:  # named as in _levels; an RT60's token is its name
-            raise ValueError(f"{ir_flag} {(name if args.ir is None else level)!r}: {err}") from None
-    try:
-        cells = apply_condition_grid(audio, [snr for _, snr in snrs], irs, args.seed)
-    except ValueError as err:  # all-zero audio under noise, an IR of another rate or width
-        raise ValueError(f"{args.input}: {err}") from None
+    for i, (name, level) in enumerate(rooms):  # named as in _levels: an RT60's token is its name
+        if level is None:
+            irs.append(None)
+        elif args.ir is None:
+            seed = derive_seed(args.seed, 1, i)
+            irs.append(_named(f"--rt60 {name!r}", synth_ir, level, audio.sample_rate, seed))
+        else:  # a file's token is its level
+            irs.append(_named(f"--ir {level!r}", read_wav_file, level))
+            _named(f"--ir {level!r}", checked_ir_length, irs[-1].n_samples)
+    # the input is at fault: all zero under noise, or of another rate or width than an IR
+    cells = _named(args.input, apply_condition_grid, audio, [snr for _, snr in snrs], irs, args.seed)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ir_name, _ in rooms:  # no name keeps a written cell alive while the next one is made
@@ -252,15 +250,15 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 def _metric_groups(path: str, metric: str, group_by: str) -> list[list[float]]:
     """The defined ``metric`` values of a reports CSV, one list per ``group_by`` value, in sorted order."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        columns = reader.fieldnames or []
+        reader = csv.reader(fh)
+        columns = next(reader, [])
         if metric not in columns:
             raise ValueError(f"unknown metric column {metric!r}")
         if group_by not in columns:
             raise ValueError(f"unknown group column {group_by!r}")
         grouped: dict[str, list[float]] = {}
-        for row in reader:
-            cell = (row.get(metric) or "").strip()
+        for row in _csv_rows(reader, columns):
+            cell = row[metric].strip()
             if cell in ("", "NA"):
                 continue
             try:
@@ -269,12 +267,12 @@ def _metric_groups(path: str, metric: str, group_by: str) -> list[list[float]]:
                 value = math.nan
             if not math.isfinite(value):
                 raise ValueError(f"line {reader.line_num}: {metric} {cell!r} is not a finite number")
-            grouped.setdefault(row.get(group_by) or "", []).append(value)
+            grouped.setdefault(row[group_by], []).append(value)
     return [values for _, values in sorted(grouped.items())]
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    groups = _read(args.reports, _metric_groups, args.metric, args.group_by)
+    groups = _named(args.reports, _metric_groups, args.reports, args.metric, args.group_by)
     if len(groups) < 2:
         return _fail(EXIT_PARSE, f"need at least 2 groups with defined '{args.metric}' values")
     result = kruskal_wallis(groups)

@@ -195,7 +195,8 @@ def compute_musical_metrics(
             row = int(early[0])
             raise ValueError(f"{side} row {row}: onset {perf.onsets[row]:g} s is before the previous row's")
 
-    def features(perf: Performance) -> dict[str, FeatureSeries]:  # nested: it reads its caller's globals
+    # nested, not hoisted: it must see the globals perfbench's test_wrapped_away_function_reads_missing swaps in
+    def features(perf: Performance) -> dict[str, FeatureSeries]:
         """One side's eight series, keyed by ``MusicalMetrics`` field."""
         melody, bass, accompaniment = split_streams(perf, config.chord_epsilon)
         melody_kor, bass_kor = kor_series(melody), kor_series(bass)

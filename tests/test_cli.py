@@ -312,6 +312,15 @@ def test_batch_happy_path(tmp_path, capsys):
     assert (out / "failures.csv").read_text().strip() == "row,ref,est,error"
 
 
+def test_batch_skips_blank_manifest_lines(tmp_path, capsys):
+    manifest = Path(_make_batch(tmp_path, n_good=2))
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([lines[0], lines[1], "", lines[2], "", ""]))
+    out = tmp_path / "out"
+    assert main(["batch", str(manifest), "--output", str(out)]) == 0
+    assert [r["pair_id"] for r in _read_csv((out / "reports.csv").read_text())] == ["pair-0", "pair-1"]
+
+
 def test_batch_reports_partial_failures(tmp_path, capsys):
     manifest = _make_batch(tmp_path, n_good=2, n_bad=1)
     out = tmp_path / "out"
@@ -464,13 +473,21 @@ def test_batch_missing_manifest(tmp_path, capsys):
     assert main(["batch", str(tmp_path / "none.csv"), "--output", str(tmp_path / "o")]) == 3
 
 
-def test_batch_manifest_row_with_surplus_cell_names_file_and_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        pytest.param("{ref},{est},pair-2,modelA,surplus", "line 4: 5 cells for 4 columns", id="surplus"),
+        pytest.param("{ref}", "line 4: 1 cells for 4 columns", id="short"),
+        pytest.param("{ref},,pair-2,modelA", "line 4: empty 'est' cell", id="empty_est"),
+    ],
+)
+def test_batch_manifest_row_with_surplus_cell_names_file_and_line(tmp_path, capsys, row, message):
     manifest = _make_batch(tmp_path, n_good=2)
     with open(manifest, "a") as fh:
-        fh.write(f"{tmp_path / 'ref0.mid'},{tmp_path / 'est0.mid'},pair-2,modelA,surplus\n")
+        fh.write(row.format(ref=tmp_path / "ref0.mid", est=tmp_path / "est0.mid") + "\n")
     out = tmp_path / "out"
     assert main(["batch", manifest, "--output", str(out), "--group-by", "model"]) == 2
-    assert f"pianoeval: {manifest}: line 4: 5 cells for 4 columns" in capsys.readouterr().err
+    assert f"pianoeval: {manifest}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -656,7 +673,7 @@ def test_perturb_missing_ir_file_is_io_error(tmp_path, capsys):
     missing = tmp_path / "hall.wav"
     args = ["perturb", str(wav), "--output", str(tmp_path / "o"), "--ir", f"none,{missing}"]
     assert main(args) == 3
-    assert "hall.wav" in capsys.readouterr().err
+    assert f"pianoeval: --ir '{missing}': " in capsys.readouterr().err
 
 
 def test_perturb_silent_input_with_noise_is_input_error(tmp_path, capsys):
@@ -965,6 +982,17 @@ def test_stats_rejects_non_finite_cell(tmp_path, capsys, cell):
     captured = capsys.readouterr()
     assert "H = " not in captured.out
     assert path in captured.err and "line 4" in captured.err
+
+
+@pytest.mark.parametrize(
+    "row, cells", [pytest.param(("p3", "b"), 2, id="short"), pytest.param(("p3", "b", 0.5, "x"), 4, id="surplus")]
+)
+def test_stats_rejects_row_of_other_length(tmp_path, capsys, row, cells):
+    path = _stats_csv(tmp_path, [("p1", "a", 0.1), ("p2", "a", 0.2), row, ("p4", "b", 0.9)])
+    assert main(["stats", path, "--metric", "frame_f1", "--group-by", "model"]) == 2
+    captured = capsys.readouterr()
+    assert "H = " not in captured.out
+    assert f"pianoeval: {path}: line 4: {cells} cells for 3 columns" in captured.err
 
 
 def test_stats_unknown_metric(tmp_path, capsys):
