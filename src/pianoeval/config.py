@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 __all__ = ["MAX_DURATION", "MAX_WINDOW_OVERLAP", "MIN_STEP", "PEDAL_MODES", "RunConfig", "checked_duration"]
@@ -44,6 +45,8 @@ class RunConfig:
         for name in ("frame_length", "grid_step", "hop"):
             if getattr(self, name) < MIN_STEP:
                 raise ValueError(f"{name} must be at least {MIN_STEP:g} s")
+        if not isinstance(self.min_samples, numbers.Integral):  # as the config file's int() refuses 2.5
+            raise ValueError(f"min_samples must be an integer, got {self.min_samples!r}")
         if self.min_samples < 2:
             raise ValueError("min_samples must be at least 2")
         if self.hop > self.window_length:

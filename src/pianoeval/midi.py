@@ -84,8 +84,8 @@ class Performance:
     and non-negative, offset after onset, pitch 0-127, velocity 1-127,
     pitch and velocity whole numbers.
     :meth:`from_notes`, :func:`parse_midi` and :func:`apply_sustain_pedal`
-    sort the rows by (onset, pitch, offset); :meth:`take` keeps the order
-    it is given.
+    (once a pedal goes down) sort the rows by (onset, pitch, offset);
+    :meth:`take` keeps the order it is given.
     """
 
     onsets: np.ndarray
@@ -223,6 +223,17 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int]:
     return fmt, ntrks, division, 8 + length
 
 
+def _next_track(data: bytes, pos: int) -> int:
+    """The offset of the first MTrk chunk at or after ``pos``: a chunk of any other type
+    (an SMF "alien" chunk) is skipped by its length and counts toward no track."""
+    while data[pos : pos + 4] != b"MTrk" and pos + 8 <= len(data):
+        (length,) = struct.unpack_from(">I", data, pos + 4)
+        if pos + 8 + length > len(data):
+            raise MidiParseError("alien chunk extends past end of data", pos + 4)
+        pos += 8 + length
+    return pos
+
+
 def _parse_track(
     data: bytes,
     pos: int,
@@ -328,9 +339,9 @@ def _parse_track(
 def parse_midi(data: bytes, pedal_mode: str = "extend") -> Performance:
     """Parse a Standard MIDI File (format 0 or 1) into a :class:`Performance`.
 
-    Note-on events with velocity 0 are treated as note-offs. Event times are
-    converted to seconds through the file's tempo map. With
-    ``pedal_mode="extend"``, CC64 sustain spans lengthen note offsets via
+    Chunks other than MTrk are skipped. Note-on events with velocity 0 are
+    treated as note-offs. Event times are converted to seconds through the
+    file's tempo map. With ``pedal_mode="extend"``, CC64 sustain spans lengthen note offsets via
     :func:`apply_sustain_pedal`; with ``"ignore"`` the pedal is discarded.
 
     Raises :class:`MidiParseError` (with a byte offset) on malformed input.
@@ -341,7 +352,7 @@ def parse_midi(data: bytes, pedal_mode: str = "extend") -> Performance:
     fmt, ntrks, tpq, pos = _parse_header(data)
     columns, tempos, raw_pedals = ([], [], [], []), [], []  # filled by _parse_track
     for _ in range(ntrks):
-        pos = _parse_track(data, pos, columns, tempos, raw_pedals)
+        pos = _parse_track(data, _next_track(data, pos), columns, tempos, raw_pedals)
 
     onset_ticks, offset_ticks, pitches, velocities = (np.array(c, dtype=np.int64) for c in columns)
     onsets, offsets = _tick_seconds(np.stack([onset_ticks, offset_ticks]), tempos, tpq)
@@ -370,10 +381,11 @@ def apply_sustain_pedal(performance: Performance, times: np.ndarray, values: np.
     ``times`` (seconds, non-decreasing) and ``values`` are the CC64
     controller changes in order; unequal lengths or a decreasing time raise
     ValueError. While CC64 >= ``SUSTAIN_THRESHOLD`` the pedal is down. A
-    note whose nominal offset falls inside a down span
-    keeps sounding until the pedal release, truncated at the next onset of
-    the same pitch. Notes are never shortened. A pedal that is still down at
-    the end of the data sustains to the end of the performance.
+    note whose nominal offset falls inside a down span keeps sounding until
+    the pedal release, truncated at the next onset in time of the same
+    pitch, whatever the order of the rows. Notes are never shortened. A
+    pedal that is still down at the end of the data sustains to the end of
+    the performance.
     """
     times, values = np.asarray(times, dtype=np.float64), np.asarray(values)
     if times.ndim != 1 or times.shape != values.shape:
@@ -390,10 +402,11 @@ def apply_sustain_pedal(performance: Performance, times: np.ndarray, values: np.
     if not len(span_starts):
         return performance
     data_end = max(performance.end_time, times[-1])
-    onsets, offsets, pitches = performance.onsets, performance.offsets, performance.pitches
+    onsets, offsets, pitches, velocities = _sorted(*performance._columns())._columns()
 
-    # next onset of the same pitch, per note (inf when none follows)
-    by_pitch = np.argsort(pitches.astype(np.uint8), kind="stable")  # a radix sort: pitches are 0-127
+    # next onset of the same pitch, per note (inf when none follows), from the rows in
+    # (pitch, onset, offset) order: a radix sort of the sorted rows, as pitches are 0-127
+    by_pitch = np.argsort(pitches.astype(np.uint8), kind="stable")
     follows = pitches[by_pitch[1:]] == pitches[by_pitch[:-1]]
     next_same_pitch = np.full(len(performance), np.inf)
     next_same_pitch[by_pitch[:-1][follows]] = onsets[by_pitch[1:][follows]]
@@ -404,4 +417,5 @@ def apply_sustain_pedal(performance: Performance, times: np.ndarray, values: np.
     held = (span >= 0) & (offsets < release)
     extended = np.minimum(np.where(release == np.inf, data_end, release), next_same_pitch)
     offsets = np.where(held & (extended > offsets), extended, offsets)
-    return _sorted(onsets, offsets, pitches, performance.velocities)
+    # still in (onset, pitch, offset) order: of notes sharing onset and pitch only the last can grow
+    return Performance(onsets, offsets, pitches, velocities)

@@ -1,10 +1,10 @@
 """Group statistics and report serialization.
 
 Kruskal-Wallis rank ANOVA decides whether metric distributions differ
-across groups (models, audio conditions, dataset splits). Rank arithmetic
-runs on exact rationals so the H statistic is a single correctly rounded
-float, not an accumulation of rounding error. Reports serialize to CSV
-(plot-ready) and JSON (lossless round trip).
+across groups (models, audio conditions, dataset splits). Ranks are summed
+as integers (twice each mid-rank) and H is formed as one exact rational, so
+it is a single correctly rounded float, not an accumulation of rounding
+error. Reports serialize to CSV (plot-ready) and JSON (lossless round trip).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "RESERVED_TAGS",
     "check_tags",
     "kruskal_wallis",
-    "chi_square_sf",
     "aggregate",
     "csv_text",
     "emit",
@@ -50,30 +49,6 @@ class KWResult:
         return self.p < ALPHA
 
 
-def chi_square_sf(x: float, df: int) -> float:
-    """Upper tail P(X >= x) of the chi-square distribution; 0.0 at x = +inf."""
-    if not x >= 0:  # NaN fails it too
-        raise ValueError(f"x must be non-negative, got {x}")
-    if df < 1:
-        raise ValueError("df must be at least 1")
-    return float(gammaincc(df / 2.0, x / 2.0))
-
-
-def _midranks(pooled: Sequence[float]) -> tuple[dict[float, Fraction], list[int]]:
-    """Mid-rank per distinct value, plus tie-group sizes."""
-    counts = Counter(pooled)
-    ranks: dict[float, Fraction] = {}
-    ties = []
-    position = 0
-    for value in sorted(counts):
-        t = counts[value]
-        # t tied values occupy ranks position+1 .. position+t; share the mean
-        ranks[value] = Fraction(2 * position + t + 1, 2)
-        ties.append(t)
-        position += t
-    return ranks, ties
-
-
 def kruskal_wallis(groups: Sequence[Sequence[float]]) -> KWResult:
     """Kruskal-Wallis rank ANOVA with mid-rank ties and tie correction.
 
@@ -88,23 +63,26 @@ def kruskal_wallis(groups: Sequence[Sequence[float]]) -> KWResult:
     for g in groups:
         if len(g) == 0:
             raise ValueError("groups must be nonempty")
-    pooled = [float(v) for g in groups for v in g]
-    for v in pooled:
+    groups = [[float(v) for v in g] for g in groups]
+    ties = Counter(v for g in groups for v in g)  # in order of first appearance
+    for v in ties:
         if not math.isfinite(v):
             raise ValueError(f"non-finite value {v}")
-    n = len(pooled)
-    ranks, ties = _midranks(pooled)
+    n = sum(ties.values())
+    doubled = {}  # twice each value's mid-rank: its t tied values hold ranks below+1 .. below+t
+    below = 0
+    for value in sorted(ties):
+        doubled[value] = 2 * below + ties[value] + 1
+        below += ties[value]
     df = len(groups) - 1
 
-    rank_term = sum(
-        Fraction(sum(ranks[float(v)] for v in g)) ** 2 / len(g) for g in groups
-    )
+    rank_term = sum(Fraction(sum(doubled[v] for v in g) ** 2, 4 * len(g)) for g in groups)
     h = Fraction(12, n * (n + 1)) * rank_term - 3 * (n + 1)
-    correction = 1 - Fraction(sum(t**3 - t for t in ties), n**3 - n)
+    correction = 1 - Fraction(sum(t**3 - t for t in ties.values()), n**3 - n)
     if correction == 0:  # every pooled value identical
         return KWResult(0.0, df, 1.0)
     h_corrected = float(h / correction)
-    return KWResult(h_corrected, df, chi_square_sf(h_corrected, df))
+    return KWResult(h_corrected, df, float(gammaincc(df / 2, h_corrected / 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ import json
 import math
 import struct
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
+from scipy.special import gammaincc
 
 from pianoeval import midi
 from pianoeval.audio import AudioBuffer
@@ -758,12 +761,21 @@ def oracle_parse_track(
 
 
 def oracle_parse_midi(data: bytes, pedal_mode: str = "extend"):
-    """(notes, end_time) of an SMF: :func:`oracle_parse_track`, then one
-    Note per raw (onset tick, offset tick, pitch, velocity) tuple."""
+    """(notes, end_time) of an SMF: :func:`oracle_parse_track` on each MTrk
+    chunk, any other chunk skipped by its length, then one Note per raw
+    (onset tick, offset tick, pitch, velocity) tuple."""
     _, ntrks, tpq, pos = midi._parse_header(data)
     raw_notes, tempo_events, raw_pedals = [], [], []
-    for _ in range(ntrks):
-        pos = oracle_parse_track(data, pos, raw_notes, tempo_events, raw_pedals)
+    tracks = 0
+    while tracks < ntrks:
+        chunk_type, length = data[pos : pos + 4], int.from_bytes(data[pos + 4 : pos + 8], "big")
+        if chunk_type == b"MTrk" or len(data) - pos < 8:
+            pos = oracle_parse_track(data, pos, raw_notes, tempo_events, raw_pedals)
+            tracks += 1
+        elif len(data) - pos - 8 < length:
+            raise midi.MidiParseError("alien chunk extends past end of data", pos + 4)
+        else:
+            pos += 8 + length
     tempo_map = TempoMap(tempo_events, tpq)
     notes = []
     for onset_tick, offset_tick, pitch, velocity in raw_notes:
@@ -1100,6 +1112,33 @@ def oracle_parse_reports_json(data: bytes) -> list[MetricReport]:
         )
         for item in json.loads(data.decode())
     ]
+
+
+# ---------------------------------------------------------------------------
+# Kruskal-Wallis oracle: a Fraction mid-rank per value, summed one at a time
+# ---------------------------------------------------------------------------
+
+def oracle_kruskal_wallis(groups: Sequence[Sequence[float]]) -> tuple[float, int, float]:
+    """(h, df, p) of ``stats.kruskal_wallis`` from exact rational mid-ranks:
+    H = 12/(n(n+1)) * sum(R_g^2 / n_g) - 3(n+1), divided by the tie correction
+    1 - sum(t^3 - t)/(n^3 - n); all-identical values score (0.0, df, 1.0)."""
+    pooled = [float(v) for g in groups for v in g]
+    n = len(pooled)
+    counts = Counter(pooled)
+    ranks: dict[float, Fraction] = {}
+    position = 0
+    for value in sorted(counts):
+        t = counts[value]
+        ranks[value] = Fraction(2 * position + t + 1, 2)  # the mean of ranks position+1 .. position+t
+        position += t
+    df = len(groups) - 1
+    rank_term = sum(Fraction(sum(ranks[float(v)] for v in g)) ** 2 / len(g) for g in groups)
+    h = Fraction(12, n * (n + 1)) * rank_term - 3 * (n + 1)
+    correction = 1 - Fraction(sum(t**3 - t for t in counts.values()), n**3 - n)
+    if correction == 0:
+        return 0.0, df, 1.0
+    h_corrected = float(h / correction)
+    return h_corrected, df, float(gammaincc(df / 2.0, h_corrected / 2.0))
 
 
 # ---------------------------------------------------------------------------

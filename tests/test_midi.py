@@ -285,6 +285,33 @@ def test_track_length_mismatch_rejected():
         parse_midi(bad)
 
 
+def _with_alien_chunks(data: bytes, *payloads: bytes) -> bytes:
+    """``data`` with one non-MTrk chunk before each of its MTrk chunks, holding the given payloads."""
+    parts = data.split(b"MTrk")
+    aliens = [b"XFIH" + len(p).to_bytes(4, "big") + p for p in payloads]
+    return parts[0] + b"".join(alien + b"MTrk" + part for alien, part in zip(aliens, parts[1:]))
+
+
+def test_alien_chunks_are_skipped():
+    data = serialize_smf([(0, 480, 60, 64), (240, 960, 64, 90)], tempos=((0, 400_000),), pedals=[(100, 127), (700, 0)])
+    assert data.count(b"MTrk") == 2  # a tempo track and a note track
+    alien = _with_alien_chunks(data, b"\x00\x01\x02MTrk", b"")
+    assert alien != data
+    for pedal_mode in ("extend", "ignore"):
+        assert parse_midi(alien, pedal_mode).notes == parse_midi(data, pedal_mode).notes
+        assert oracle_parse_midi(alien, pedal_mode) == oracle_parse_midi(data, pedal_mode)
+
+
+def test_truncated_alien_chunk_rejected_at_its_length():
+    data = serialize_smf([(0, 480, 60, 64)])
+    bad = data[:14] + b"XFIH" + (100).to_bytes(4, "big") + data[14:]
+    message = "alien chunk extends past end of data (byte offset 18)"
+    for read in (parse_midi, oracle_parse_midi):
+        with pytest.raises(MidiParseError) as info:
+            read(bad)
+        assert (str(info.value), info.value.offset) == (message, 18)
+
+
 def test_dangling_running_status_rejected():
     track = b"\x00\x3c\x40"  # data bytes with no status byte ever seen
     data = b"MThd" + (6).to_bytes(4, "big") + (0).to_bytes(2, "big") + (1).to_bytes(2, "big") + (480).to_bytes(2, "big")
@@ -323,6 +350,8 @@ def _one_track_smf(track: bytes, fmt: int = 0) -> bytes:
         (_one_track_smf(b"\x00\xff"), "truncated meta event", 24),
         (_one_track_smf(b"\x00\xff\x51\x02\x07\xa1"), "set-tempo event with length 2", 28),
         (_one_track_smf(b"\x00\xf0\x05\x01"), "sysex event overruns track", 25),
+        (_one_track_smf(b"\x80\x80\x80\x80\x00\xff\x2f\x00"), "variable-length quantity longer than 4 bytes", 26),
+        (_one_track_smf(b"\x00\xff\x01\x80\x80\x80\x80\x00"), "variable-length quantity longer than 4 bytes", 29),
     ],
 )
 def test_each_truncation_and_length_error_names_its_byte_offset(data, message, offset):
@@ -511,6 +540,29 @@ def test_pedal_equals_per_note_oracle(notes, events):
     want_notes, want_end = oracle_apply_sustain_pedal(perf.notes, perf.end_time, pedals)
     assert out.notes == tuple(want_notes)
     assert out.end_time == want_end
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _lattice_notes.filter(lambda notes: len({(n.onset, n.pitch, n.offset) for n in notes}) == len(notes)),
+    _pedal_events.filter(lambda events: any(value >= midi.SUSTAIN_THRESHOLD for _, value in events)),
+    st.randoms(use_true_random=False),
+)
+def test_pedal_on_rows_in_any_order_equals_oracle_on_sorted_notes(notes, events, rnd):
+    rows = list(range(len(notes)))
+    rnd.shuffle(rows)
+    perf = Performance.from_notes(notes)
+    pedals = [PedalEvent(k * 0.25, value) for k, value in sorted(events, key=lambda e: e[0])]
+    out = apply_sustain_pedal(perf.take(rows), [e.time for e in pedals], [e.value for e in pedals])
+    want_notes, want_end = oracle_apply_sustain_pedal(perf.notes, perf.end_time, pedals)
+    assert out.notes == tuple(want_notes)
+    assert out.end_time == want_end
+
+
+def test_pedal_truncates_at_the_next_onset_in_time_not_in_row_order():
+    rows = Performance(np.array([1.0, 0.0]), np.array([1.2, 0.5]), np.array([60, 60]), np.array([64, 64]))
+    out = apply_sustain_pedal(rows, [0.4, 3.0], [127, 0])
+    assert [(n.onset, n.offset) for n in out.notes] == [(0.0, 1.0), (1.0, 3.0)]
 
 
 _tick_notes = st.lists(

@@ -59,6 +59,13 @@ def test_grid_config_validation():
         RunConfig(min_samples=1)
 
 
+@pytest.mark.parametrize("value", [2.5, 8.0, math.nan])
+def test_min_samples_must_be_an_integer(value):
+    with pytest.raises(ValueError, match=f"^min_samples must be an integer, got {value!r}$"):
+        RunConfig(min_samples=value)
+    assert RunConfig(min_samples=8) == RunConfig(min_samples=np.int64(8))
+
+
 def test_resample_hold_rule():
     series = _series((0.0, 1.0), (1.0, 2.0))
     assert resample_to_grid(series, 0.0, 0.5, 3).tolist() == [1.0, 1.0, 2.0]

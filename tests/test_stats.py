@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_aggregate, oracle_emit, oracle_parse_reports_json
+from helpers import oracle_aggregate, oracle_emit, oracle_kruskal_wallis, oracle_parse_reports_json
 from pianoeval.ir_metrics import PRF
 from pianoeval.musical import METRIC_NAMES, MusicalMetrics
 from pianoeval.stats import (
@@ -16,7 +16,6 @@ from pianoeval.stats import (
     RESERVED_TAGS,
     MetricReport,
     aggregate,
-    chi_square_sf,
     emit,
     kruskal_wallis,
 )
@@ -90,32 +89,39 @@ def test_kw_h_grows_with_separation():
     assert hs[-1] > hs[0]
 
 
-# ---------------------------------------------------------------------------
-# Chi-square upper tail
-# ---------------------------------------------------------------------------
-
-def test_chi_square_sf_reference_points():
-    assert chi_square_sf(0.0, 2) == pytest.approx(1.0)
-    # df=2 tail is exp(-x/2)
-    assert chi_square_sf(2 * math.log(2), 2) == pytest.approx(0.5, abs=1e-12)
-    assert chi_square_sf(7.2, 2) == pytest.approx(math.exp(-3.6), abs=1e-12)
-    # df=1 tail at 1.0: 2*(1 - Phi(1)) ~ 0.3173105
-    assert chi_square_sf(1.0, 1) == pytest.approx(0.31731050786, abs=1e-9)
+_TIED_VALUES = st.sampled_from([-3.0, 0, 0.5, 1, 1.0, 2.5, 7.0])  # 1 and 1.0 tie too
 
 
-def test_chi_square_sf_monotone_decreasing():
-    values = [chi_square_sf(x, 3) for x in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
-    assert values == sorted(values, reverse=True)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_TIED_VALUES, min_size=1, max_size=12), min_size=2, max_size=6))
+def test_kw_matches_rational_midrank_oracle(groups):
+    result = kruskal_wallis(groups)
+    assert repr((result.h, result.df, result.p)) == repr(oracle_kruskal_wallis(groups))
+    assert result.h >= 0 and result.df >= 1  # the chi-square tail's domain, never left
+    assert 0.0 <= result.p <= 1.0
 
 
-def test_chi_square_sf_validation():
-    with pytest.raises(ValueError):
-        chi_square_sf(-1.0, 2)
-    with pytest.raises(ValueError):
-        chi_square_sf(1.0, 0)
-    with pytest.raises(ValueError, match="^x must be non-negative, got nan$"):
-        chi_square_sf(math.nan, 2)
-    assert chi_square_sf(math.inf, 2) == 0.0
+def test_kw_p_is_the_chi_square_tail_in_closed_form():
+    rng = np.random.default_rng(97)
+    for _ in range(20):
+        two = [rng.integers(0, 6, size=n).tolist() for n in (4, 7)]
+        result = kruskal_wallis(two)
+        assert result.df == 1
+        assert result.p == pytest.approx(math.erfc(math.sqrt(result.h / 2)), abs=1e-12)
+        three = [rng.integers(0, 6, size=n).tolist() for n in (3, 5, 6)]
+        result = kruskal_wallis(three)
+        assert result.df == 2
+        assert result.p == pytest.approx(math.exp(-result.h / 2), abs=1e-12)
+    assert kruskal_wallis([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]]).p == 1.0  # H = 0 at df 2
+
+
+def test_kw_p_falls_as_h_grows():
+    rng = np.random.default_rng(101)
+    base = rng.normal(0, 1, 6)
+    results = [kruskal_wallis([base, base + shift, base + 2 * shift, base - shift]) for shift in (0.0, 0.3, 1.0, 5.0)]
+    assert all(r.df == 3 for r in results)
+    assert [r.h for r in results] == sorted(r.h for r in results)
+    assert [r.p for r in results] == sorted((r.p for r in results), reverse=True)
 
 
 # ---------------------------------------------------------------------------
