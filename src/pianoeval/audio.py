@@ -162,7 +162,10 @@ def checked_snr(snr_db: float) -> float:
 
 
 def _power(samples: np.ndarray) -> float:
-    return float(np.mean(samples**2))
+    """The mean square of ``samples``; ValueError when there are none or all are zero, as noise then has no level."""
+    if not samples.size or (power := float(np.mean(samples**2))) == 0.0:
+        raise ValueError("SNR is undefined for all-zero audio")
+    return power
 
 
 def add_noise_snr(audio: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
@@ -174,10 +177,7 @@ def add_noise_snr(audio: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
     """
     if checked_snr(snr_db) == math.inf:
         return AudioBuffer(audio.sample_rate, audio.samples.copy())
-    signal_power = _power(audio.samples)
-    if signal_power == 0.0:
-        raise ValueError("SNR is undefined for all-zero audio")
-    noise_power = signal_power / (10.0 ** (snr_db / 10.0))
+    noise_power = _power(audio.samples) / (10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, math.sqrt(noise_power), audio.samples.shape)
     noise += audio.samples  # the same sum as audio + noise, in the noise's memory
@@ -281,7 +281,7 @@ def apply_condition_grid(
 
     Every check that can reject the grid runs here, before the iterator is
     returned: each SNR (NaN and -inf raise ValueError), each IR's sample
-    rate and channel count, and all-zero audio or an all-zero IR when a cell
+    rate and channel count, and empty or all-zero audio or IR when a cell
     adds noise. A cell is made only when the iterator is advanced, so a
     caller that drops each cell before asking for the next holds one at a time.
     """
@@ -291,10 +291,9 @@ def apply_condition_grid(
         if ir is not None:
             _check_ir(audio, ir)
     if any(snr is not None for snr in snrs):
-        if _power(audio.samples) == 0.0:
-            raise ValueError("SNR is undefined for all-zero audio")
-        # the output is peak-matched, so only an IR of exact zeros makes an all-zero cell
-        if audio.n_samples and any(ir is not None and ir.n_samples and not ir.samples.any() for ir in irs):
+        _power(audio.samples)
+        # the output is peak-matched, so only an IR of exact zeros, or of no samples, makes an all-zero cell
+        if any(ir is not None and not ir.samples.any() for ir in irs):
             raise ValueError("SNR is undefined for all-zero audio: an IR is all zero")
     return _grid_cells(audio, snrs, irs, seed)
 

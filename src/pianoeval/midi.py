@@ -25,7 +25,6 @@ __all__ = [
     "parse_midi",
     "parse_midi_file",
     "apply_sustain_pedal",
-    "expand_ranges",
     "expand_in_passes",
 ]
 
@@ -152,16 +151,9 @@ def _sorted(onsets, offsets, pitches, velocities) -> Performance:
     return Performance(onsets[order], offsets[order], pitches[order], velocities[order])
 
 
-def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, index) for every index in every range [lo[k], hi[k]), in order of k."""
-    counts = np.maximum(hi - lo, 0)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-
-
 def expand_in_passes(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``expand_ranges(lo, hi)``'s pairs in order, in passes of whole ranges: at most
-    ``EXPAND_PASS`` pairs a pass, or one range when that range alone is longer."""
+    """(k, index) for every index in every range [lo[k], hi[k]), in order of k, in passes of
+    whole ranges: at most ``EXPAND_PASS`` pairs a pass, or one range when that range alone is longer."""
     counts = np.maximum(hi - lo, 0)
     before = np.append(0, np.cumsum(counts))  # pairs before each range
     shift = before[:-1] - lo  # a pair's place in the whole expansion less its index
@@ -211,6 +203,8 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int]:
     (length,) = struct.unpack_from(">I", data, 4)
     if length < 6:
         raise MidiParseError(f"malformed header chunk length {length}", 4)
+    if 8 + length > len(data):
+        raise MidiParseError("header chunk extends past end of data", 4)
     fmt, ntrks, division = struct.unpack_from(">HHH", data, 8)
     if fmt == 2:
         raise MidiParseError("unsupported SMF format 2", 8)

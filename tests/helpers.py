@@ -385,8 +385,8 @@ def oracle_note_prf(ref: Sequence[Note], est: Sequence[Note], mode: str):
 
 
 # ---------------------------------------------------------------------------
-# Per-note loop oracles for the array passes: candidate edges, the tension
-# window sweep and the dynamics velocity tracker
+# Per-note loop oracles for the array passes: candidate edges, range expansion,
+# the tension window sweep and the dynamics velocity tracker
 # ---------------------------------------------------------------------------
 
 def oracle_candidate_edges(ref: Sequence[Note], est: Sequence[Note], mode: str) -> list[tuple[int, int]]:
@@ -432,6 +432,12 @@ def _oracle_windows(perf: Performance, config: RunConfig):
             heapq.heappop(active)
         yield index, start, [notes[i] for _, i in active]
         index += 1
+
+
+def oracle_expand_ranges(lo: Sequence[int], hi: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(k, index) for every index in every range [lo[k], hi[k]), in order of k, one at a time."""
+    pairs = [(k, index) for k in range(len(lo)) for index in range(lo[k], hi[k])]
+    return [k for k, _ in pairs], [index for _, index in pairs]
 
 
 def oracle_window_starts(end_time: float, hop: float) -> np.ndarray:

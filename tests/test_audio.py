@@ -405,6 +405,7 @@ def test_grid_rejects_negative_infinite_snr():
 
 _SILENCE = sine_audio(seconds=0.05, amplitude=0.0)
 _ZERO_IR = AudioBuffer(44100, np.zeros((1, 10)))
+_EMPTY = AudioBuffer(44100, np.zeros((1, 0)))
 
 
 @pytest.mark.parametrize(
@@ -415,6 +416,8 @@ _ZERO_IR = AudioBuffer(44100, np.zeros((1, 10)))
         (sine_audio(seconds=0.05), [None], [None, AudioBuffer(44100, np.ones((2, 3)))], "2-channel IR"),
         (_SILENCE, [None, 6.0], [None], "all-zero audio"),
         (sine_audio(seconds=0.05), [None, 6.0], [None, _ZERO_IR], "an IR is all zero"),
+        (_EMPTY, [None, 6.0], [None], "all-zero audio"),
+        (sine_audio(seconds=0.05), [None, 6.0], [None, _EMPTY], "an IR is all zero"),
     ],
 )
 def test_grid_checks_its_inputs_before_returning(audio, snrs, irs, message):

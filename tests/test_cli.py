@@ -676,9 +676,10 @@ def test_perturb_missing_ir_file_is_io_error(tmp_path, capsys):
     assert f"pianoeval: --ir '{missing}': " in capsys.readouterr().err
 
 
-def test_perturb_silent_input_with_noise_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("seconds", [0.05, 0.0], ids=["zeros", "no-frames"])
+def test_perturb_silent_input_with_noise_is_input_error(tmp_path, capsys, seconds):
     wav = tmp_path / "silence.wav"
-    write_wav_file(wav, sine_audio(seconds=0.05, amplitude=0.0))
+    write_wav_file(wav, sine_audio(seconds=seconds, amplitude=0.0))
     out = tmp_path / "o"
     assert main(["perturb", str(wav), "--output", str(out), "--snr", "none,12", "--rt60", "none"]) == 2
     err = capsys.readouterr().err

@@ -16,8 +16,9 @@ A time is placed on a uniform grid once: outside ``series.py`` no ``floor``
 or ``ceil`` is called but on one size (a reverb's sample count), and
 ``tension`` and ``ir_metrics`` do not name ``TIME_SLACK``, so every frame,
 grid point and window position comes from ``series.grid_positions``. Notes
-are expanded over a grid by one bounded loop: ``musical`` and ``tension`` do
-not name ``midi.expand_ranges``, only its pass generator ``expand_in_passes``.
+are expanded over a grid, and candidate note pairs listed, by one bounded loop:
+``musical``, ``tension`` and ``ir_metrics`` expand ranges only through
+``midi.expand_in_passes``.
 In ``tension`` only the momentum's duration weights, ``_pc_weights``, expand
 notes, and the cloud diameter does not read them.
 The slack meets a grid in one function only, ``series.grid_positions``,
@@ -408,7 +409,7 @@ def test_only_series_places_a_time_on_a_grid(path):
         assert "TIME_SLACK" not in names_in(source)
 
 
-@pytest.mark.parametrize("stem", ["musical", "tension"])
+@pytest.mark.parametrize("stem", ["musical", "tension", "ir_metrics"])
 def test_grid_sweeps_expand_notes_only_in_bounded_passes(stem):
     names = names_in((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
     assert "expand_in_passes" in names and "expand_ranges" not in names

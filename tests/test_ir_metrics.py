@@ -22,6 +22,7 @@ from helpers import (
     random_performance,
     serialize_smf,
 )
+from pianoeval import midi
 from pianoeval.config import RunConfig
 from pianoeval.ir_metrics import (
     MATCH_MODES,
@@ -447,6 +448,8 @@ def test_same_pitch_cluster_counts_equal_exhaustive_oracle(ref, est):
         assert note_metrics(ref_perf, est_perf, mode) == PRF.from_counts(matched, len(est) - matched, len(ref) - matched)
 
 
+_passes = st.sampled_from([midi.EXPAND_PASS, 1, 5])
+
 _tick_lattice_notes = st.lists(
     # times in 8-tick steps at 960 ticks per second: 48 ticks is exactly the
     # 50 ms onset tolerance, and many offsets land exactly on their window
@@ -465,9 +468,9 @@ _tick_lattice_notes = st.lists(
 
 @settings(max_examples=150, deadline=None)
 # at 1e10 s an onset's ulp (1.9e-6) is wider than the search slack (1e-6)
-@given(_tick_lattice_notes, _tick_lattice_notes, st.sampled_from([0.0, 1e6, 1e10]))
+@given(_tick_lattice_notes, _tick_lattice_notes, st.sampled_from([0.0, 1e6, 1e10]), _passes)
 # 0.2 - 0.05 is 0.15000000000000002: only the slack keeps the est onset 0.15 in the search
-@example([Note(0.2, 0.3, 60, 80)], [Note(0.15, 0.25, 60, 80)], 0.0)
+@example([Note(0.2, 0.3, 60, 80)], [Note(0.15, 0.25, 60, 80)], 0.0, midi.EXPAND_PASS)
 # reference pitches 60, 61, 64, 60, 64 in row order, three notes on one onset: the bounds are searched in
 # (pitch, onset) order and must land back on their own rows
 @example(
@@ -476,15 +479,19 @@ _tick_lattice_notes = st.lists(
     [Note(0.11, 0.21, 64, 70), Note(0.1, 0.3, 61, 80), Note(0.09, 0.25, 60, 80), Note(0.19, 0.31, 60, 80),
      Note(0.12, 0.22, 60, 90), Note(0.21, 0.4, 64, 80)],
     0.0,
+    1,
 )
-def test_candidate_edges_equal_loop_oracle(ref, est, shift):
+def test_candidate_edges_equal_loop_oracle(ref, est, shift, expand_pass):
     ref, est = (Performance.from_notes(notes) for notes in (ref, est))
     ref, est = (Performance(p.onsets + shift, p.offsets + shift, p.pitches, p.velocities) for p in (ref, est))
-    _assert_candidate_edges_equal_oracle(ref, est)
+    _assert_candidate_edges_equal_oracle(ref, est, expand_pass)
 
 
-def _assert_candidate_edges_equal_oracle(ref, est):
-    edges = {mode: _candidate_edges(ref, est, mode) for mode in MATCH_MODES}
+def _assert_candidate_edges_equal_oracle(ref, est, expand_pass):
+    # a pass of 1 or 5 pairs splits the search into many passes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(midi, "EXPAND_PASS", expand_pass)
+        edges = {mode: _candidate_edges(ref, est, mode) for mode in MATCH_MODES}
     for mode in ("onset", "onset_offset"):
         i, j = edges[mode]
         assert list(zip(i.tolist(), j.tolist())) == oracle_candidate_edges(ref.notes, est.notes, mode), mode
@@ -509,13 +516,13 @@ _tied_notes = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(_tied_notes, _tied_notes, st.data())
-def test_candidate_edges_equal_loop_oracle_on_rows_in_any_order(ref, est, data):
+@given(_tied_notes, _tied_notes, st.data(), _passes)
+def test_candidate_edges_equal_loop_oracle_on_rows_in_any_order(ref, est, data, expand_pass):
     # the search sorts est rows by (pitch, onset, row) itself, with -0.0 and 0.0 as one onset
     ref, est = (
         p.take(data.draw(st.permutations(range(len(p))))) for p in map(Performance.from_notes, (ref, est))
     )
-    _assert_candidate_edges_equal_oracle(ref, est)
+    _assert_candidate_edges_equal_oracle(ref, est, expand_pass)
 
 
 @settings(max_examples=150, deadline=None)

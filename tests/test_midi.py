@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     PedalEvent,
     oracle_apply_sustain_pedal,
+    oracle_expand_ranges,
     oracle_parse_midi,
     oracle_parse_track,
     performance_to_smf,
@@ -23,7 +24,6 @@ from pianoeval.midi import (
     Performance,
     apply_sustain_pedal,
     expand_in_passes,
-    expand_ranges,
     parse_midi,
     parse_midi_file,
 )
@@ -99,6 +99,29 @@ def test_performance_rejects_fractional_and_huge_pitch_or_velocity(pitch, veloci
     # not truncated to 60 and 80, and no OverflowError from the int64 cast
     with pytest.raises(ValueError, match=rf"^note 0 \(0\.0, 1\.0, .*\): {problem}$"):
         Performance([0.0], [1.0], [pitch], [velocity])
+
+
+# fractional, non-finite and huge floats, small ints, the range ends, -0.0, and an int past int64
+_row_values = st.one_of(
+    st.floats(), st.floats(-1.0, 130.0), st.integers(-2, 130), st.sampled_from([0, 1, 127, 128, -0.0, 1e30, 2**70])
+)
+
+
+def _refuses(make) -> bool:
+    try:
+        make()
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_row_values, _row_values, _row_values, _row_values))
+@example((0, 1.5, 60, 80))
+@example((0, 1.5, 60.5, 80))
+@example((-0.0, 2**70, 127, 1))
+def test_note_and_one_row_performance_refuse_the_same_rows(row):
+    assert _refuses(lambda: Note(*row)) == _refuses(lambda: Performance(*([value] for value in row)))
 
 
 def test_take_keeps_given_order_and_end_time():
@@ -334,9 +357,10 @@ def test_zero_tempo_rejected_at_event_offset():
     assert data[info.value.offset : info.value.offset + 3] == b"\xff\x51\x03"
 
 
-def _one_track_smf(track: bytes, fmt: int = 0) -> bytes:
-    """An SMF of format ``fmt``, 480 ticks per quarter, whose one MTrk chunk holds ``track`` from byte 22."""
-    header = b"MThd" + (6).to_bytes(4, "big") + b"".join(v.to_bytes(2, "big") for v in (fmt, 1, 480))
+def _one_track_smf(track: bytes, fmt: int = 0, header_length: int = 6, ntrks: int = 1) -> bytes:
+    """An SMF of format ``fmt``, 480 ticks per quarter, whose one MTrk chunk holds ``track`` from byte 22;
+    its header declares ``ntrks`` tracks and a length of ``header_length`` bytes."""
+    header = b"MThd" + header_length.to_bytes(4, "big") + b"".join(v.to_bytes(2, "big") for v in (fmt, ntrks, 480))
     return header + b"MTrk" + len(track).to_bytes(4, "big") + track
 
 
@@ -352,6 +376,9 @@ def _one_track_smf(track: bytes, fmt: int = 0) -> bytes:
         (_one_track_smf(b"\x00\xf0\x05\x01"), "sysex event overruns track", 25),
         (_one_track_smf(b"\x80\x80\x80\x80\x00\xff\x2f\x00"), "variable-length quantity longer than 4 bytes", 26),
         (_one_track_smf(b"\x00\xff\x01\x80\x80\x80\x80\x00"), "variable-length quantity longer than 4 bytes", 29),
+        # a header whose length runs past the 26-byte file, with and without a track to read after it
+        (_one_track_smf(b"\x00\xff\x2f\x00", header_length=1000), "header chunk extends past end of data", 4),
+        (_one_track_smf(b"\x00\xff\x2f\x00", header_length=1000, ntrks=0), "header chunk extends past end of data", 4),
     ],
 )
 def test_each_truncation_and_length_error_names_its_byte_offset(data, message, offset):
@@ -730,9 +757,9 @@ def test_parse_raises_only_midi_parse_error(data, pedal_mode):
 
 def test_expand_ranges_lists_each_index_of_each_range_in_order():
     # [2, 4), the empty [5, 5), [0, 3) and the negative [7, 2)
-    k, index = expand_ranges(np.array([2, 5, 0, 7]), np.array([4, 5, 3, 2]))
-    assert k.tolist() == [0, 0, 2, 2, 2]
-    assert index.tolist() == [2, 3, 0, 1, 2]
+    passes = list(expand_in_passes(np.array([2, 5, 0, 7]), np.array([4, 5, 3, 2])))
+    assert np.concatenate([k for k, _ in passes]).tolist() == [0, 0, 2, 2, 2]
+    assert np.concatenate([index for _, index in passes]).tolist() == [2, 3, 0, 1, 2]
 
 
 def _lo_hi(rows):
@@ -751,15 +778,15 @@ _ranges = st.lists(st.tuples(st.integers(0, 40), st.integers(-10, 80)), max_size
 @example((np.array([0, 0]), np.array([-1, 0])), 1)
 def test_passes_are_whole_ranges_of_the_whole_expansion_in_order(ranges, expand_pass):
     lo, hi = ranges
-    k, index = expand_ranges(lo, hi)
+    k, index = oracle_expand_ranges(lo.tolist(), hi.tolist())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(midi, "EXPAND_PASS", expand_pass)
         passes = list(expand_in_passes(lo, hi))
     for pass_k, pass_index in passes:
-        assert pass_k.dtype == k.dtype and pass_index.dtype == index.dtype
+        assert pass_k.dtype == pass_index.dtype == np.intp
     owners = [pass_k.tolist() for pass_k, _ in passes]
-    assert sum(owners, []) == k.tolist()
-    assert sum((pass_index.tolist() for _, pass_index in passes), []) == index.tolist()
+    assert sum(owners, []) == k
+    assert sum((pass_index.tolist() for _, pass_index in passes), []) == index
     # each range's pairs lie in one pass, so a later pass starts past every range of an earlier one
     ranges_seen = [owner for owner in owners if owner]
     assert all(a[-1] < b[0] for a, b in zip(ranges_seen, ranges_seen[1:]))
