@@ -23,6 +23,7 @@ __all__ = [
     "read_wav_file",
     "write_wav_file",
     "checked_snr",
+    "checked_ir",
     "checked_ir_length",
     "checked_rt60",
     "add_noise_snr",
@@ -184,13 +185,19 @@ def add_noise_snr(audio: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
     return AudioBuffer(audio.sample_rate, noise)
 
 
-def _check_ir(audio: AudioBuffer, ir: AudioBuffer) -> None:
+def checked_ir(audio: AudioBuffer, ir: AudioBuffer, noisy: bool = False) -> AudioBuffer:
+    """``ir`` if it can reverberate ``audio``: the same sample rate, one channel or as many as
+    ``audio``, and, when noise is added after it (``noisy``), not all zero; else ValueError."""
     if audio.sample_rate != ir.sample_rate:
         raise ValueError(
             f"sample rate mismatch: audio {audio.sample_rate} Hz vs IR {ir.sample_rate} Hz"
         )
     if ir.channels not in (1, audio.channels):
         raise ValueError(f"cannot apply {ir.channels}-channel IR to {audio.channels}-channel audio")
+    # the output is peak-matched, so only an IR of exact zeros, or of no samples, makes an all-zero cell
+    if noisy and not ir.samples.any():
+        raise ValueError("SNR is undefined for all-zero audio: an IR is all zero")
+    return ir
 
 
 def convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
@@ -201,7 +208,7 @@ def convolve_ir(audio: AudioBuffer, ir: AudioBuffer) -> AudioBuffer:
     its peak equals the input's peak, keeping loudness comparable across
     IRs of different energy.
     """
-    _check_ir(audio, ir)
+    checked_ir(audio, ir)
     n, m = audio.n_samples, ir.n_samples
     if n == 0 or m == 0:
         out = np.zeros((audio.channels, 0))
@@ -280,21 +287,16 @@ def apply_condition_grid(
     order is IR-major, then SNR, matching the input level order.
 
     Every check that can reject the grid runs here, before the iterator is
-    returned: each SNR (NaN and -inf raise ValueError), each IR's sample
-    rate and channel count, and empty or all-zero audio or IR when a cell
-    adds noise. A cell is made only when the iterator is advanced, so a
-    caller that drops each cell before asking for the next holds one at a time.
+    returned: each SNR (NaN and -inf raise ValueError), each IR through
+    ``checked_ir``, and empty or all-zero audio when a cell adds noise. A
+    cell is made only when the iterator is advanced, so a caller that drops
+    each cell before asking for the next holds one at a time.
     """
     snrs = [None if snr is None or snr == math.inf else checked_snr(snr) for snr in snr_levels]
-    irs = list(ir_levels)
-    for ir in irs:
-        if ir is not None:
-            _check_ir(audio, ir)
-    if any(snr is not None for snr in snrs):
+    noisy = any(snr is not None for snr in snrs)
+    irs = [None if ir is None else checked_ir(audio, ir, noisy) for ir in ir_levels]
+    if noisy:
         _power(audio.samples)
-        # the output is peak-matched, so only an IR of exact zeros, or of no samples, makes an all-zero cell
-        if any(ir is not None and not ir.samples.any() for ir in irs):
-            raise ValueError("SNR is undefined for all-zero audio: an IR is all zero")
     return _grid_cells(audio, snrs, irs, seed)
 
 

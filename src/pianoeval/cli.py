@@ -21,6 +21,7 @@ from typing import Iterator, Optional
 
 from .audio import (
     apply_condition_grid,
+    checked_ir,
     checked_ir_length,
     checked_rt60,
     checked_snr,
@@ -223,6 +224,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed {args.seed}: must be a non-negative integer")
     audio = _named(args.input, read_wav_file, args.input)
+    noisy = any(snr not in (None, math.inf) for _, snr in snrs)
     irs = []
     for i, (name, level) in enumerate(rooms):  # named as in _levels: an RT60's token is its name
         if level is None:
@@ -230,10 +232,11 @@ def cmd_perturb(args: argparse.Namespace) -> int:
         elif args.ir is None:
             seed = derive_seed(args.seed, 1, i)
             irs.append(_named(f"--rt60 {name!r}", synth_ir, level, audio.sample_rate, seed))
-        else:  # a file's token is its level
+        else:  # a file's token is its level, and each check names it
             irs.append(_named(f"--ir {level!r}", read_wav_file, level))
             _named(f"--ir {level!r}", checked_ir_length, irs[-1].n_samples)
-    # the input is at fault: all zero under noise, or of another rate or width than an IR
+            _named(f"--ir {level!r}", checked_ir, audio, irs[-1], noisy)
+    # the input is at fault: all zero under noise
     cells = _named(args.input, apply_condition_grid, audio, [snr for _, snr in snrs], irs, args.seed)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)

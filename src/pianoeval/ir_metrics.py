@@ -174,42 +174,33 @@ def _candidate_edges(ref: Performance, est: Performance, mode: str) -> tuple[np.
     return tuple(np.concatenate(c) for c in zip(*kept))
 
 
-def _filter_velocity(
-    ref_velocities: np.ndarray, est_velocities: np.ndarray, i: np.ndarray, j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep edges whose velocity agrees after a global affine alignment.
-
-    MIDI velocity scales are arbitrary per transcriber, so the estimate's
-    velocities are mapped onto the min-max-scaled reference velocities by
-    the single least-squares affine transform fitted over all candidate
-    pairs, fitted once; an edge survives iff its residual is within the
-    tolerance.
-    """
-    if not len(i):
-        return i, j
-    # min-max scale to [0, 1]; a degenerate range maps everything to 0
-    lo, hi = ref_velocities.min(), ref_velocities.max()
-    scaled = (ref_velocities - lo) / (hi - lo) if hi > lo else np.zeros(len(ref_velocities))
-    a = np.column_stack([est_velocities[j], np.ones(len(j))])
-    (slope, intercept), *_ = np.linalg.lstsq(a, scaled[i], rcond=None)
-    keep = np.abs(slope * est_velocities[j] + intercept - scaled[i]) <= VELOCITY_TOLERANCE
-    return i[keep], j[keep]
-
-
 def match_notes(ref: Performance, est: Performance, mode: str) -> NoteMatching:
     """Maximum-cardinality one-to-one matching under the mode's tolerances.
 
     A pair is a candidate iff pitches are equal and onsets differ by at
     most 50 ms; the offset modes additionally require the offset error
     within max(50 ms, 20% of the reference duration); the velocity mode
-    further requires the affine-aligned velocity residual within 0.1.
+    further requires the min-max-scaled reference velocity within 0.1 of
+    one least-squares line in the estimate's, over all candidate pairs.
     Distances are rounded to 7 decimals before they are compared.
     """
     if mode not in MATCH_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MATCH_MODES}")
     i, j = _candidate_edges(ref, est, mode)
-    if mode == "onset_offset_velocity":
-        i, j = _filter_velocity(ref.velocities, est.velocities, i, j)
+    if mode == "onset_offset_velocity" and len(i):
+        # the least-squares line from est velocities x to y = v / s over all candidate pairs, where
+        # v = ref velocity - min and s = max(1, max - min): velocities are integers, so the sums
+        # are exact int64 (each below 2**35 under MAX_NOTE_PAIRS) and each coefficient is one
+        # correctly rounded division; with D = 0 (every x equal) the line is the mean of y
+        lo = ref.velocities.min()
+        x, v, s = est.velocities[j], ref.velocities[i] - lo, max(1, int(ref.velocities.max() - lo))
+        n, sx, sxx, sv, sxv = len(x), int(x.sum()), int(x @ x), int(v.sum()), int(x @ v)
+        if d := n * sxx - sx * sx:
+            slope, intercept = (n * sxv - sx * sv) / (d * s), (sxx * sv - sx * sxv) / (d * s)
+        else:
+            slope, intercept = 0.0, sv / (n * s)
+        keep = np.abs(slope * x + intercept - v / s) <= VELOCITY_TOLERANCE
+        i, j = i[keep], j[keep]
     indptr = np.searchsorted(i, np.arange(len(ref) + 1))
     graph = csr_array((np.ones(len(j)), j, indptr), (len(ref), len(est)))
     match = maximum_bipartite_matching(graph, perm_type="column")

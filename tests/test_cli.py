@@ -688,16 +688,25 @@ def test_perturb_silent_input_with_noise_is_input_error(tmp_path, capsys, second
     assert not out.exists()
 
 
-def test_perturb_ir_at_other_sample_rate_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "ir_audio, message",
+    [
+        (sine_audio(seconds=0.0), "SNR is undefined for all-zero audio: an IR is all zero"),
+        (sine_audio(seconds=0.01, amplitude=0.0), "SNR is undefined for all-zero audio: an IR is all zero"),
+        (sine_audio(seconds=0.01, sample_rate=48_000), "sample rate mismatch: audio 44100 Hz vs IR 48000 Hz"),
+    ],
+    ids=["no-frames", "zeros", "other-rate"],
+)
+def test_perturb_ir_at_fault_names_the_ir_file(tmp_path, capsys, ir_audio, message):
     wav = tmp_path / "take.wav"
     write_wav_file(wav, sine_audio(seconds=0.05))
-    ir = tmp_path / "hall.wav"
-    write_wav_file(ir, sine_audio(seconds=0.01, sample_rate=22050))
+    good, ir = tmp_path / "room.wav", tmp_path / "hall.wav"
+    write_wav_file(good, sine_audio(seconds=0.01, amplitude=0.3))
+    write_wav_file(ir, ir_audio)
     out = tmp_path / "o"
-    assert main(["perturb", str(wav), "--output", str(out), "--snr", "none", "--ir", f"none,{ir}"]) == 2
-    err = capsys.readouterr().err
-    assert "take.wav" in err
-    assert "sample rate" in err
+    args = ["perturb", str(wav), "--output", str(out), "--snr", "none,12", "--ir", f"none,{good},{ir}"]
+    assert main(args) == 2
+    assert f"pianoeval: --ir '{ir}': {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """Whole batch outputs pinned byte for byte (see ``golden/make_golden.py``).
 
 The expected JSON keeps every digit of each float, which may depend on the
-numpy and BLAS build (``lstsq``, ``@``); the files pin this project's
+numpy and BLAS build (``@``); the files pin this project's
 outputs on one build and are not meant to hold across machines.
 """
 

@@ -29,7 +29,9 @@ function reads ``TIME_SLACK``, and ``series``, ``musical`` and ``tension``
 name ``searchsorted`` nowhere: no grid is searched. A uniform grid is a
 start, a step and a count: no ``np.arange(...) * step`` product in ``src/``
 builds an array of grid times, and each series timestamps only the points it
-keeps.
+keeps. The velocity line is fitted in closed form from exact integer sums: no
+module in ``src/`` names ``linalg``, so a general solver, whose last bits can
+depend on the row order and the BLAS build, does not come back.
 
 Start-up cost is pinned by what gets imported, not by a time: the CLI must
 not load the large scipy subpackages, and no function in ``src/`` may import
@@ -481,3 +483,8 @@ def test_arange_product_scan():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_no_array_of_grid_times_is_built(path):
     assert arange_products(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_calls_a_linear_algebra_solver(path):
+    assert "linalg" not in names_in(path.read_text(encoding="utf-8"))

@@ -439,6 +439,11 @@ _cluster_notes = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(_cluster_notes, _cluster_notes)
+# every candidate pair has one estimate velocity, so the velocity line is the mean of unequal targets
+@example(
+    [Note(0.0, 0.2, 60, 20), Note(0.1, 0.3, 60, 60), Note(0.15, 0.35, 60, 100)],
+    [Note(0.0, 0.2, 60, 64), Note(0.1, 0.3, 60, 64), Note(0.15, 0.35, 60, 64)],
+)
 def test_same_pitch_cluster_counts_equal_exhaustive_oracle(ref, est):
     ref_perf, est_perf = Performance.from_notes(ref), Performance.from_notes(est)
     for mode in MATCH_MODES:
@@ -549,7 +554,6 @@ def test_note_metrics_invariant_to_estimate_order(ref, est, random):
     st.integers(0, 2**32 - 1), st.integers(0, 60), st.sampled_from([0.0, 0.01, 0.04]), st.sampled_from([0, 1])
 )
 def test_frame_and_note_offset_scores_do_not_depend_on_row_order(seed, n_notes, sigma, shuffled):
-    # onset_offset_velocity is left out: its least-squares fit runs over the edges in row order
     rng = np.random.default_rng(seed)
     ref = random_performance(rng, n_notes)
     sides = [ref, jitter_onsets(ref, sigma, rng)]
@@ -560,7 +564,8 @@ def test_frame_and_note_offset_scores_do_not_depend_on_row_order(seed, n_notes, 
         frame_metrics(*(build_piano_roll(perf, h) for perf in pair)) for pair in (sides, permuted)
     )
     assert shuffled_frame == frame
-    assert note_metrics(*permuted, "onset_offset") == note_metrics(*sides, "onset_offset")
+    for mode in ("onset_offset", "onset_offset_velocity"):
+        assert note_metrics(*permuted, mode) == note_metrics(*sides, mode), mode
 
 
 def test_matching_pairs_are_valid_and_disjoint():
